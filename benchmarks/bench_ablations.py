@@ -1,52 +1,19 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-Three implementation decisions carry the numerical load of this
-reproduction; each is ablated here:
-
-1. **Euler-Maclaurin tail correction** (vs brute-force truncation) for
-   heavy-tailed best-effort sums — accuracy preserved at a fraction of
-   the terms.
-2. **Welfare envelope sweep** (vs per-price exact optimisation) for
+1. **Welfare envelope sweep** (vs per-price exact optimisation) for
    gamma(p) curves — large speedup at matching accuracy.
-3. **Analytic tail bounds** in the series truncation (vs a fixed large
-   cutoff) — the adaptive truncation point tracks capacity.
+2. **Admission-threshold sensitivity** — how much utility a
+   mis-estimated ``k_max`` costs.
 """
 
 import time
 
 import pytest
 
-import repro.models.variable_load as vlm
 from benchmarks.conftest import run_once
 from repro.loads import AlgebraicLoad
 from repro.models import VariableLoadModel, WelfareModel
 from repro.utility import AdaptiveUtility
-
-
-def test_ablation_euler_maclaurin_tail(benchmark, record):
-    load = AlgebraicLoad.from_mean(3.0, 100.0)
-    u = AdaptiveUtility()
-    capacity = 600.0
-
-    reference = VariableLoadModel(load, u).total_best_effort(capacity)
-
-    def em_mode():
-        original = vlm.BRUTE_FORCE_CAP
-        vlm.BRUTE_FORCE_CAP = 1 << 16  # force the EM path
-        try:
-            return VariableLoadModel(load, u).total_best_effort(capacity)
-        finally:
-            vlm.BRUTE_FORCE_CAP = original
-
-    em_value = run_once(benchmark, em_mode)
-    record(
-        "ablation_em_tail",
-        f"V_B(C={capacity}) brute-force={reference:.10f} "
-        f"euler-maclaurin={em_value:.10f} "
-        f"abs diff={abs(reference - em_value):.2e} "
-        f"(EM summed 2^16 terms vs ~2^21 brute-force)",
-    )
-    assert em_value == pytest.approx(reference, abs=1e-6)
 
 
 def test_ablation_welfare_envelope_vs_exact(benchmark, record):
@@ -78,28 +45,6 @@ def test_ablation_welfare_envelope_vs_exact(benchmark, record):
     record("ablation_welfare_envelope", "\n".join(rows))
     for g, e in zip(exact, curve["gamma"]):
         assert e == pytest.approx(g, rel=0.03)
-
-
-def test_ablation_truncation_scales_with_capacity(benchmark, record):
-    """The adaptive truncation point grows with C instead of being fixed."""
-    load = AlgebraicLoad.from_mean(3.0, 100.0)
-    model = VariableLoadModel(load, AdaptiveUtility())
-
-    def probe():
-        return {
-            c: model._truncation_point(c) or vlm.BRUTE_FORCE_CAP
-            for c in (25.0, 100.0, 400.0)
-        }
-
-    points = run_once(benchmark, probe)
-    record(
-        "ablation_truncation",
-        "\n".join(f"C={c:6.0f} -> truncation N={n}" for c, n in points.items()),
-    )
-    ns = list(points.values())
-    assert ns[0] < ns[-1]  # tracks capacity
-    # fixed-cutoff alternative would need the max everywhere
-    assert ns[0] <= ns[-1] // 4
 
 
 def test_ablation_threshold_sensitivity(benchmark, record):

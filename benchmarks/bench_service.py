@@ -2,11 +2,11 @@
 
 PR 8's tentpole claim: the paper's headline quantities are servable at
 interactive rates because a certified Chebyshev surface answers a
-point query in microseconds where the exact scalar path costs
+point query in microseconds where the exact per-point path costs
 hundreds.  This benchmark measures three things and gates two:
 
 * **point speedup** (gated ≥ 50x): ``EmulatorService.point`` versus
-  the exact scalar solver path (`performance_gap` et al.) on the same
+  the exact per-point solver path (`performance_gap` et al.) on the same
   random in-domain capacities, both warm — the per-query cost a
   non-emulated service would pay.
 * **sustained throughput** (gated ≥ 1000 req/s): ``CLIENTS``
@@ -45,7 +45,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro import obs
-from repro.emulator import exact_scalar, exact_values
+from repro.emulator import exact_values
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.runner.cache import ResultCache
 from repro.service import BackgroundServer, EmulatorService, ServiceClient
@@ -93,7 +93,7 @@ def _service() -> EmulatorService:
 
 
 def _measure_point_speedup(service: EmulatorService) -> Dict:
-    """Exact-scalar path vs the served surface path, min-of-N.
+    """Per-point exact path vs the served surface path, min-of-N.
 
     The exact side rebuilds its model every repetition: the model's
     per-capacity memo would otherwise serve the second pass from
@@ -109,7 +109,7 @@ def _measure_point_speedup(service: EmulatorService) -> Dict:
     # warm shared state on both sides (series tables, surface bank,
     # numpy dispatch) before any timed pass
     for x in xs[:3]:
-        exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", float(x))
+        exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [float(x)])
         service.point("delta", "poisson", "adaptive", float(x))
     t_exact = float("inf")
     for _ in range(REPEATS):

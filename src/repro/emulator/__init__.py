@@ -19,7 +19,6 @@ from repro.emulator.bank import (
     SurfaceBank,
     check_bank,
     default_bank,
-    exact_scalar,
     exact_values,
     fit_bank,
     replace_axis,
@@ -49,7 +48,6 @@ __all__ = [
     "default_bank",
     "check_bank",
     "exact_values",
-    "exact_scalar",
     "replace_axis",
     "ChebyshevSurface",
     "ChebyshevSurface2D",

@@ -122,27 +122,6 @@ def exact_values(
     )
 
 
-def exact_scalar(
-    quantity: str, config: PaperConfig, load: str, utility: str, x: float
-) -> float:
-    """One exact point through the *scalar* model path.
-
-    This is the per-query cost the emulator replaces — the baseline of
-    the bench speedup gate — kept separate from :func:`exact_values`
-    so the comparison is honest about what a non-emulated service
-    would pay per request.
-    """
-    if quantity == "delta":
-        return _variable_model(config, load, utility).performance_gap(x)
-    if quantity == "Delta":
-        return _variable_model(config, load, utility).bandwidth_gap(x)
-    if quantity == "gamma":
-        return _welfare_model(config, load, utility).equalizing_ratio(x)
-    raise ValueError(
-        f"unknown quantity {quantity!r}; expected one of {sorted(QUANTITIES)}"
-    )
-
-
 def exact_delta_series(config: PaperConfig, load: str, utility: str) -> dict:
     """``delta`` over ``config.capacities`` (cache fallback target)."""
     xs = np.asarray(config.capacities, dtype=float)
@@ -412,7 +391,6 @@ __all__ = [
     "default_bank",
     "check_bank",
     "exact_values",
-    "exact_scalar",
     "exact_delta_series",
     "exact_Delta_series",
     "exact_gamma_series",

@@ -25,12 +25,20 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ModelError
-from repro.numerics.optimize import argmax_int
 from repro.utility.base import UtilityFunction
 from repro.utility.probes import UtilityClass, classify
 
 #: Search cap multiplier: k_max is sought among k <= max(64, limit_factor*C).
 DEFAULT_KMAX_LIMIT_FACTOR = 64.0
+
+
+def validated_capacities(capacities) -> np.ndarray:
+    """``capacities`` as a flat float grid; refuses negative, NaN and inf."""
+    caps = np.asarray(capacities, dtype=float).ravel()
+    bad = caps[~(caps >= 0.0) | np.isinf(caps)]
+    if bad.size:
+        raise ValueError(f"capacity must be finite and >= 0, got {float(bad[0])!r}")
+    return caps
 
 
 class Architecture(enum.Enum):
@@ -112,62 +120,15 @@ class FixedLoadModel:
     def k_max(self, capacity: float) -> int:
         """Utility-maximising number of admitted flows at capacity ``C``.
 
-        Uses the utility's analytic ``k_max`` hint when available (the
-        rigid, ramp and power-law families know theirs exactly) and
-        otherwise searches ``V(k)`` by integer maximisation.
+        A cache lookup, then a one-element :meth:`k_max_batch` call.
         """
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0
-        if self._k_max_override is not None:
-            # footnote 9: elastic utilities have no interior optimum, so
-            # callers studying them must choose the threshold themselves
-            return int(self._k_max_override(capacity))
-        key = capacity
-        cached = self._k_max_cache.get(key)
-        if cached is not None:
-            if obs.enabled():
-                obs.counter("model.k_max.cache_hits").inc()
-            return cached
-        if obs.enabled():
-            obs.counter("model.k_max.searches").inc()
-
-        limit = self._k_max_limit
-        if limit is None:
-            limit = max(64, int(DEFAULT_KMAX_LIMIT_FACTOR * capacity) + 64)
-
-        hint = getattr(self._utility, "k_max", None)
-        if hint is not None:
-            # refine the analytic (continuum) hint over the integers
-            center = int(round(float(hint(capacity))))
-            lo = max(0, center - 3)
-            hi = max(lo + 1, center + 3)
-            candidates = range(lo, hi + 1)
-            best = max(candidates, key=lambda k: self.total_utility(k, capacity))
-            # walk outward in case the hint was off by more than 3
-            value = self.total_utility(best, capacity)
-            while best > 0 and self.total_utility(best - 1, capacity) > value:
-                best -= 1
-                value = self.total_utility(best, capacity)
-            while self.total_utility(best + 1, capacity) > value:
-                best += 1
-                value = self.total_utility(best, capacity)
-        else:
-            best, _ = argmax_int(
-                lambda k: self.total_utility(k, capacity),
-                0,
-                limit,
-                label=f"k_max(C={capacity})",
-            )
-            if best >= limit:
-                raise ModelError(
-                    f"k_max search hit the limit {limit} at C={capacity}; the "
-                    "utility appears elastic (V(k) increasing) — admission "
-                    "control has no finite optimum (paper Section 2)"
-                )
-        self._k_max_cache[key] = best
-        return best
+        if self._k_max_override is None:
+            cached = self._k_max_cache.get(capacity)
+            if cached is not None:
+                if obs.enabled():
+                    obs.counter("model.k_max.cache_hits").inc()
+                return cached
+        return int(self.k_max_batch([capacity])[0])
 
     # ------------------------------------------------------------------
     # batch evaluation
@@ -185,22 +146,17 @@ class FixedLoadModel:
     def k_max_batch(self, capacities) -> np.ndarray:
         """Admission thresholds for a whole capacity grid at once.
 
-        The batch counterpart of :meth:`k_max`, returning an integer
-        array.  With an analytic hint the per-capacity centres are
-        refined by a vectorised window-and-walk, mirroring the scalar
-        path.  Without one, ``V(k)`` is unimodal for every inelastic
-        utility (the paper's premise), so the peak is located by a
-        vectorised binary search on the discrete slope — the smallest
-        ``k`` with ``V(k+1) <= V(k)`` — followed by the same local
-        safeguard walk the scalar search ends with.  Elements whose
-        optimum hits the search limit raise :class:`ModelError`
-        exactly as the scalar path does.
+        Uses the utility's analytic ``k_max`` hint when available (the
+        rigid, ramp and power-law families know theirs exactly), refined
+        over the integers by a vectorised window-and-walk.  Without one,
+        ``V(k)`` is unimodal for every inelastic utility (the paper's
+        premise), so the peak is located by a vectorised search on the
+        discrete slope — the smallest ``k`` with ``V(k+1) <= V(k)`` —
+        followed by a local safeguard walk.  An
+        optimum at the search limit means the utility is effectively
+        elastic there and raises :class:`ModelError`.
         """
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 0.0:
-            raise ValueError(
-                f"capacity must be >= 0, got {float(np.min(caps))!r}"
-            )
+        caps = validated_capacities(capacities)
         result = np.zeros(caps.size, dtype=np.int64)
         if self._k_max_override is not None:
             for i, c in enumerate(caps):
@@ -245,20 +201,36 @@ class FixedLoadModel:
                 limits = np.maximum(
                     64, (DEFAULT_KMAX_LIMIT_FACTOR * sub).astype(np.int64) + 64
                 )
+            # k-ary search: each round tests the slope at `probes` points
+            # of every open [lo, hi) and keeps the piece holding the
+            # first descending one.  Small grids (single points) take
+            # many probes per round, large grids few (probes=1 is
+            # bisection), so a round stays one modest numpy call.
+            probes = max(1, min(128, 4096 // len(sub)))
+            fractions = np.arange(1, probes + 1) / (probes + 1)
+            rows = np.arange(len(sub))
             search_lo = np.zeros(len(sub), dtype=np.int64)
             search_hi = limits.copy()
             while True:
                 open_mask = search_lo < search_hi
                 if not np.any(open_mask):
                     break
-                mid = (search_lo + search_hi) // 2
-                pair = self._totals_grid(
-                    np.stack([mid, mid + 1], axis=1), col
+                span = (search_hi - search_lo).reshape(-1, 1)
+                mids = search_lo.reshape(-1, 1) + (span * fractions).astype(np.int64)
+                values = self._totals_grid(np.hstack([mids, mids + 1]), col)
+                descending = values[:, probes:] <= values[:, :probes]
+                first = np.where(
+                    descending.any(axis=1), descending.argmax(axis=1), probes
                 )
-                descending = pair[:, 1] <= pair[:, 0]
-                search_hi = np.where(open_mask & descending, mid, search_hi)
+                search_hi = np.where(
+                    open_mask & (first < probes),
+                    mids[rows, np.minimum(first, probes - 1)],
+                    search_hi,
+                )
                 search_lo = np.where(
-                    open_mask & ~descending, mid + 1, search_lo
+                    open_mask & (first > 0),
+                    mids[rows, np.maximum(first - 1, 0)] + 1,
+                    search_lo,
                 )
             best = search_lo
             if np.any(best >= limits):
@@ -270,24 +242,18 @@ class FixedLoadModel:
                     "(paper Section 2)"
                 )
 
-        # safeguard walk (vectorised): nudge until locally optimal, which
-        # the scalar path guarantees by construction
-        value = self._totals_grid(best, sub)
+        # safeguard walk (vectorised): nudge until locally optimal,
+        # preferring a step down, one V(k-1), V(k), V(k+1) call per step
+        steps = np.array([-1, 0, 1])
         while True:
-            down = best > 0
-            if np.any(down):
-                lower = self._totals_grid(np.maximum(best - 1, 0), sub)
-                move = down & (lower > value)
-                if np.any(move):
-                    best = np.where(move, best - 1, best)
-                    value = np.where(move, lower, value)
-                    continue
-            upper = self._totals_grid(best + 1, sub)
-            move = upper > value
-            if not np.any(move):
+            values = self._totals_grid(
+                np.maximum(best.reshape(-1, 1) + steps, 0), col
+            )
+            down = (best > 0) & (values[:, 0] > values[:, 1])
+            up = ~down & (values[:, 2] > values[:, 1])
+            if not np.any(down | up):
                 break
-            best = np.where(move, best + 1, best)
-            value = np.where(move, upper, value)
+            best = best - down + up
 
         result[idx] = best
         for j, i in enumerate(idx):

@@ -42,7 +42,6 @@ from repro.models.variable_load import (
     solve_bandwidth_gaps,
 )
 from repro.numerics.series import fixed_point
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
 #: Retry penalty used throughout the paper's Section 5.2 numbers.
@@ -199,24 +198,12 @@ class RetryingModel:
         gap_floor: float = GAP_FLOOR,
         upper_limit: float = 1e9,
     ) -> float:
-        """``Delta~(C)`` solving ``B(C + Delta) = R~(C)``.
-
-        Returns 0.0 when retries make reservations no better than
-        best effort at this capacity.
-        """
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"retrying bandwidth gap at C={capacity}",
+        """``Delta~(C)``: a one-element :meth:`bandwidth_gap_batch`."""
+        return float(
+            self.bandwidth_gap_batch(
+                [capacity], gap_floor=gap_floor, upper_limit=upper_limit
+            )[0]
         )
-        return max(0.0, solution - capacity)
 
     # ------------------------------------------------------------------
     # batch evaluation (whole-grid sweeps)
@@ -247,7 +234,11 @@ class RetryingModel:
         gap_floor: float = GAP_FLOOR,
         upper_limit: float = 1e9,
     ) -> np.ndarray:
-        """``Delta~`` over a capacity grid via one vectorised inversion."""
+        """``Delta~`` solving ``B(C + Delta) = R~(C)`` over a capacity grid.
+
+        One vectorised inversion; elements where retries make
+        reservations no better than best effort return 0.0.
+        """
         caps = np.asarray(capacities, dtype=float).ravel()
         return solve_bandwidth_gaps(
             self.best_effort_batch,
@@ -256,9 +247,6 @@ class RetryingModel:
             self.best_effort_batch(caps),
             gap_floor=gap_floor,
             upper_limit=upper_limit,
-            scalar_fallback=lambda c: self.bandwidth_gap(
-                c, gap_floor=gap_floor, upper_limit=upper_limit
-            ),
             label="retrying bandwidth gap batch",
         )
 

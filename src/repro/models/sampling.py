@@ -32,15 +32,16 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ConvergenceError
 from repro.loads.base import LoadDistribution
 from repro.loads.weighted import SizeBiasedLoad
+from repro.models.fixed_load import validated_capacities
 from repro.models.variable_load import (
     GAP_FLOOR,
     VariableLoadModel,
     solve_bandwidth_gaps,
 )
 from repro.numerics.batch import share_weighted_sums
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
 
@@ -120,21 +121,10 @@ class SamplingModel:
         s = float(self._samples)
         return s * sf1 - 0.5 * s * (s - 1.0) * sf1 * sf1
 
-    def _truncation_point(self, capacity: float) -> int:
-        """N with ``pi(C/N) * P(max > N) < tol`` (max-of-S tail bound).
+    def _truncation_points(self, caps: np.ndarray) -> np.ndarray:
+        """Per-capacity N with ``pi(C/N) * P(max > N) < tol``.
 
-        Delegates to the batch routine on a one-element grid so the
-        scalar and batch paths cannot diverge at decision boundaries
-        (libm vs numpy ``exp`` disagree by an ulp on occasion, which
-        used to flip the level between the two mirrored loops).
-        """
-        return int(self._truncation_points_batch(np.array([float(capacity)]))[0])
-
-    def _truncation_points_batch(self, caps: np.ndarray) -> np.ndarray:
-        """Per-capacity truncation points, one tail evaluation per level.
-
-        Mirrors :meth:`_truncation_point` decision-for-decision; the
-        max-of-``S`` survival ``P(max > n)`` is capacity-independent,
+        The max-of-``S`` survival ``P(max > n)`` is capacity-independent,
         so each power-of-two level costs one scalar call regardless of
         grid size.
         """
@@ -150,7 +140,7 @@ class SamplingModel:
             open_[sel] = False
             if np.any(open_) and n > 1 << 26:
                 bad = float(caps[np.flatnonzero(open_)[0]])
-                raise RuntimeError(
+                raise ConvergenceError(
                     f"sampling-model truncation exceeded 2^26 terms at C={bad}; "
                     "loosen tol or reduce the capacity range"
                 )
@@ -162,51 +152,16 @@ class SamplingModel:
     # ------------------------------------------------------------------
 
     def best_effort(self, capacity: float) -> float:
-        """``B_S(C) = E[pi(C / max_S)]`` under best-effort-only.
-
-        Already a per-flow average (the size-biased census *is* the
-        tagged-flow view), so no ``k_bar`` normalisation is applied.
-        """
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        n = self._truncation_point(capacity)
-        self._ensure_cdf(n)
-        cdf_pow = self._cdf[: n + 1] ** self._samples
-        weights = np.diff(cdf_pow)  # pmf of the max at k = 1..n
-        shares = capacity / np.arange(1, n + 1, dtype=float)
-        return float(np.dot(weights, self._utility(shares)))
+        """``B_S(C) = E[pi(C / max_S)]``: a one-element :meth:`best_effort_batch`."""
+        return float(self.best_effort_batch([capacity])[0])
 
     def reservation(self, capacity: float) -> float:
-        """``R_S(C)``: admit on first sample, cap subsequent censuses."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        kmax = self.k_max(capacity)
-        if kmax < max(1, self._load.support_min):
-            return 0.0
-        self._ensure_cdf(kmax)
-        s = self._samples
-        # below-threshold worst loads: H(j) = F(j)^S for j < kmax
-        cdf = self._cdf[: kmax + 1]
-        cdf_pow = cdf**s
-        inner = 0.0
-        if kmax >= 2:
-            weights = np.diff(cdf_pow[:-1])  # j = 1 .. kmax-1
-            shares = capacity / np.arange(1, kmax, dtype=float)
-            inner = float(np.dot(weights, self._utility(shares)))
-        # worst load exactly kmax (admitted with first sample <= kmax)
-        at_cap = float(cdf[kmax] - cdf_pow[kmax - 1])
-        # overload-admitted flows (first sample k1 > kmax, prob kmax/k1):
-        # sum_{k>kmax} Q(k) kmax / k = kmax * P(K > kmax) / k_bar
-        over = kmax * self._load.sf(kmax) / self._kbar
-        return inner + (at_cap + over) * self._utility.value(capacity / kmax)
+        """``R_S(C)``: a one-element :meth:`reservation_batch`."""
+        return float(self.reservation_batch([capacity])[0])
 
     def performance_gap(self, capacity: float) -> float:
-        """``delta_S(C) = R_S(C) - B_S(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
+        """``delta_S(C)``: a one-element :meth:`performance_gap_batch`."""
+        return float(self.performance_gap_batch([capacity])[0])
 
     def bandwidth_gap(
         self,
@@ -215,46 +170,31 @@ class SamplingModel:
         gap_floor: float = GAP_FLOOR,
         upper_limit: float = 1e9,
     ) -> float:
-        """``Delta_S(C)`` solving ``B_S(C + Delta) = R_S(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"sampling bandwidth gap at C={capacity}",
+        """``Delta_S(C)``: a one-element :meth:`bandwidth_gap_batch`."""
+        return float(
+            self.bandwidth_gap_batch(
+                [capacity], gap_floor=gap_floor, upper_limit=upper_limit
+            )[0]
         )
-        return max(0.0, solution - capacity)
 
     # ------------------------------------------------------------------
     # batch evaluation (whole-grid sweeps)
     # ------------------------------------------------------------------
 
-    def _validated_grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 0.0:
-            raise ValueError(
-                f"capacity must be >= 0, got {float(np.min(caps))!r}"
-            )
-        return caps
-
     def best_effort_batch(self, capacities) -> np.ndarray:
-        """``B_S`` over a capacity grid via the shared series kernel.
+        """``B_S(C) = E[pi(C / max_S)]`` over a capacity grid.
 
+        Already a per-flow average (the size-biased census *is* the
+        tagged-flow view), so no ``k_bar`` normalisation is applied.
         The max-of-``S`` pmf weights depend only on ``k``, so each
-        truncation group runs as one chunked matrix product with the
-        same terms the scalar path sums.
+        truncation group runs as one chunked matrix product.
         """
-        caps = self._validated_grid(capacities)
+        caps = validated_capacities(capacities)
         totals = np.zeros(caps.size)
         live = np.flatnonzero(caps > 0.0)
         if live.size == 0:
             return totals
-        points = self._truncation_points_batch(caps[live])
+        points = self._truncation_points(caps[live])
         for n in np.unique(points):
             n = int(n)
             idx = live[points == n]
@@ -267,8 +207,12 @@ class SamplingModel:
         return totals
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """``R_S`` over a capacity grid: batch ``k_max`` + one masked sum."""
-        caps = self._validated_grid(capacities)
+        """``R_S`` over a capacity grid: batch ``k_max`` + one masked sum.
+
+        Admission uses the first sample; admitted flows see every later
+        census capped at ``k_max`` (see the module docstring).
+        """
+        caps = validated_capacities(capacities)
         totals = np.zeros(caps.size)
         pos = np.flatnonzero(caps > 0.0)
         if pos.size == 0:
@@ -286,6 +230,7 @@ class SamplingModel:
         cdf = self._cdf[: top + 1]
         cdf_pow = cdf**self._samples
         weights = np.concatenate(([0.0], np.diff(cdf_pow)))
+        # below-threshold worst loads: H(j) = F(j)^S for j < kmax
         inner = share_weighted_sums(
             sub_caps,
             weights,
@@ -294,7 +239,10 @@ class SamplingModel:
             k_stop=top + 1,
             kmax=sub_kmax - 1,
         )
+        # worst load exactly kmax (admitted with first sample <= kmax)
         at_cap = cdf[sub_kmax] - cdf_pow[sub_kmax - 1]
+        # overload-admitted flows (first sample k1 > kmax, prob kmax/k1):
+        # sum_{k>kmax} Q(k) kmax / k = kmax * P(K > kmax) / k_bar
         over = (
             sub_kmax
             * np.asarray(self._load.sf_array(sub_kmax), dtype=float)
@@ -306,7 +254,7 @@ class SamplingModel:
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
         """``delta_S`` over a capacity grid (clipped at zero)."""
-        caps = self._validated_grid(capacities)
+        caps = validated_capacities(capacities)
         return np.maximum(
             0.0, self.reservation_batch(caps) - self.best_effort_batch(caps)
         )
@@ -319,7 +267,7 @@ class SamplingModel:
         upper_limit: float = 1e9,
     ) -> np.ndarray:
         """``Delta_S`` over a capacity grid via one vectorised inversion."""
-        caps = self._validated_grid(capacities)
+        caps = validated_capacities(capacities)
         return solve_bandwidth_gaps(
             self.best_effort_batch,
             caps,
@@ -327,9 +275,6 @@ class SamplingModel:
             self.best_effort_batch(caps),
             gap_floor=gap_floor,
             upper_limit=upper_limit,
-            scalar_fallback=lambda c: self.bandwidth_gap(
-                c, gap_floor=gap_floor, upper_limit=upper_limit
-            ),
             label="sampling bandwidth gap batch",
         )
 

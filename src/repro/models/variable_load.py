@@ -26,6 +26,9 @@ drops below tolerance.  Under heavy-tailed loads at large ``C`` that
 truncation point can exceed any reasonable array size, so beyond a cap
 the far tail is replaced by an Euler-Maclaurin integral of the smooth
 pmf extension — exact integrand, no model-specific approximation.
+
+Each quantity has one implementation, a ``*_batch`` kernel over a
+capacity grid; the scalar entry points are one-element views of it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro import obs
 from repro.caching import BoundedCache
 from repro.errors import ConvergenceError
 from repro.loads.base import LoadDistribution
-from repro.models.fixed_load import FixedLoadModel
+from repro.models.fixed_load import FixedLoadModel, validated_capacities
 from repro.numerics import series
 from repro.numerics.batch import invert_monotone_batch, share_weighted_sums
 from repro.numerics.quadrature import integrate
@@ -111,17 +114,16 @@ def solve_bandwidth_gaps(
     *,
     gap_floor: float = GAP_FLOOR,
     upper_limit: float = 1e9,
-    scalar_fallback=None,
     label: str = "bandwidth gap batch",
 ) -> np.ndarray:
     """Solve ``B(C + Delta) = target`` over a grid in one vector call.
 
     Shared by the variable-load, retrying and sampling models: each
     supplies its own vectorised best-effort curve and its own targets.
-    Elements whose gap is below ``gap_floor`` return exactly 0.0 (the
-    scalar contract); elements the batch solver flags as unconverged
-    are re-solved through ``scalar_fallback(capacity)`` and counted as
-    ``batch.fallback_scalar``.
+    Elements whose gap is below ``gap_floor`` return exactly 0.0.
+    Elements the batch solver flags as unconverged are re-solved here,
+    one at a time, by :func:`invert_monotone` on the one-element batch
+    curve (counted as ``batch.fallback_scalar``).
     """
     caps = np.asarray(capacities, dtype=float).ravel()
     gaps = np.zeros(caps.size)
@@ -141,13 +143,40 @@ def solve_bandwidth_gaps(
     ok = result.converged & np.isfinite(result.roots)
     gaps[idx[ok]] = np.maximum(0.0, result.roots[ok] - sub[ok])
     bad = np.flatnonzero(~ok)
-    if bad.size:
-        if obs.enabled():
-            obs.counter("batch.fallback_scalar").inc(int(bad.size))
-        if scalar_fallback is not None:
-            for j in bad:
-                gaps[idx[j]] = scalar_fallback(float(sub[j]))
+    if bad.size and obs.enabled():
+        obs.counter("batch.fallback_scalar").inc(int(bad.size))
+    for j in bad:
+        c = float(sub[j])
+        root = invert_monotone(
+            lambda x: float(best_effort_batch(np.array([x]))[0]),
+            float(targets[idx[j]]),
+            c,
+            c + max(1.0, c),
+            increasing=True,
+            upper_limit=upper_limit,
+            label=f"{label} at C={c}",
+        )
+        gaps[idx[j]] = max(0.0, root - c)
     return gaps
+
+
+def _split_cached(cache: BoundedCache, caps: np.ndarray) -> tuple:
+    """``(totals, todo)``: cached totals filled in, the rest to compute.
+
+    ``C = 0`` is exactly 0.0 and never computed; ``todo`` indexes the
+    positive capacities the cache missed.
+    """
+    totals = np.zeros(caps.size)
+    todo = []
+    for i, c in enumerate(caps.tolist()):
+        if c == 0.0:
+            continue
+        hit = cache.get(c)
+        if hit is None:
+            todo.append(i)
+        else:
+            totals[i] = hit
+    return totals, np.asarray(todo, dtype=np.int64)
 
 
 class VariableLoadModel:
@@ -194,9 +223,7 @@ class VariableLoadModel:
             utility, k_max_limit=k_max_limit, k_max_override=k_max_override
         )
         self._kbar = load.mean
-        # grown-on-demand cache of k, P(k) and k*P(k) arrays
-        self._ks = np.empty(0)
-        self._pk = np.empty(0)
+        # grown-on-demand k*P(k) series weights
         self._kpk = np.empty(0)
         # per-capacity totals: float keys rounded to the solver
         # x-tolerance (so gap-solver probes hit) and LRU-bounded (so
@@ -236,65 +263,15 @@ class VariableLoadModel:
     # ------------------------------------------------------------------
 
     def _ensure_terms(self, n: int) -> None:
-        """Grow the cached ``k``/``P(k)``/``k P(k)`` arrays to cover k <= n."""
-        if len(self._ks) >= n + 1:
+        """Grow the cached ``k P(k)`` weights to cover k <= n."""
+        if len(self._kpk) >= n + 1:
             return
         size = 1 << max(10, (n + 1).bit_length())
         ks = np.arange(size, dtype=float)
         pk = np.asarray(self._load.pmf_array(ks), dtype=float)
         if self._load.support_min > 0:
             pk[: self._load.support_min] = 0.0
-        self._ks, self._pk, self._kpk = ks, pk, ks * pk
-
-    def _tail_bound(self, n: int, capacity: float) -> float:
-        """Bound on ``sum_{k>=n} P(k) k pi(C/k)``.
-
-        ``pi(C/k)`` is nonincreasing in ``k``, so the tail is at most
-        ``pi(C/n) * mean_tail(n)`` — and trivially at most
-        ``mean_tail(n)``.
-        """
-        mt = self._load.mean_tail(n)
-        if mt <= 0.0:
-            return 0.0
-        return min(1.0, self._utility.value(capacity / n)) * mt
-
-    def _truncation_point(self, capacity: float) -> Optional[int]:
-        """Smallest power-of-two N with tail bound < tol, or None if > cap.
-
-        Delegates to the batch routine on a one-element grid so the two
-        paths *cannot* diverge: the scalar loop previously went through
-        ``utility.value`` (libm ``exp``) while the batch went through
-        the vectorised ``numpy`` ``exp``, and a one-ulp disagreement at
-        a decision boundary flipped the truncation level between the
-        two paths for the same capacity.
-        """
-        n = int(self._truncation_points_batch(np.array([float(capacity)]))[0])
-        return None if n < 0 else n
-
-    def _truncation_points_batch(self, caps: np.ndarray) -> np.ndarray:
-        """Per-capacity truncation points with one ``mean_tail`` per level.
-
-        Mirrors :meth:`_truncation_point` decision-for-decision but
-        evaluates the utility bound for every still-open capacity as a
-        single vector call, so a grid costs one scalar ``mean_tail``
-        per power-of-two level instead of one per grid point.  Entries
-        where the scalar path would return ``None`` come back as -1.
-        """
-        out = np.full(caps.size, -1, dtype=np.int64)
-        open_ = np.ones(caps.size, dtype=bool)
-        n = 1024
-        while n <= BRUTE_FORCE_CAP and np.any(open_):
-            mt = self._load.mean_tail(n)
-            if mt <= 0.0:
-                out[open_] = n
-                break
-            vals = np.asarray(self._utility(caps[open_] / n), dtype=float)
-            done = np.minimum(1.0, vals) * mt < self._tol
-            sel = np.flatnonzero(open_)[done]
-            out[sel] = n
-            open_[sel] = False
-            n <<= 1
-        return out
+        self._kpk = ks * pk
 
     def _plan_ceilings(self) -> tuple:
         """Per-level capacity ceilings ``(levels, c_dense, c_tail)``.
@@ -367,10 +344,6 @@ class VariableLoadModel:
         ``BRUTE_FORCE_CAP`` falls to the Euler-Maclaurin integral.
         DENSE is tested first so loads whose tails die fast (Poisson)
         keep plans equivalent to the historical truncation rule.
-
-        Both the scalar and batch entry points evaluate through this
-        one planner, so their results differ only by summation-order
-        roundoff — never by plan.
         """
         level_arr, c_dense, c_tail = self._plan_ceilings()
         modes = np.full(caps.size, _MODE_EM, dtype=np.int64)
@@ -392,11 +365,6 @@ class VariableLoadModel:
                 levels[closed] = n
                 open_ &= ~closed
         return modes, levels
-
-    def _plan(self, capacity: float) -> tuple:
-        """Scalar view of :meth:`_plan_batch` (one-element grid)."""
-        modes, levels = self._plan_batch(np.array([float(capacity)]))
-        return int(modes[0]), int(levels[0])
 
     def _euler_maclaurin_tail(self, n0: int, capacity: float) -> float:
         """``sum_{k>=n0} P(k) k pi(C/k)`` via integral + EM correction.
@@ -451,74 +419,71 @@ class VariableLoadModel:
         f_prime = (f(n0 + h) - f(n0 - h)) / (2.0 * h)
         return tail + 0.5 * f(float(n0)) - f_prime / 12.0
 
-    def _dense_total(self, capacity: float, n: int) -> float:
-        """Dense ``sum_{k<n} P(k) k pi(C/k)`` (the head of every mode)."""
-        self._ensure_terms(n)
-        shares = np.empty(n)
-        shares[0] = 0.0  # k = 0 contributes nothing (kpk = 0)
-        shares[1:] = capacity / self._ks[1:n]
-        return float(np.dot(self._kpk[:n], self._utility(shares)))
+    def _em_totals(self, caps: np.ndarray) -> np.ndarray:
+        """``V_B`` as a dense head plus the Euler-Maclaurin tail.
 
-    def total_best_effort(self, capacity: float) -> float:
-        """Unnormalised ``V_B(C) = sum_k P(k) k pi(C/k)``."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        cached = self._b_cache.get(capacity)
-        if cached is not None:
-            return cached
-
-        mode, n = self._plan(capacity)
-        if mode == _MODE_DENSE:
-            total = self._dense_total(capacity, n)
-        elif mode == _MODE_TAIL:
-            table = series.shared_moment_tail_table(self._load, n)
-            tail = float(
-                series.power_series_tail(
-                    self._maclaurin.coefficients, table, capacity
-                )
+        The head stops at ``n0``, the first power of two above ``32 C``
+        clamped to ``[2^12, BRUTE_FORCE_CAP]``, and runs as one
+        share-weighted sum per ``n0`` group; the tail past ``n0`` is one
+        quadrature per capacity (:meth:`_euler_maclaurin_tail`).
+        """
+        n0s = np.array(
+            [
+                min(BRUTE_FORCE_CAP, 1 << max(12, int(32 * c).bit_length()))
+                for c in caps.tolist()
+            ],
+            dtype=np.int64,
+        )
+        totals = np.empty(caps.size)
+        for n0 in np.unique(n0s).tolist():
+            group = n0s == n0
+            self._ensure_terms(n0)
+            totals[group] = share_weighted_sums(
+                caps[group], self._kpk[:n0], self._utility, k_start=1, k_stop=n0
             )
-            total = self._dense_total(capacity, n) + tail
-        else:
-            n0 = min(BRUTE_FORCE_CAP, 1 << max(12, int(32 * capacity).bit_length()))
+        for i, (c, n0) in enumerate(zip(caps.tolist(), n0s.tolist())):
             try:
-                em = self._euler_maclaurin_tail(n0, capacity)
+                totals[i] += self._euler_maclaurin_tail(n0, c)
             except NotImplementedError as exc:
                 raise ConvergenceError(
-                    f"V_B(C={capacity}) needs a tail correction but the load "
+                    f"V_B(C={c}) needs a tail correction but the load "
                     f"has no smooth pmf extension: {exc}"
                 ) from exc
-            total = self._dense_total(capacity, n0) + em
+        return totals
 
-        self._b_cache.put(capacity, total)
-        return total
+    def _reservation_totals(self, caps: np.ndarray, kmax: np.ndarray) -> np.ndarray:
+        """``V_R`` at per-capacity admission thresholds ``kmax >= 1``.
+
+        One masked share-weighted sum over the admitted flows plus the
+        overload term ``k_max pi(C/k_max) P(K > k_max)``.
+        """
+        top = int(kmax.max())
+        self._ensure_terms(top)
+        admitted = share_weighted_sums(
+            caps,
+            self._kpk[: top + 1],
+            self._utility,
+            k_start=1,
+            k_stop=top + 1,
+            kmax=kmax,
+        )
+        sf = np.asarray(self._load.sf_array(kmax), dtype=float)
+        at_cap = np.asarray(self._utility(caps / kmax), dtype=float)
+        return admitted + kmax * at_cap * sf
+
+    def total_best_effort(self, capacity: float) -> float:
+        """Unnormalised ``V_B(C) = sum_k P(k) k pi(C/k)``.
+
+        A one-element view of :meth:`total_best_effort_batch`.
+        """
+        return float(self.total_best_effort_batch([capacity])[0])
 
     def total_reservation(self, capacity: float) -> float:
-        """Unnormalised ``V_R(C)`` with admission threshold ``k_max(C)``."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        cached = self._r_cache.get(capacity)
-        if cached is not None:
-            return cached
+        """Unnormalised ``V_R(C)`` with admission threshold ``k_max(C)``.
 
-        kmax = self.k_max(capacity)
-        if kmax < max(1, self._load.support_min):
-            self._r_cache.put(capacity, 0.0)
-            return 0.0
-        self._ensure_terms(kmax)
-        shares = np.empty(kmax + 1)
-        shares[0] = 0.0
-        shares[1:] = capacity / self._ks[1 : kmax + 1]
-        admitted = float(np.dot(self._kpk[: kmax + 1], self._utility(shares)))
-        overload = (
-            kmax * self._utility.value(capacity / kmax) * self._load.sf(kmax)
-        )
-        total = admitted + overload
-        self._r_cache.put(capacity, total)
-        return total
+        A one-element view of :meth:`total_reservation_batch`.
+        """
+        return float(self.total_reservation_batch([capacity])[0])
 
     def total_reservation_at_threshold(self, capacity: float, threshold: int) -> float:
         """``V_R(C)`` with an *arbitrary* admission threshold.
@@ -530,22 +495,13 @@ class VariableLoadModel:
         sensitivity can be quantified — by construction it is maximised
         at ``threshold = k_max(C)``.
         """
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        caps = validated_capacities([capacity])
         if threshold < 0 or threshold != int(threshold):
             raise ValueError(f"threshold must be a nonneg integer, got {threshold!r}")
-        if capacity == 0.0 or threshold == 0:
-            return 0.0
         kmax = int(threshold)
-        if kmax < self._load.support_min:
+        if capacity == 0.0 or kmax < max(1, self._load.support_min):
             return 0.0
-        self._ensure_terms(kmax)
-        shares = np.empty(kmax + 1)
-        shares[0] = 0.0
-        shares[1:] = capacity / self._ks[1 : kmax + 1]
-        admitted = float(np.dot(self._kpk[: kmax + 1], self._utility(shares)))
-        overload = kmax * self._utility.value(capacity / kmax) * self._load.sf(kmax)
-        return admitted + overload
+        return float(self._reservation_totals(caps, np.array([kmax]))[0])
 
     def reservation_at_threshold(self, capacity: float, threshold: int) -> float:
         """Normalised reservation utility at an arbitrary threshold."""
@@ -555,28 +511,18 @@ class VariableLoadModel:
     # batch evaluation (whole-grid sweeps)
     # ------------------------------------------------------------------
 
-    def _validated_grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 0.0:
-            raise ValueError(
-                f"capacity must be >= 0, got {float(np.min(caps))!r}"
-            )
-        return caps
-
     @obs.timed("model.total_best_effort_batch")
     def total_best_effort_batch(self, capacities, *, cache: bool = True) -> np.ndarray:
         """``V_B`` over a capacity grid in a handful of numpy calls.
 
         Capacities are grouped by the planner's (mode, level) — levels
-        are powers of two, so grids share a few groups — and each
-        group's dense head runs as one chunked matrix product over
-        terms identical to the scalar path's.  TAIL groups then add the
-        shared polynomial tail, one Horner pass over the group's grid
-        from the memoised moment table (no per-point series work).
-        Capacities needing the Euler-Maclaurin integral fall back to
-        the scalar path (counted as ``batch.fallback_scalar``).
-        Results land in the same per-capacity cache the scalar path
-        uses, so gap solvers mixing both paths never recompute.
+        are powers of two, so grids share a few groups.  Each DENSE or
+        TAIL group's head runs as one chunked matrix product; TAIL
+        groups then add the shared polynomial tail, one Horner pass
+        over the group's grid from the memoised moment table (no
+        per-point series work).  Capacities the planner leaves open
+        past ``BRUTE_FORCE_CAP`` take the Euler-Maclaurin integral
+        (:meth:`_em_totals`).
 
         ``cache=False`` bypasses the per-capacity LRU entirely (neither
         read nor written).  The bandwidth-gap solver uses it for its
@@ -585,31 +531,18 @@ class VariableLoadModel:
         reusable entries; the per-point Python cache traffic is also a
         measurable slice of a solve's wall time.
         """
-        caps = self._validated_grid(capacities)
-        totals = np.zeros(caps.size)
+        caps = validated_capacities(capacities)
         if cache:
-            todo = []
-            for i, c in enumerate(caps):
-                if c == 0.0:
-                    continue
-                cached = self._b_cache.get(float(c))
-                if cached is not None:
-                    totals[i] = cached
-                else:
-                    todo.append(i)
-            todo_idx = np.asarray(todo, dtype=np.int64)
+            totals, todo = _split_cached(self._b_cache, caps)
         else:
-            todo_idx = np.flatnonzero(caps != 0.0)
-        if todo_idx.size == 0:
+            totals, todo = np.zeros(caps.size), np.flatnonzero(caps != 0.0)
+        if todo.size == 0:
             return totals
-        modes, levels = self._plan_batch(caps[todo_idx])
+        modes, levels = self._plan_batch(caps[todo])
         for mode, n in sorted(set(zip(modes.tolist(), levels.tolist()))):
-            idx = todo_idx[(modes == mode) & (levels == n)]
+            idx = todo[(modes == mode) & (levels == n)]
             if mode == _MODE_EM:
-                if obs.enabled():
-                    obs.counter("batch.fallback_scalar").inc(int(idx.size))
-                for i in idx:
-                    totals[i] = self.total_best_effort(float(caps[i]))
+                totals[idx] = self._em_totals(caps[idx])
                 continue
             self._ensure_terms(n)
             sums = share_weighted_sums(
@@ -621,55 +554,26 @@ class VariableLoadModel:
                     self._maclaurin.coefficients, table, caps[idx]
                 )
             totals[idx] = sums
-            if cache:
-                for j, i in enumerate(idx):
-                    self._b_cache.put(float(caps[i]), float(sums[j]))
+        if cache:
+            for c, total in zip(caps[todo].tolist(), totals[todo].tolist()):
+                self._b_cache.put(c, total)
         return totals
 
     @obs.timed("model.total_reservation_batch")
     def total_reservation_batch(self, capacities) -> np.ndarray:
         """``V_R`` over a capacity grid: batch ``k_max`` + one masked sum."""
-        caps = self._validated_grid(capacities)
-        totals = np.zeros(caps.size)
-        todo = []
-        for i, c in enumerate(caps):
-            if c == 0.0:
-                continue
-            cached = self._r_cache.get(float(c))
-            if cached is not None:
-                totals[i] = cached
-            else:
-                todo.append(i)
-        if not todo:
+        caps = validated_capacities(capacities)
+        totals, todo = _split_cached(self._r_cache, caps)
+        if todo.size == 0:
             return totals
-        idx = np.asarray(todo, dtype=np.int64)
-        kmax = self._fixed.k_max_batch(caps[idx])
-        floor = max(1, self._load.support_min)
-        live = kmax >= floor
-        for j in np.flatnonzero(~live):
-            self._r_cache.put(float(caps[idx[j]]), 0.0)
+        kmax = self._fixed.k_max_batch(caps[todo])
+        live = kmax >= max(1, self._load.support_min)
         if np.any(live):
-            sub_idx = idx[live]
-            sub_caps = caps[sub_idx]
-            sub_kmax = kmax[live]
-            top = int(sub_kmax.max())
-            self._ensure_terms(top)
-            admitted = share_weighted_sums(
-                sub_caps,
-                self._kpk[: top + 1],
-                self._utility,
-                k_start=1,
-                k_stop=top + 1,
-                kmax=sub_kmax,
+            totals[todo[live]] = self._reservation_totals(
+                caps[todo[live]], kmax[live]
             )
-            sf = np.asarray(self._load.sf_array(sub_kmax), dtype=float)
-            at_cap = np.asarray(
-                self._utility(sub_caps / sub_kmax), dtype=float
-            )
-            sums = admitted + sub_kmax * at_cap * sf
-            totals[sub_idx] = sums
-            for j, i in enumerate(sub_idx):
-                self._r_cache.put(float(caps[i]), float(sums[j]))
+        for c, total in zip(caps[todo].tolist(), totals[todo].tolist()):
+            self._r_cache.put(c, total)
         return totals
 
     def best_effort_batch(self, capacities) -> np.ndarray:
@@ -681,8 +585,12 @@ class VariableLoadModel:
         return self.total_reservation_batch(capacities) / self._kbar
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (clipped at zero)."""
-        caps = self._validated_grid(capacities)
+        """``delta`` over a capacity grid (clipped at zero).
+
+        Strictly positive in all the paper's cases; clipping only
+        absorbs truncation noise when both sides are ~1.
+        """
+        caps = validated_capacities(capacities)
         return np.maximum(
             0.0, self.reservation_batch(caps) - self.best_effort_batch(caps)
         )
@@ -694,8 +602,14 @@ class VariableLoadModel:
         gap_floor: float = GAP_FLOOR,
         upper_limit: float = 1e9,
     ) -> np.ndarray:
-        """``Delta`` over a capacity grid via one vectorised inversion."""
-        caps = self._validated_grid(capacities)
+        """``Delta`` over a capacity grid via one vectorised inversion.
+
+        Gaps whose normalised performance difference is below
+        ``gap_floor`` return exactly 0.0 — they are beneath the noise
+        floor of the truncated sums (and the paper describes them as
+        vanishing superexponentially in those regimes).
+        """
+        caps = validated_capacities(capacities)
         return solve_bandwidth_gaps(
             lambda probes: self.total_best_effort_batch(probes, cache=False)
             / self._kbar,
@@ -704,9 +618,6 @@ class VariableLoadModel:
             self.best_effort_batch(caps),
             gap_floor=gap_floor,
             upper_limit=upper_limit,
-            scalar_fallback=lambda c: self.bandwidth_gap(
-                c, gap_floor=gap_floor, upper_limit=upper_limit
-            ),
             label="bandwidth gap batch",
         )
 
@@ -723,12 +634,8 @@ class VariableLoadModel:
         return self.total_reservation(capacity) / self._kbar
 
     def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = R(C) - B(C)`` (clipped at zero).
-
-        Strictly positive in all the paper's cases; clipping only
-        absorbs truncation noise when both sides are ~1.
-        """
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
+        """``delta(C) = R(C) - B(C)``: a one-element :meth:`performance_gap_batch`."""
+        return float(self.performance_gap_batch([capacity])[0])
 
     def overload_probability(self, capacity: float) -> float:
         """Probability the offered load exceeds the admission threshold."""
@@ -759,24 +666,13 @@ class VariableLoadModel:
     ) -> float:
         """``Delta(C)`` solving ``B(C + Delta) = R(C)``.
 
-        Gaps whose normalised performance difference is below
-        ``gap_floor`` return exactly 0.0 — they are beneath the noise
-        floor of the truncated sums (and the paper describes them as
-        vanishing superexponentially in those regimes).
+        A one-element view of :meth:`bandwidth_gap_batch`.
         """
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"bandwidth gap at C={capacity}",
+        return float(
+            self.bandwidth_gap_batch(
+                [capacity], gap_floor=gap_floor, upper_limit=upper_limit
+            )[0]
         )
-        return max(0.0, solution - capacity)
 
     def capacity_for_best_effort(
         self, target: float, *, upper_limit: float = 1e9
@@ -828,17 +724,15 @@ class VariableLoadModel:
         """
         h = step if step is not None else 1e-5 * max(1.0, capacity)
         lo = max(0.0, capacity - h)
-        return (self.total_best_effort(capacity + h) - self.total_best_effort(lo)) / (
-            capacity + h - lo
-        )
+        below, above = self.total_best_effort_batch([lo, capacity + h]).tolist()
+        return (above - below) / (capacity + h - lo)
 
     def reservation_marginal(self, capacity: float, *, step: Optional[float] = None) -> float:
         """``dV_R/dC`` by central difference (smooth utilities only)."""
         h = step if step is not None else 1e-5 * max(1.0, capacity)
         lo = max(0.0, capacity - h)
-        return (self.total_reservation(capacity + h) - self.total_reservation(lo)) / (
-            capacity + h - lo
-        )
+        below, above = self.total_reservation_batch([lo, capacity + h]).tolist()
+        return (above - below) / (capacity + h - lo)
 
     # ------------------------------------------------------------------
     # sweeps

@@ -10,8 +10,7 @@ those definitions need:
 
 - :func:`find_root` / :func:`invert_monotone` — bracketed root finding
   with automatic bracket expansion,
-- :func:`maximize_scalar` / :func:`argmax_int` — scalar maximisation for
-  smooth and integer-domain objectives,
+- :func:`maximize_scalar` — scalar maximisation of smooth objectives,
 - :func:`sum_series` — adaptive truncation of infinite series with an
   optional analytic tail bound,
 - :func:`integrate` — quadrature over finite or semi-infinite intervals,
@@ -34,7 +33,7 @@ from repro.numerics.batch import (
     share_weighted_sums,
 )
 from repro.numerics.brackets import expand_bracket_downward, expand_bracket_upward
-from repro.numerics.optimize import argmax_int, maximize_scalar
+from repro.numerics.optimize import maximize_scalar
 from repro.numerics.quadrature import integrate
 from repro.numerics.series import fixed_point, sum_series
 from repro.numerics.solvers import find_root, invert_monotone
@@ -42,7 +41,6 @@ from repro.numerics.solvers import find_root, invert_monotone
 __all__ = [
     "BatchRootResult",
     "adaptive_quad_batch",
-    "argmax_int",
     "expand_bracket_downward",
     "expand_bracket_upward",
     "expand_brackets_upward",

@@ -25,7 +25,7 @@ single :class:`~repro.numerics.solvers.SolverDiagnostics` record so the
 observability layer sees batch solves and scalar solves through one
 vocabulary.  Non-converged elements are *flagged in the mask*, never
 returned silently: callers are expected to re-solve flagged elements
-through the scalar path (and count the fallback via
+one at a time with the scalar solvers (and count the fallback via
 ``batch.fallback_scalar``).
 
 With :mod:`repro.obs` enabled each batch call meters
@@ -268,8 +268,8 @@ def find_roots(
     BatchRootResult
         Roots plus per-element convergence mask and diagnostics.
         Elements that never bracketed a sign change come back ``nan``
-        with ``converged=False`` — callers re-solve those through the
-        scalar path rather than trusting garbage.
+        with ``converged=False`` — callers re-solve those one at a time
+        rather than trusting garbage.
 
     Notes
     -----
@@ -407,8 +407,8 @@ def invert_monotone_batch(
     sweep inverts ``B`` at 512 reservation utilities in one call.
     Unlike the scalar form it never raises on a target already met at
     ``lo`` — with ``clip='lo'`` the element clips to ``lo`` exactly as
-    the scalar path does, otherwise it is flagged unconverged in the
-    mask and left for the caller's scalar fallback.  Brackets expand
+    the scalar form does, otherwise it is flagged unconverged in the
+    mask and left for the caller's one-at-a-time re-solve.  Brackets expand
     upward geometrically (to ``upper_limit``) just like the scalar
     path; elements whose target stays unreachable clip to
     ``upper_limit`` under ``clip='hi'`` and are flagged otherwise.

@@ -1,14 +1,11 @@
-"""Scalar maximisation over continuous and integer domains.
+"""Scalar maximisation over a continuous domain.
 
-Two maximisers cover everything the models need:
-
-- :func:`maximize_scalar` for smooth objectives such as the welfare
-  ``V(C) - p*C`` over capacity, using a coarse grid scan to locate the
-  basin followed by a bounded Brent polish.  The grid stage matters
-  because rigid utilities make ``V_B`` piecewise-constant, so a purely
-  local method can stall on a flat.
-- :func:`argmax_int` for integer objectives such as ``V(k) = k*pi(C/k)``
-  over the number of admitted flows.
+:func:`maximize_scalar` handles smooth objectives such as the welfare
+``V(C) - p*C`` over capacity, using a coarse grid scan to locate the
+basin followed by a bounded Brent polish.  The grid stage matters
+because rigid utilities make ``V_B`` piecewise-constant, so a purely
+local method can stall on a flat.  (The integer ``k_max`` search lives
+in :meth:`repro.models.FixedLoadModel.k_max_batch`.)
 """
 
 from __future__ import annotations
@@ -70,70 +67,3 @@ def maximize_scalar(
             if f_polished > f_best:
                 x_best, f_best = x_polished, f_polished
     return x_best, f_best
-
-
-def argmax_int(
-    func: Callable[[int], float],
-    lo: int,
-    hi: int,
-    *,
-    unimodal_window: int = 64,
-    label: str = "integer maximum",
-) -> Tuple[int, float]:
-    """Maximise ``func`` over integers in ``[lo, hi]``.
-
-    The objectives we face (``k * pi(C/k)``) are unimodal in ``k``, so a
-    full scan is wasteful at large ``hi``.  We scan geometrically spaced
-    probes to find the best coarse region, then scan exhaustively within
-    ``unimodal_window`` of it, and finally walk outward while the value
-    keeps improving so a slightly-off window cannot clip the peak.
-    """
-    if hi < lo:
-        raise ValueError(f"{label}: need hi >= lo, got [{lo}, {hi}]")
-    if obs.enabled():
-        # admission-search accounting: every V(k) probe is one step
-        obs.counter("optimize.argmax_int.calls").inc()
-        func = obs.CallCounter(func)
-        try:
-            return _argmax_int_impl(func, lo, hi, unimodal_window, label)
-        finally:
-            obs.counter("optimize.argmax_int.evaluations").inc(func.calls)
-    return _argmax_int_impl(func, lo, hi, unimodal_window, label)
-
-
-def _argmax_int_impl(
-    func: Callable[[int], float],
-    lo: int,
-    hi: int,
-    unimodal_window: int,
-    label: str,
-) -> Tuple[int, float]:
-    if hi - lo <= 4 * unimodal_window:
-        ks = range(lo, hi + 1)
-        best_k = max(ks, key=func)
-        return best_k, func(best_k)
-
-    # geometric probe points (always including the endpoints)
-    probes = sorted(
-        {lo, hi}
-        | {int(round(lo + (hi - lo) * (2.0**-i))) for i in range(1, 40)}
-        | {int(round(lo * (hi / max(lo, 1)) ** (i / 32.0))) for i in range(33)}
-    )
-    probes = [k for k in probes if lo <= k <= hi]
-    best_probe = max(probes, key=func)
-
-    window_lo = max(lo, best_probe - unimodal_window)
-    window_hi = min(hi, best_probe + unimodal_window)
-    best_k = max(range(window_lo, window_hi + 1), key=func)
-    best_v = func(best_k)
-
-    # walk outward in case the window clipped the peak
-    k = best_k
-    while k > lo and func(k - 1) > best_v:
-        k -= 1
-        best_v = func(k)
-    if k == best_k:
-        while k < hi and func(k + 1) > best_v:
-            k += 1
-            best_v = func(k)
-    return k, best_v

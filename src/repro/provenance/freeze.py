@@ -51,11 +51,6 @@ TRACES_SUMMARY = "traces/replay_summary.json"
 #: correctness flags each bench asserts when it runs.  Timing numbers
 #: are machine-bound and are hash-verified only.
 _BENCH_GATES = {
-    "BENCH_batch.json": (
-        "every case matches the scalar path at rtol 1e-9",
-        lambda d: all(c.get("matches_rtol_1e9") for c in d.get("cases", []))
-        and bool(d.get("headline", {}).get("matches_rtol_1e9")),
-    ),
     "BENCH_ensemble.json": (
         "headline run has exact scalar/ensemble parity",
         lambda d: bool(d.get("headline", {}).get("exact_parity")),

@@ -5,8 +5,8 @@ with ~35 invariants spanning the four computation engines.  IDs are
 grouped by family:
 
 - ``B*`` bounds, ``M*`` monotonicity, ``E*`` Erlang-B,
-  ``X*`` Section 5 extension identities, ``P*`` scalar-vs-batch
-  differential parity, ``C*`` continuum closed forms and limits,
+  ``X*`` Section 5 extension identities, ``P*`` one-element views
+  against their grid evaluations, ``C*`` continuum closed forms and limits,
   ``W*`` welfare, ``K*`` the EXPERIMENTS.md checkpoint table,
   ``S*`` ensemble Monte Carlo oracles, ``EM*`` certified emulator
   surfaces, ``L*`` mean-field fluid-diffusion limits, ``T*`` streaming
@@ -462,7 +462,7 @@ def _x6(config: PaperConfig) -> CheckResult:
 
 
 # ----------------------------------------------------------------------
-# P* — scalar-vs-batch differential parity
+# P* — scalar entry points (one-element views) against grid evaluations
 # ----------------------------------------------------------------------
 
 
@@ -470,7 +470,7 @@ def _parity_invariant(inv_id: str, method: str, description: str):
     @REGISTRY.invariant(
         inv_id,
         description,
-        paper_ref="S3.1 quantities; batch kernels are PR-3 rewrites",
+        paper_ref="S3.1 quantities",
         engines=("scalar", "batch"),
         tolerance=TIGHT,
     )
@@ -485,13 +485,13 @@ def _parity_invariant(inv_id: str, method: str, description: str):
 
 
 _parity_invariant(
-    "P1", "best_effort", "best_effort_batch agrees with the scalar path"
+    "P1", "best_effort", "best_effort views equal their grid evaluation"
 )
 _parity_invariant(
-    "P2", "reservation", "reservation_batch agrees with the scalar path"
+    "P2", "reservation", "reservation views equal their grid evaluation"
 )
 _parity_invariant(
-    "P3", "performance_gap", "performance_gap_batch agrees with the scalar path"
+    "P3", "performance_gap", "performance_gap views equal their grid evaluation"
 )
 
 
@@ -527,7 +527,7 @@ def _p4(config: PaperConfig) -> CheckResult:
 
 @REGISTRY.invariant(
     "P5",
-    "sampling model batch kernels agree with the scalar path",
+    "sampling model views equal their grid evaluation",
     paper_ref="S5.1",
     engines=("scalar", "batch"),
     tolerance=TIGHT,
@@ -550,7 +550,7 @@ def _p5(config: PaperConfig) -> CheckResult:
 
 @REGISTRY.invariant(
     "P6",
-    "retrying model batch kernels agree with the scalar path",
+    "retrying model views equal their grid evaluation",
     paper_ref="S5.2",
     engines=("scalar", "batch"),
     tolerance=TIGHT,
@@ -588,7 +588,7 @@ def _p7(config: PaperConfig) -> CheckResult:
 
 @REGISTRY.invariant(
     "P8",
-    "k_max_batch agrees exactly with the scalar threshold",
+    "k_max views equal their grid evaluation exactly",
     paper_ref="S2 (integer fixed-load optimum)",
     engines=("scalar", "batch"),
     tolerance=EXACT,

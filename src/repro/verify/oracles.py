@@ -79,11 +79,13 @@ def batch_vs_scalar(
     *,
     batch_method: str = "",
 ) -> float:
-    """Residual between ``<method>_batch(grid)`` and the scalar loop.
+    """Residual between ``<method>_batch(grid)`` and the per-point loop.
 
-    The batch kernels are the *candidate* and the scalar path the
-    *reference*: they were written later, against the scalar ground
-    truth, and the golden-figures gate pins the scalar path.
+    The discrete models' scalar entry points are one-element views of
+    their batch kernels, so this holds a point evaluated alone to the
+    same point inside a grid (summation-order roundoff apart).  For the
+    continuum closed forms the scalar formula is still an independent
+    reference.
     """
     scalar_fn = getattr(model, method)
     batch_fn = getattr(model, batch_method or f"{method}_batch")

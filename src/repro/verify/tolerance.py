@@ -24,8 +24,9 @@ Policy choice rationale (see ``docs/VERIFY.md`` for the long form):
 - ``EXACT`` — algebraic identities (Erlang recursion, S=1 reduction,
   the alpha=1 retry identity) where both sides run the *same* float
   arithmetic in a different order; anything beyond a few ulps is a bug.
-- ``TIGHT`` — scalar-vs-batch differential oracles; the batch kernels
-  promise rtol 1e-9 parity (benchmarks/bench_batch.py gates it).
+- ``TIGHT`` — a one-element view against its grid evaluation, and the
+  continuum closed forms against their batch kernels: the same terms
+  summed in a different order, held to rtol 1e-9.
 - ``GOLDEN`` — values pinned against stored references or independent
   quadrature; matches the golden-figure gate (rtol 1e-7).
 - ``STRUCTURAL`` — one-sided bounds and monotonicity (absolute slack
@@ -170,7 +171,7 @@ def monotone_residual(
 #: Same-arithmetic algebraic identities.
 EXACT = TolerancePolicy(rtol=1e-12, atol=1e-12)
 
-#: Scalar-vs-batch differential parity (bench_batch.py's gate).
+#: Point-versus-grid evaluations of the same kernel.
 TIGHT = TolerancePolicy(rtol=1e-9, atol=1e-9)
 
 #: Pinned references and independent-quadrature agreement.

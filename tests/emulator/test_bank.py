@@ -16,7 +16,6 @@ from repro.emulator import (
     DOMAINS,
     SurfaceBank,
     check_bank,
-    exact_scalar,
     exact_values,
     fit_bank,
     replace_axis,
@@ -57,7 +56,7 @@ class TestFitBank:
         xs = np.array([80.0, 150.0])
         batch = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", xs)
         for x, ref in zip(xs, batch):
-            got = exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", float(x))
+            got = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [x])[0]
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 

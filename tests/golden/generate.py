@@ -1,4 +1,4 @@
-"""Regenerate ``figures.json`` from the scalar reference path.
+"""Regenerate ``figures.json`` through the scalar entry points.
 
 Run from the repository root:
 
@@ -26,9 +26,10 @@ kappa = 0.62086, z = 3) at ~10 canonical grid points each:
   quadrature is deterministic, so the pins hold the whole fluid solve +
   diffusion functional chain bit-stable.
 
-Values come from the *scalar* code path on purpose: the golden test
-then holds both the scalar and the vectorised batch paths to the same
-numbers, so a regression in either (or a drift between them) fails CI.
+Values come through the scalar entry points, which are one-element
+views of the batch kernels; the golden test holds those views and the
+grid calls to the same numbers, so a regression in a kernel (or a
+scalar path forked away from it) fails CI.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Planner-level guarantees of the shared tail series.
 
-Two properties carry the whole refactor:
+Two properties carry the evaluation path:
 
-1. **Scalar/batch plans cannot diverge.**  The scalar entry points
-   delegate to the batch planner on one-element grids, so a grid and
-   its individual points must receive identical (mode, level) plans
-   and identical truncation points — the historical bug was a one-ulp
-   libm/numpy disagreement at a decision boundary flipping the level
-   between the two paths.
+1. **One implementation per quantity.**  The scalar entry points are
+   one-element views of the batch kernels: a scalar call equals the
+   one-element grid call on a fresh model bit for bit, for B, R, Delta
+   and k_max, so a scalar path forked again fails here.  Wider grids
+   differ from it only by summation-order roundoff.
 2. **Plans are sound.**  Whatever mode the planner picks, the value it
    produces must match a deep dense reference within the model's
    tolerance, and the precomputed per-level capacity ceilings must sit
@@ -19,7 +18,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.loads import AlgebraicLoad
 from repro.models import VariableLoadModel
@@ -32,45 +30,32 @@ _ADAPTIVE = AdaptiveUtility()
 
 
 class TestPlanParity:
-    """Grid plans equal the per-point plans, elementwise (satellite 1)."""
-
-    @given(
-        model=strategies.models(),
-        caps=st.lists(
-            strategies.capacities(0.5, 400.0), min_size=1, max_size=6
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_plan_batch_matches_singletons(self, model, caps):
-        grid = np.asarray(caps, dtype=float)
-        modes, levels = model._plan_batch(grid)
-        for i, c in enumerate(caps):
-            mode_i, level_i = model._plan(float(c))
-            assert (int(modes[i]), int(levels[i])) == (mode_i, level_i)
-
-    @given(
-        model=strategies.models(),
-        caps=st.lists(
-            strategies.capacities(0.5, 400.0), min_size=1, max_size=6
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_truncation_batch_matches_scalar(self, model, caps):
-        grid = np.asarray(caps, dtype=float)
-        batch = model._truncation_points_batch(grid)
-        for i, c in enumerate(caps):
-            scalar = model._truncation_point(float(c))
-            assert int(batch[i]) == (-1 if scalar is None else scalar)
-
     @given(
         model=strategies.models(),
         capacity=strategies.capacities(0.5, 400.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_scalar_and_batch_values_agree(self, model, capacity):
-        scalar = model.total_best_effort(capacity)
-        batch = float(model.total_best_effort_batch(np.array([capacity]))[0])
-        assert batch == pytest.approx(scalar, rel=1e-11, abs=1e-13)
+        # fresh twins: the drawn model's caches would serve one path
+        # from the other
+        scalar = VariableLoadModel(model.load, model.utility)
+        batch = VariableLoadModel(model.load, model.utility)
+        one = np.array([capacity])
+        # a view is its one-element grid call, bit for bit
+        assert scalar.total_best_effort(capacity) == batch.total_best_effort_batch(one)[0]
+        assert scalar.total_reservation(capacity) == batch.total_reservation_batch(one)[0]
+        assert scalar.bandwidth_gap(capacity) == batch.bandwidth_gap_batch(one)[0]
+        assert scalar.k_max(capacity) == batch.k_max_batch(one)[0]
+        # a wider grid changes only the summation order
+        wide = VariableLoadModel(model.load, model.utility)
+        grid = np.array([capacity, 2.0 * capacity + 1.0])
+        for scalar_fn, batch_fn in (
+            (scalar.total_best_effort, wide.total_best_effort_batch),
+            (scalar.total_reservation, wide.total_reservation_batch),
+        ):
+            got = batch_fn(grid)[0]
+            assert got == pytest.approx(scalar_fn(capacity), rel=1e-11, abs=1e-13)
+        assert wide.k_max_batch(grid)[0] == scalar.k_max(capacity)
 
 
 class TestPlanSoundness:
@@ -83,12 +68,15 @@ class TestPlanSoundness:
         """
         model = VariableLoadModel(_ALG, _ADAPTIVE)
         deep = 1 << 21
-        for capacity in (60.0, 150.0, 300.0):
-            mode, level = model._plan(capacity)
-            assert mode == _MODE_TAIL  # the case under test
-            assert level < deep
-            reference = model._dense_total(capacity, deep)
-            slack = model._tail_bound(deep, capacity)
+        caps = np.array([60.0, 150.0, 300.0])
+        modes, levels = model._plan_batch(caps)
+        assert np.all(modes == _MODE_TAIL)  # the case under test
+        assert np.all(levels < deep)
+        ks = np.arange(1, deep, dtype=float)
+        kpk = ks * _ALG.pmf_array(ks)
+        for capacity in caps:
+            reference = float(kpk @ _ADAPTIVE(capacity / ks))
+            slack = min(1.0, _ADAPTIVE.value(capacity / deep)) * _ALG.mean_tail(deep)
             got = model.total_best_effort(capacity)
             assert got == pytest.approx(
                 reference, abs=2.0 * model._tol + slack

@@ -1,11 +1,18 @@
 """Tests for the Section 3.1 discrete variable-load model."""
 
+import numpy as np
 import pytest
 
 import repro.models.variable_load as vlm
-from repro.loads import AlgebraicLoad, GeometricLoad
-from repro.models import VariableLoadModel
-from repro.utility import AdaptiveUtility, PiecewiseLinearUtility, RigidUtility
+from repro.loads import AlgebraicLoad, GeometricLoad, PoissonLoad
+from repro.models import SamplingModel, VariableLoadModel
+from repro.utility import (
+    AdaptiveUtility,
+    PiecewiseLinearUtility,
+    PowerLowUtility,
+    RigidUtility,
+)
+from tests.conftest import SMALL_MEAN
 
 
 def brute_force_best_effort(load, utility, capacity, terms=100_000):
@@ -47,34 +54,52 @@ class TestBestEffort:
         assert m.best_effort(17.0) == m.best_effort(17.0)
 
 
-class TestEulerMaclaurinTail:
-    def test_em_mode_matches_brute_force(self):
-        load = AlgebraicLoad.from_mean(3.0, 12.0)
-        u = AdaptiveUtility()
-        direct = VariableLoadModel(load, u)
-        c = 40.0
-        expected = direct.total_best_effort(c)
-        # shrink the brute-force cap to force the EM path
-        original = vlm.BRUTE_FORCE_CAP
-        vlm.BRUTE_FORCE_CAP = 1 << 12
-        try:
-            em_model = VariableLoadModel(load, u)
-            got = em_model.total_best_effort(c)
-        finally:
-            vlm.BRUTE_FORCE_CAP = original
-        assert got == pytest.approx(expected, abs=1e-7)
+def deep_dense_total(load, utility, capacity, deep=1 << 22):
+    """``sum_{k<deep} P(k) k pi(C/k)`` and the bound on what it omits."""
+    ks = np.arange(1, deep, dtype=float)
+    kpk = ks * np.asarray(load.pmf_array(ks), dtype=float)
+    total = float(kpk @ np.asarray(utility(capacity / ks), dtype=float))
+    omitted = min(1.0, utility.value(capacity / deep)) * load.mean_tail(deep)
+    return total, omitted
 
-    def test_em_mode_geometric(self):
-        load = GeometricLoad.from_mean(12.0)
-        u = AdaptiveUtility()
-        expected = VariableLoadModel(load, u).total_best_effort(25.0)
-        original = vlm.BRUTE_FORCE_CAP
-        vlm.BRUTE_FORCE_CAP = 1 << 10
-        try:
-            got = VariableLoadModel(load, u).total_best_effort(25.0)
-        finally:
-            vlm.BRUTE_FORCE_CAP = original
-        assert got == pytest.approx(expected, abs=1e-7)
+
+class TestEulerMaclaurinTail:
+    """The EM branch: capacities the planner leaves open past the cap.
+
+    The power-law utility has no Maclaurin series, so no level can
+    close as TAIL; with ``BRUTE_FORCE_CAP`` shrunk (and the process-wide
+    ceiling memo cleared, else it serves the unpatched ceilings) the
+    dense bound cannot close either, and the plan must be EM.
+    """
+
+    @pytest.fixture
+    def shrunk_cap(self, monkeypatch):
+        def shrink(cap):
+            monkeypatch.setattr(vlm, "BRUTE_FORCE_CAP", cap)
+            vlm._PLAN_CEILINGS.clear()
+
+        yield shrink
+        vlm._PLAN_CEILINGS.clear()
+
+    def _check_em(self, shrink, load, caps):
+        u = PowerLowUtility(2.0)
+        shrink(1 << 12)
+        model = VariableLoadModel(load, u)
+        modes, _ = model._plan_batch(np.asarray(caps))
+        assert np.all(modes == vlm._MODE_EM)
+        scalar = [model.total_best_effort(c) for c in caps]
+        grid = VariableLoadModel(load, u).total_best_effort_batch(caps)
+        for c, got_scalar, got_grid in zip(caps, scalar, grid):
+            reference, omitted = deep_dense_total(load, u, c)
+            assert got_scalar == pytest.approx(reference, abs=1e-9 + omitted)
+            assert got_grid == pytest.approx(reference, abs=1e-9 + omitted)
+
+    def test_em_mode_matches_brute_force(self, shrunk_cap):
+        self._check_em(shrunk_cap, AlgebraicLoad.from_mean(3.0, 12.0), [25.0, 40.0])
+
+    def test_em_mode_geometric(self, shrunk_cap):
+        # a mean-2000 census keeps the geometric tail alive past 2^12
+        self._check_em(shrunk_cap, GeometricLoad.from_mean(2000.0), [25.0, 40.0])
 
 
 class TestReservation:
@@ -292,3 +317,28 @@ class TestCapacityPlanning:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 m.capacity_for_best_effort(bad)
+
+
+_MODELS = {
+    "poisson": lambda: VariableLoadModel(PoissonLoad(SMALL_MEAN), AdaptiveUtility()),
+    "algebraic": lambda: VariableLoadModel(
+        AlgebraicLoad.from_mean(3.0, SMALL_MEAN), AdaptiveUtility()
+    ),
+    "sampling": lambda: SamplingModel(PoissonLoad(SMALL_MEAN), AdaptiveUtility(), 3),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("grid", [False, True], ids=["scalar", "batch"])
+@pytest.mark.parametrize(
+    "method", ["best_effort", "reservation", "performance_gap", "bandwidth_gap"]
+)
+@pytest.mark.parametrize("kind", sorted(_MODELS))
+def test_non_finite_capacity_refused(kind, method, grid, bad):
+    """NaN and +-inf are refused up front, never planned or summed."""
+    model = _MODELS[kind]()
+    with pytest.raises(ValueError, match="capacity must be finite"):
+        if grid:
+            getattr(model, f"{method}_batch")([10.0, bad])
+        else:
+            getattr(model, method)(bad)

@@ -1,10 +1,10 @@
-"""Tests for scalar and integer maximisation."""
+"""Tests for scalar maximisation."""
 
 import math
 
 import pytest
 
-from repro.numerics.optimize import argmax_int, maximize_scalar
+from repro.numerics.optimize import maximize_scalar
 
 
 class TestMaximizeScalar:
@@ -37,33 +37,3 @@ class TestMaximizeScalar:
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
             maximize_scalar(lambda t: t, 1.0, 0.0)
-
-
-class TestArgmaxInt:
-    def test_small_range_exhaustive(self):
-        k, v = argmax_int(lambda k: -((k - 7) ** 2), 0, 20)
-        assert (k, v) == (7, 0)
-
-    def test_large_range_unimodal(self):
-        peak = 12_345
-        k, v = argmax_int(lambda k: -abs(k - peak), 0, 1_000_000)
-        assert k == peak
-
-    def test_fixed_load_shape(self):
-        # V(k) = k * pi(C/k) for the paper's adaptive utility peaks near C
-        from repro.utility import AdaptiveUtility
-
-        u = AdaptiveUtility()
-        capacity = 500.0
-        k, _ = argmax_int(
-            lambda k: u.fixed_load_total(k, capacity), 1, 50_000
-        )
-        assert abs(k - capacity) <= 2
-
-    def test_peak_at_zero(self):
-        k, v = argmax_int(lambda k: -k, 0, 10_000_000)
-        assert (k, v) == (0, 0)
-
-    def test_rejects_inverted_range(self):
-        with pytest.raises(ValueError):
-            argmax_int(lambda k: k, 5, 4)

@@ -60,10 +60,6 @@ def source_root(tmp_path_factory):
     golden.write_text(json.dumps(figures, indent=2) + "\n")
 
     bench = {
-        "BENCH_batch.json": {
-            "cases": [{"matches_rtol_1e9": True}, {"matches_rtol_1e9": True}],
-            "headline": {"matches_rtol_1e9": True},
-        },
         "BENCH_ensemble.json": {"headline": {"exact_parity": True}},
         "BENCH_meanfield.json": {"gate": {"gap_compatible": True}},
         "BENCH_service.json": {"accuracy": {"worst_residual_bound_units": 0.4}},
@@ -106,7 +102,7 @@ class TestFreeze:
         assert manifest.schema == PROVENANCE_SCHEMA
         assert "golden/figures.json" in manifest.artifacts
         assert TRACES_SUMMARY in manifest.artifacts
-        assert "bench/BENCH_batch.json" in manifest.artifacts
+        assert "bench/BENCH_ensemble.json" in manifest.artifacts
         assert "bench/BENCH_ungated.json" in manifest.artifacts
         for entry in manifest.artifacts.values():
             assert len(entry["sha256"]) == 64
@@ -155,7 +151,7 @@ class TestVerify:
         assert f"hash:{TRACES_SUMMARY}" in ids
         assert "golden:figure2:delta" in ids
         assert "golden:algebraic_shared_tables:best_effort" in ids
-        assert "bench:BENCH_batch.json" in ids
+        assert "bench:BENCH_ensemble.json" in ids
         assert "traces:poisson:seed7" in ids
         assert "PASSED" in report.render()
 

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.emulator import DOMAINS, exact_scalar, fit_bank
+from repro.emulator import DOMAINS, exact_values, fit_bank
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.runner.cache import ResultCache
 from repro.service import EmulatorService, QueryError
@@ -33,7 +33,7 @@ class TestPointQueries:
     def test_in_domain_point_comes_from_the_surface(self, service):
         reply = service.point("delta", "poisson", "adaptive", 120.0)
         assert reply["source"] == "surface"
-        exact = exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", 120.0)
+        exact = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [120.0])[0]
         assert abs(reply["value"] - exact) <= reply["certified_bound"]
 
     def test_out_of_domain_point_falls_back_to_exact(self, service):
@@ -41,7 +41,7 @@ class TestPointQueries:
         reply = service.point("delta", "poisson", "adaptive", hi * 2.0)
         assert reply["source"] == "exact"
         assert reply["certified_bound"] is None
-        exact = exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", hi * 2.0)
+        exact = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [hi * 2.0])[0]
         assert reply["value"] == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
     def test_unfitted_utility_is_always_exact(self, service):
@@ -82,9 +82,9 @@ class TestBatchQueries:
         assert reply["source"] == "mixed"
         assert reply["sources"] == {"surface": 1, "exact": 1}
         assert reply["certified_bound"] is not None
-        exact_out = exact_scalar(
-            "delta", DEFAULT_CONFIG, "poisson", "adaptive", hi * 2.0
-        )
+        exact_out = exact_values(
+            "delta", DEFAULT_CONFIG, "poisson", "adaptive", [hi * 2.0]
+        )[0]
         assert reply["values"][1] == pytest.approx(exact_out, rel=1e-9, abs=1e-12)
 
     def test_empty_grid_rejected(self, service):
@@ -141,7 +141,7 @@ class TestCacheFallback:
         assert not errors
         assert len(set(results)) == 1
         expected = tuple(
-            exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", x)
+            exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [x])[0]
             for x in grid
         )
         assert results[0] == pytest.approx(expected, rel=1e-9)
@@ -189,7 +189,7 @@ class TestMeanFieldEngine:
             "delta", "poisson", "adaptive", 110.0, engine="meanfield"
         )
         assert reply["source"] == "meanfield"
-        exact = exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", 110.0)
+        exact = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [110.0])[0]
         assert reply["value"] == pytest.approx(exact, abs=2e-3)
 
     def test_kbar_override_scales_the_population(self, service):
@@ -197,13 +197,13 @@ class TestMeanFieldEngine:
             "delta", "poisson", "adaptive", [55.0], kbar=50.0, engine="meanfield"
         )
         assert reply["kbar"] == 50.0
-        exact = exact_scalar(
+        exact = exact_values(
             "delta",
             dataclasses.replace(DEFAULT_CONFIG, kbar=50.0),
             "poisson",
             "adaptive",
-            55.0,
-        )
+            [55.0],
+        )[0]
         assert reply["values"][0] == pytest.approx(exact, abs=2e-3)
 
     def test_simulator_is_memoised_per_load_and_population(self, service):

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.emulator import DOMAINS, exact_scalar, fit_bank
+from repro.emulator import DOMAINS, exact_values, fit_bank
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.runner.cache import ResultCache
 from repro.service import (
@@ -57,7 +57,7 @@ class TestEndpoints:
             "GET", "/v1/point?quantity=delta&load=poisson&utility=adaptive&x=120"
         )
         assert reply["source"] == "surface"
-        exact = exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", 120.0)
+        exact = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [120.0])[0]
         assert abs(reply["value"] - exact) <= reply["certified_bound"]
 
     def test_point_post_roundtrip(self, client):
@@ -153,7 +153,7 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert len(replies) == 6 * 11
-        exact = exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", hi * 2.0)
+        exact = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [hi * 2.0])[0]
         bursts = [r for r in replies if r.get("source") == "exact"]
         assert bursts and all(
             r["values"][0] == pytest.approx(exact, rel=1e-9) for r in bursts
@@ -166,7 +166,7 @@ class TestMeanFieldEngineHint:
             "delta", "poisson", "adaptive", 110.0, engine="meanfield"
         )
         assert reply["source"] == "meanfield"
-        exact = exact_scalar("delta", DEFAULT_CONFIG, "poisson", "adaptive", 110.0)
+        exact = exact_values("delta", DEFAULT_CONFIG, "poisson", "adaptive", [110.0])[0]
         assert reply["value"] == pytest.approx(exact, abs=2e-3)
 
     def test_batch_roundtrip_with_engine_hint(self, client):

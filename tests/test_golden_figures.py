@@ -1,11 +1,12 @@
 """Golden-value pins for the paper figures (CI quality gate).
 
 ``tests/golden/figures.json`` stores δ(C), Δ(C) and γ(p) at canonical
-grid points per figure, generated from the scalar reference path at
-the paper's parameters (k̄ = 100, κ = 0.62086, z = 3).  Every quantity
-is asserted twice — once through the scalar API and once through the
-vectorised batch API — so CI catches a regression in either path *and*
-any drift between them.  Regenerate deliberately with
+grid points per figure at the paper's parameters (k̄ = 100,
+κ = 0.62086, z = 3).  Every quantity is asserted twice — once point by
+point through the scalar API (one-element views of the batch kernels)
+and once as a grid call — so CI catches a regression in the kernels
+*and* any scalar path that forks away from them.  Regenerate
+deliberately with
 
     PYTHONPATH=src python tests/golden/generate.py
 
@@ -35,7 +36,7 @@ from repro.models import (
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "figures.json"
 FIGURES = {"figure2": "poisson", "figure3": "exponential", "figure4": "algebraic"}
 
-#: Relative agreement demanded of both paths against the stored values.
+#: Relative agreement demanded of both call forms against the stored values.
 RTOL = 1e-7
 
 #: Absolute slack for near-zero gaps: the gap solvers resolve roots to
@@ -214,7 +215,7 @@ def test_retrying_T5_curves_scalar_and_batch(quantity, golden):
     batch = {
         "best_effort": lambda: fresh.best_effort_batch(grid),
         "reservation": lambda: fresh.reservation_batch(grid),
-        # delta~ = R~ - B, unclipped, exactly as the scalar path defines it
+        # delta~ = R~ - B, unclipped, as RetryingModel.performance_gap defines it
         "delta": lambda: fresh.reservation_batch(grid) - fresh.best_effort_batch(grid),
     }[quantity]()
     _assert_pointwise("retrying_T5", quantity, caps, batch, entry[quantity], "batch")
