@@ -15,7 +15,6 @@ Usage::
     repro-experiments verify --suite deep --json   # + ensemble oracles
     repro-experiments profile --json       # time every registered experiment
     repro-experiments export F3 --out fig  # CSV + gnuplot for Figure 3
-    repro-experiments analyze-trace t.csv  # census verdict from a flow trace
     repro-experiments traces generate diurnal t.csv --rate 40 --horizon 240
     repro-experiments traces replay t.csv --capacity 44    # CRN-paired B/R/gap
     repro-experiments traces analyze t.csv                 # streamed verdict
@@ -293,22 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--out", default="figures", help="output directory")
     ex.add_argument(
         "--fast", action="store_true", help="use the reduced grids (quick look)"
-    )
-
-    tr = sub.add_parser(
-        "analyze-trace",
-        help="read a flow-trace CSV, identify its census, print the verdict",
-    )
-    tr.add_argument("trace", help="path to a trace written by repro.traces.write_trace")
-    tr.add_argument("--price", type=float, default=0.05, help="bandwidth price")
-    tr.add_argument(
-        "--utility",
-        choices=["adaptive", "rigid"],
-        default="adaptive",
-        help="application utility class",
-    )
-    tr.add_argument(
-        "--samples", type=int, default=4000, help="census samples for the fitters"
     )
 
     traces_cmd = sub.add_parser(
@@ -1447,18 +1430,6 @@ def _dispatch(args) -> int:
         written = export_figure(result, args.out, args.experiment.replace(".", "_"))
         for path in written:
             print(path)
-        return 0
-
-    if args.command == "analyze-trace":
-        from repro.traces import analyze_trace, read_trace
-        from repro.utility import AdaptiveUtility, RigidUtility
-
-        trace = read_trace(args.trace)
-        utility = AdaptiveUtility() if args.utility == "adaptive" else RigidUtility(1.0)
-        recommendation = analyze_trace(
-            trace, utility, price=args.price, samples=args.samples
-        )
-        print(recommendation.summary())
         return 0
 
     if args.command == "checkpoints":

@@ -96,59 +96,57 @@ class AdaptiveAlgebraicContinuum:
         """``k_bar = (z-1)/(z-2)``."""
         return self._rigid.mean_load
 
-    # -------------------------- utilities ---------------------------
-
-    def total_reservation(self, capacity: float) -> float:
-        """Identical to the rigid case."""
-        return self._rigid.total_reservation(capacity)
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C) = 1 - C^{2-z}/(z-1)``."""
-        return self._rigid.reservation(capacity)
-
-    def total_best_effort(self, capacity: float) -> float:
-        """``V_B(C) = k_bar - c_B C^{2-z}`` for ``C >= 1``."""
-        self._check_capacity(capacity)
-        return self.mean_load - self._c_b * capacity ** (2.0 - self._z)
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C)``."""
-        return self.total_best_effort(capacity) / self.mean_load
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = (c_B - c_R) C^{2-z} / k_bar``."""
-        self._check_capacity(capacity)
-        return (self._c_b - self._c_r) * capacity ** (2.0 - self._z) / self.mean_load
-
     def gap_ratio(self) -> float:
         """``(C + Delta)/C`` — capacity-independent."""
         return (self._c_b / self._c_r) ** (1.0 / (self._z - 2.0))
 
-    def bandwidth_gap(self, capacity: float) -> float:
-        """``Delta(C) = C (gap_ratio - 1)`` — exactly linear in C."""
-        self._check_capacity(capacity)
-        return capacity * (self.gap_ratio() - 1.0)
-
-    # ------------------------- batch forms --------------------------
+    # ------------------------- closed forms -------------------------
+    # Each quantity has one formula, over a capacity grid; the
+    # per-point methods below are one-element views of it.
 
     def best_effort_batch(self, capacities) -> np.ndarray:
-        """``B`` over a capacity grid (closed form)."""
+        """``B(C) = V_B(C)/k_bar`` with ``V_B(C) = k_bar - c_B C^{2-z}``
+        for ``C >= 1``."""
         caps = self._rigid._grid(capacities)
         kbar = self.mean_load
         return (kbar - self._c_b * caps ** (2.0 - self._z)) / kbar
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """``R`` over a capacity grid — identical to the rigid case."""
+        """``R`` — identical to the rigid case."""
         return self._rigid.reservation_batch(capacities)
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (closed form)."""
+        """``delta(C) = (c_B - c_R) C^{2-z} / k_bar``."""
         caps = self._rigid._grid(capacities)
         return (self._c_b - self._c_r) * caps ** (2.0 - self._z) / self.mean_load
 
     def bandwidth_gap_batch(self, capacities) -> np.ndarray:
-        """``Delta`` over a capacity grid — exactly linear in ``C``."""
+        """``Delta(C) = C (gap_ratio - 1)`` — exactly linear in ``C``."""
         return self._rigid._grid(capacities) * (self.gap_ratio() - 1.0)
+
+    def best_effort(self, capacity: float) -> float:
+        """Normalised ``B(C)``: a one-element :meth:`best_effort_batch`."""
+        return float(self.best_effort_batch([capacity])[0])
+
+    def reservation(self, capacity: float) -> float:
+        """Normalised ``R(C)``: a one-element :meth:`reservation_batch`."""
+        return float(self.reservation_batch([capacity])[0])
+
+    def total_best_effort(self, capacity: float) -> float:
+        """``V_B(C) = k_bar B(C)``."""
+        return self.mean_load * self.best_effort(capacity)
+
+    def total_reservation(self, capacity: float) -> float:
+        """``V_R(C) = k_bar R(C)``."""
+        return self.mean_load * self.reservation(capacity)
+
+    def performance_gap(self, capacity: float) -> float:
+        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
+        return float(self.performance_gap_batch([capacity])[0])
+
+    def bandwidth_gap(self, capacity: float) -> float:
+        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
+        return float(self.bandwidth_gap_batch([capacity])[0])
 
     # --------------------------- welfare ----------------------------
 
@@ -186,12 +184,6 @@ class AdaptiveAlgebraicContinuum:
         return (w / self.mean_load) ** ((z - 1.0) / (z - 2.0))
 
     # --------------------------- guards -----------------------------
-
-    def _check_capacity(self, capacity: float) -> None:
-        if capacity < 1.0:
-            raise ModelError(
-                f"the algebraic closed forms hold for C >= 1, got {capacity!r}"
-            )
 
     def _check_price(self, price: float) -> None:
         if not 0.0 < price <= 1.0:

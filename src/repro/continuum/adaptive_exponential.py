@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.continuum.rigid_exponential import RigidExponentialContinuum
 from repro.errors import ModelError
-from repro.numerics.batch import invert_monotone_batch
+from repro.models.variable_load import solve_bandwidth_gaps
 from repro.numerics.solvers import find_root, invert_monotone
 
 
@@ -54,15 +54,9 @@ class AdaptiveExponentialContinuum:
         """``k_bar = 1/beta``."""
         return 1.0 / self._beta
 
-    # -------------------------- utilities ---------------------------
-
-    def total_reservation(self, capacity: float) -> float:
-        """Identical to the rigid case (``k_max(C) = C``)."""
-        return self._rigid.total_reservation(capacity)
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C) = 1 - e^{-beta C}``."""
-        return self._rigid.reservation(capacity)
+    # ------------------------- closed forms -------------------------
+    # Each quantity has one formula, over a capacity grid; the
+    # per-point methods below are one-element views of it.
 
     def _exp_cap(self, capacity: float) -> float:
         """``e^{-beta C / a}`` with the ``a = 0`` limit handled."""
@@ -70,55 +64,9 @@ class AdaptiveExponentialContinuum:
             return 0.0
         return math.exp(-self._beta * capacity / self._a)
 
-    def total_best_effort(self, capacity: float) -> float:
-        """Closed-form ``V_B(C)`` (verified against quadrature in tests)."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        a, beta = self._a, self._beta
-        bc = beta * capacity
-        e1 = math.exp(-bc)
-        e2 = self._exp_cap(capacity)
-        rigid_part = (1.0 - e1 * (1.0 + bc)) / beta
-        if a == 0.0:
-            ramp_part = capacity * e1
-        else:
-            bca = bc / a
-            ramp_part = (
-                capacity * (e1 - e2)
-                - (a / beta) * (e1 * (1.0 + bc) - e2 * (1.0 + bca))
-            ) / (1.0 - a)
-        return rigid_part + ramp_part
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C)``."""
-        return self.total_best_effort(capacity) * self._beta
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = R(C) - B(C)``."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-13) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)`` (closed-form B)."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=1e12,
-            label=f"adaptive-exponential Delta(C={capacity})",
-        )
-        return max(0.0, solution - capacity)
-
-    # ------------------------- batch forms --------------------------
-
     def best_effort_batch(self, capacities) -> np.ndarray:
-        """Normalised ``B`` over a capacity grid (closed form)."""
+        """Normalised ``B(C) = beta V_B(C)`` (closed-form ``V_B``, verified
+        against quadrature in tests)."""
         caps = self._rigid._grid(capacities)
         a, beta = self._a, self._beta
         bc = beta * caps
@@ -137,11 +85,11 @@ class AdaptiveExponentialContinuum:
         return totals * beta
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """Normalised ``R`` over a capacity grid — rigid closed form."""
+        """Normalised ``R`` — the rigid closed form (``k_max(C) = C``)."""
         return self._rigid.reservation_batch(capacities)
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (clipped at zero)."""
+        """``delta(C) = R(C) - B(C)``, clipped at zero."""
         return np.maximum(
             0.0,
             self.reservation_batch(capacities)
@@ -151,32 +99,42 @@ class AdaptiveExponentialContinuum:
     def bandwidth_gap_batch(
         self, capacities, *, gap_floor: float = 1e-13
     ) -> np.ndarray:
-        """``Delta`` over a capacity grid via one vectorised inversion."""
+        """``Delta(C)`` solving ``B(C + Delta) = R(C)``, one vectorised
+        inversion of the closed-form ``B`` for the whole grid."""
         caps = self._rigid._grid(capacities)
-        gaps = np.zeros(caps.size)
-        targets = self.reservation_batch(caps)
-        idx = np.flatnonzero(
-            (targets - self.best_effort_batch(caps)) > gap_floor
-        )
-        if idx.size == 0:
-            return gaps
-        sub = caps[idx]
-        result = invert_monotone_batch(
+        return solve_bandwidth_gaps(
             self.best_effort_batch,
-            targets[idx],
-            sub,
-            sub + np.maximum(1.0, sub),
-            increasing=True,
+            caps,
+            self.reservation_batch(caps),
+            self.best_effort_batch(caps),
+            gap_floor=gap_floor,
             upper_limit=1e12,
-            label="adaptive-exponential Delta batch",
+            label="adaptive-exponential Delta",
         )
-        ok = result.converged & np.isfinite(result.roots)
-        gaps[idx[ok]] = np.maximum(0.0, result.roots[ok] - sub[ok])
-        for j in np.flatnonzero(~ok):
-            gaps[idx[j]] = self.bandwidth_gap(
-                float(sub[j]), gap_floor=gap_floor
-            )
-        return gaps
+
+    def best_effort(self, capacity: float) -> float:
+        """Normalised ``B(C)``: a one-element :meth:`best_effort_batch`."""
+        return float(self.best_effort_batch([capacity])[0])
+
+    def reservation(self, capacity: float) -> float:
+        """Normalised ``R(C)``: a one-element :meth:`reservation_batch`."""
+        return float(self.reservation_batch([capacity])[0])
+
+    def total_best_effort(self, capacity: float) -> float:
+        """``V_B(C) = B(C) / beta``."""
+        return self.best_effort(capacity) / self._beta
+
+    def total_reservation(self, capacity: float) -> float:
+        """``V_R(C) = R(C) / beta``."""
+        return self.reservation(capacity) / self._beta
+
+    def performance_gap(self, capacity: float) -> float:
+        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
+        return float(self.performance_gap_batch([capacity])[0])
+
+    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-13) -> float:
+        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
+        return float(self.bandwidth_gap_batch([capacity], gap_floor=gap_floor)[0])
 
     def bandwidth_gap_limit(self) -> float:
         """``lim_{C->inf} Delta(C) = -ln(1-a)/beta`` (paper Section 3.3)."""

@@ -42,43 +42,14 @@ class RigidAlgebraicContinuum:
         """``k_bar = (z-1)/(z-2)``."""
         return (self._z - 1.0) / (self._z - 2.0)
 
-    # -------------------------- utilities ---------------------------
-
-    def best_effort(self, capacity: float) -> float:
-        """``B(C) = 1 - C^{2-z}`` for ``C >= 1``."""
-        self._check_capacity(capacity)
-        return 1.0 - capacity ** (2.0 - self._z)
-
-    def reservation(self, capacity: float) -> float:
-        """``R(C) = 1 - C^{2-z}/(z-1)`` for ``C >= 1``."""
-        self._check_capacity(capacity)
-        return 1.0 - capacity ** (2.0 - self._z) / (self._z - 1.0)
-
-    def total_best_effort(self, capacity: float) -> float:
-        """Unnormalised ``V_B(C) = k_bar B(C)``."""
-        return self.mean_load * self.best_effort(capacity)
-
-    def total_reservation(self, capacity: float) -> float:
-        """Unnormalised ``V_R(C) = k_bar R(C)``."""
-        return self.mean_load * self.reservation(capacity)
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = C^{2-z} (z-2)/(z-1)``."""
-        self._check_capacity(capacity)
-        z = self._z
-        return capacity ** (2.0 - z) * (z - 2.0) / (z - 1.0)
-
     def gap_ratio(self) -> float:
         """``(C + Delta)/C = (z-1)^{1/(z-2)}`` — capacity-independent."""
         z = self._z
         return (z - 1.0) ** (1.0 / (z - 2.0))
 
-    def bandwidth_gap(self, capacity: float) -> float:
-        """``Delta(C) = C ((z-1)^{1/(z-2)} - 1)`` — exactly linear."""
-        self._check_capacity(capacity)
-        return capacity * (self.gap_ratio() - 1.0)
-
-    # ------------------------- batch forms --------------------------
+    # ------------------------- closed forms -------------------------
+    # Each quantity has one formula, over a capacity grid; the
+    # per-point methods below are one-element views of it.
 
     def _grid(self, capacities) -> np.ndarray:
         caps = np.asarray(capacities, dtype=float).ravel()
@@ -90,21 +61,45 @@ class RigidAlgebraicContinuum:
         return caps
 
     def best_effort_batch(self, capacities) -> np.ndarray:
-        """``B`` over a capacity grid (closed form)."""
+        """``B(C) = 1 - C^{2-z}`` for ``C >= 1``."""
         return 1.0 - self._grid(capacities) ** (2.0 - self._z)
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """``R`` over a capacity grid (closed form)."""
+        """``R(C) = 1 - C^{2-z}/(z-1)`` for ``C >= 1``."""
         return 1.0 - self._grid(capacities) ** (2.0 - self._z) / (self._z - 1.0)
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (closed form)."""
+        """``delta(C) = C^{2-z} (z-2)/(z-1)``."""
         z = self._z
         return self._grid(capacities) ** (2.0 - z) * (z - 2.0) / (z - 1.0)
 
     def bandwidth_gap_batch(self, capacities) -> np.ndarray:
-        """``Delta`` over a capacity grid — exactly linear in ``C``."""
+        """``Delta(C) = C ((z-1)^{1/(z-2)} - 1)`` — exactly linear."""
         return self._grid(capacities) * (self.gap_ratio() - 1.0)
+
+    def best_effort(self, capacity: float) -> float:
+        """``B(C)``: a one-element :meth:`best_effort_batch`."""
+        return float(self.best_effort_batch([capacity])[0])
+
+    def reservation(self, capacity: float) -> float:
+        """``R(C)``: a one-element :meth:`reservation_batch`."""
+        return float(self.reservation_batch([capacity])[0])
+
+    def total_best_effort(self, capacity: float) -> float:
+        """Unnormalised ``V_B(C) = k_bar B(C)``."""
+        return self.mean_load * self.best_effort(capacity)
+
+    def total_reservation(self, capacity: float) -> float:
+        """Unnormalised ``V_R(C) = k_bar R(C)``."""
+        return self.mean_load * self.reservation(capacity)
+
+    def performance_gap(self, capacity: float) -> float:
+        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
+        return float(self.performance_gap_batch([capacity])[0])
+
+    def bandwidth_gap(self, capacity: float) -> float:
+        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
+        return float(self.bandwidth_gap_batch([capacity])[0])
 
     # --------------------------- welfare ----------------------------
 
@@ -153,12 +148,6 @@ class RigidAlgebraicContinuum:
         return math.e - 1.0
 
     # --------------------------- guards -----------------------------
-
-    def _check_capacity(self, capacity: float) -> None:
-        if capacity < 1.0:
-            raise ModelError(
-                f"the algebraic closed forms hold for C >= 1, got {capacity!r}"
-            )
 
     def _check_price(self, price: float) -> None:
         # C_B >= 1 requires p <= z-1; C_R >= 1 requires p <= 1

@@ -29,7 +29,6 @@ from scipy import special
 
 from repro.errors import ModelError
 from repro.numerics.batch import find_roots
-from repro.numerics.solvers import find_root
 
 #: Largest price with a nonzero best-effort provisioning optimum
 #: (``h e^{-h}`` peaks at ``1/e``).
@@ -54,55 +53,9 @@ class RigidExponentialContinuum:
         """``k_bar = 1/beta``."""
         return 1.0 / self._beta
 
-    # -------------------------- utilities ---------------------------
-
-    def total_reservation(self, capacity: float) -> float:
-        """``V_R(C) = (1/beta)(1 - e^{-beta C})``."""
-        self._check_capacity(capacity)
-        return (1.0 - math.exp(-self._beta * capacity)) / self._beta
-
-    def total_best_effort(self, capacity: float) -> float:
-        """``V_B(C) = (1/beta)(1 - e^{-beta C}(1 + beta C))``."""
-        self._check_capacity(capacity)
-        bc = self._beta * capacity
-        return (1.0 - math.exp(-bc) * (1.0 + bc)) / self._beta
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C) = 1 - e^{-beta C}``."""
-        return self.total_reservation(capacity) * self._beta
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C) = 1 - e^{-beta C}(1 + beta C)``."""
-        return self.total_best_effort(capacity) * self._beta
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = beta C e^{-beta C}``."""
-        self._check_capacity(capacity)
-        bc = self._beta * capacity
-        return bc * math.exp(-bc)
-
-    def bandwidth_gap(self, capacity: float) -> float:
-        """``Delta(C)`` from ``beta Delta = ln(1 + beta(C + Delta))``.
-
-        The residual is increasing in ``Delta`` and negative at 0, so
-        the root is unique and bracketable.
-        """
-        self._check_capacity(capacity)
-        beta = self._beta
-
-        def residual(delta: float) -> float:
-            return beta * delta - math.log1p(beta * (capacity + delta))
-
-        return find_root(
-            residual,
-            0.0,
-            max(1.0, capacity),
-            expand=True,
-            upper_limit=1e12,
-            label=f"rigid-exponential Delta(C={capacity})",
-        )
-
-    # ------------------------- batch forms --------------------------
+    # ------------------------- closed forms -------------------------
+    # Each quantity has one formula, over a capacity (or price) grid;
+    # the per-point methods below are one-element views of it.
 
     def _grid(self, capacities) -> np.ndarray:
         caps = np.asarray(capacities, dtype=float).ravel()
@@ -113,21 +66,26 @@ class RigidExponentialContinuum:
         return caps
 
     def best_effort_batch(self, capacities) -> np.ndarray:
-        """Normalised ``B`` over a capacity grid (closed form)."""
+        """Normalised ``B(C) = 1 - e^{-beta C}(1 + beta C)``."""
         bc = self._beta * self._grid(capacities)
         return 1.0 - np.exp(-bc) * (1.0 + bc)
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """Normalised ``R`` over a capacity grid (closed form)."""
+        """Normalised ``R(C) = 1 - e^{-beta C}``."""
         return 1.0 - np.exp(-self._beta * self._grid(capacities))
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (closed form)."""
+        """``delta(C) = beta C e^{-beta C}``."""
         bc = self._beta * self._grid(capacities)
         return bc * np.exp(-bc)
 
     def bandwidth_gap_batch(self, capacities) -> np.ndarray:
-        """``Delta`` over a capacity grid via one vectorised root find."""
+        """``Delta(C)`` from ``beta Delta = ln(1 + beta(C + Delta))``.
+
+        The residual is increasing in ``Delta`` and negative at 0, so
+        each root is unique and bracketable; one vectorised root find
+        solves the grid.
+        """
         caps = self._grid(capacities)
         beta = self._beta
 
@@ -141,12 +99,14 @@ class RigidExponentialContinuum:
             args=(caps,),
             expand=True,
             upper_limit=1e12,
-            label="rigid-exponential Delta batch",
+            label="rigid-exponential Delta",
         )
+        for i in np.flatnonzero(~result.converged):
+            result.checked_root(i, f"at C={caps[i]}")
         return result.roots
 
     def equalizing_ratio_batch(self, prices) -> np.ndarray:
-        """``gamma`` over a price grid via one vectorised root find."""
+        """``gamma(p)``: root of ``g(1 - ln g - ln p) = 1 + 1/h + h``."""
         ps = np.asarray(prices, dtype=float).ravel()
         for p in ps:
             self._check_price(float(p))
@@ -164,9 +124,35 @@ class RigidExponentialContinuum:
             args=(rhs, log_p),
             expand=True,
             upper_limit=float(np.max(1.0 / ps)),
-            label="rigid-exponential gamma batch",
+            label="rigid-exponential gamma",
         )
+        for i in np.flatnonzero(~result.converged):
+            result.checked_root(i, f"at p={ps[i]}")
         return result.roots
+
+    def best_effort(self, capacity: float) -> float:
+        """Normalised ``B(C)``: a one-element :meth:`best_effort_batch`."""
+        return float(self.best_effort_batch([capacity])[0])
+
+    def reservation(self, capacity: float) -> float:
+        """Normalised ``R(C)``: a one-element :meth:`reservation_batch`."""
+        return float(self.reservation_batch([capacity])[0])
+
+    def total_best_effort(self, capacity: float) -> float:
+        """``V_B(C) = B(C) / beta``."""
+        return self.best_effort(capacity) / self._beta
+
+    def total_reservation(self, capacity: float) -> float:
+        """``V_R(C) = R(C) / beta``."""
+        return self.reservation(capacity) / self._beta
+
+    def performance_gap(self, capacity: float) -> float:
+        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
+        return float(self.performance_gap_batch([capacity])[0])
+
+    def bandwidth_gap(self, capacity: float) -> float:
+        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
+        return float(self.bandwidth_gap_batch([capacity])[0])
 
     def bandwidth_gap_asymptotic(self, capacity: float) -> float:
         """Leading large-C behaviour ``ln(beta C)/beta`` (paper Section 3.3)."""
@@ -202,22 +188,8 @@ class RigidExponentialContinuum:
         return (1.0 - price + price * math.log(price)) / self._beta
 
     def equalizing_ratio(self, price: float) -> float:
-        """``gamma(p)``: root of ``g(1 - ln g - ln p) = 1 + 1/h + h``."""
-        h = self.h(price)
-        rhs = 1.0 + 1.0 / h + h
-        log_p = math.log(price)
-
-        def residual(gamma: float) -> float:
-            return gamma * (1.0 - math.log(gamma) - log_p) - rhs
-
-        return find_root(
-            residual,
-            1.0,
-            4.0,
-            expand=True,
-            upper_limit=1.0 / price,
-            label=f"rigid-exponential gamma(p={price})",
-        )
+        """``gamma(p)``: a one-element :meth:`equalizing_ratio_batch`."""
+        return float(self.equalizing_ratio_batch([price])[0])
 
     def equalizing_ratio_asymptotic(self, price: float) -> float:
         """Small-p approximation ``1 + ln(ln(1/p)) / ln(1/p)``.

@@ -35,9 +35,10 @@ class ConvergenceWarning(UserWarning):
     """A numerical routine degraded instead of failing.
 
     Emitted (not raised) when a solver returns a usable answer that
-    missed the requested tolerance — e.g. brentq stopping at its
-    iteration cap.  The observability layer (:mod:`repro.obs`) counts
-    these under ``solver.convergence_failures`` when enabled.
+    missed the requested tolerance — e.g. a root finder stopping at its
+    iteration cap with its best root.  The observability layer
+    (:mod:`repro.obs`) counts these under ``batch.solve.failures`` when
+    enabled.
     """
 
 

@@ -120,10 +120,9 @@ def solve_bandwidth_gaps(
 
     Shared by the variable-load, retrying and sampling models: each
     supplies its own vectorised best-effort curve and its own targets.
-    Elements whose gap is below ``gap_floor`` return exactly 0.0.
-    Elements the batch solver flags as unconverged are re-solved here,
-    one at a time, by :func:`invert_monotone` on the one-element batch
-    curve (counted as ``batch.fallback_scalar``).
+    Elements whose gap is below ``gap_floor`` return exactly 0.0.  An
+    element the solver flags raises the scalar error naming its
+    capacity (:meth:`~repro.numerics.batch.BatchRootResult.checked_root`).
     """
     caps = np.asarray(capacities, dtype=float).ravel()
     gaps = np.zeros(caps.size)
@@ -140,23 +139,9 @@ def solve_bandwidth_gaps(
         upper_limit=upper_limit,
         label=label,
     )
-    ok = result.converged & np.isfinite(result.roots)
-    gaps[idx[ok]] = np.maximum(0.0, result.roots[ok] - sub[ok])
-    bad = np.flatnonzero(~ok)
-    if bad.size and obs.enabled():
-        obs.counter("batch.fallback_scalar").inc(int(bad.size))
-    for j in bad:
-        c = float(sub[j])
-        root = invert_monotone(
-            lambda x: float(best_effort_batch(np.array([x]))[0]),
-            float(targets[idx[j]]),
-            c,
-            c + max(1.0, c),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"{label} at C={c}",
-        )
-        gaps[idx[j]] = max(0.0, root - c)
+    for j in np.flatnonzero(~result.converged):
+        result.checked_root(j, f"at C={sub[j]}")
+    gaps[idx] = np.maximum(0.0, result.roots - sub)
     return gaps
 
 

@@ -9,7 +9,7 @@ supports.  This subpackage provides the small set of robust primitives
 those definitions need:
 
 - :func:`find_root` / :func:`invert_monotone` — bracketed root finding
-  with automatic bracket expansion,
+  with automatic bracket expansion, one problem at a time,
 - :func:`maximize_scalar` — scalar maximisation of smooth objectives,
 - :func:`sum_series` — adaptive truncation of infinite series with an
   optional analytic tail bound,
@@ -21,7 +21,10 @@ Whole-grid sweeps go through the batch forms in
 :func:`invert_monotone_batch`, :func:`share_weighted_sums`,
 :func:`adaptive_quad_batch` — which solve a vector of independent
 scalar problems in a handful of numpy calls and report per-element
-convergence masks instead of raising on the first bad element.
+convergence masks instead of raising on the first bad element.  There
+is one root finder: :func:`find_root` and :func:`invert_monotone` are
+one-element views of :func:`find_roots` and
+:func:`invert_monotone_batch` that raise where the batch flags.
 """
 
 from repro.numerics.batch import (
@@ -32,7 +35,6 @@ from repro.numerics.batch import (
     invert_monotone_batch,
     share_weighted_sums,
 )
-from repro.numerics.brackets import expand_bracket_downward, expand_bracket_upward
 from repro.numerics.optimize import maximize_scalar
 from repro.numerics.quadrature import integrate
 from repro.numerics.series import fixed_point, sum_series
@@ -41,8 +43,6 @@ from repro.numerics.solvers import find_root, invert_monotone
 __all__ = [
     "BatchRootResult",
     "adaptive_quad_batch",
-    "expand_bracket_downward",
-    "expand_bracket_upward",
     "expand_brackets_upward",
     "find_root",
     "find_roots",

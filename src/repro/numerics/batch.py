@@ -1,32 +1,30 @@
 """Array-in/array-out batch numerics for whole-grid sweeps.
 
 Every figure in the paper is a sweep: ``delta(C)`` and ``Delta(C)``
-over a capacity grid, ``gamma(p)`` over a price grid.  The scalar
-primitives in :mod:`repro.numerics.solvers` solve one implicit equation
-at a time, so a 512-point sweep pays 512 rounds of Python call
-overhead, bracket handling and scipy dispatch.  This module provides
-the same primitives over a *vector of independent scalar problems*:
+over a capacity grid, ``gamma(p)`` over a price grid.  This module
+solves a *vector of independent scalar problems* in a handful of
+numpy calls; the one-problem forms in :mod:`repro.numerics.solvers`
+are one-element views of it, so a single solve and a 512-point sweep
+run the same iteration:
 
 - :func:`find_roots` — bracketed root finding (bisection-safeguarded
   inverse-quadratic interpolation, Chandrupatla's algorithm — the same
   convergence class as Brent) over element-wise independent equations,
   with a per-element convergence mask,
 - :func:`expand_brackets_upward` — vectorised geometric bracket growth,
-- :func:`invert_monotone_batch` — the batch form of
-  :func:`repro.numerics.solvers.invert_monotone`,
+- :func:`invert_monotone_batch` — ``func(x_i) = target_i`` for a
+  monotone ``func``,
 - :func:`share_weighted_sums` — the truncated-series kernel behind the
   discrete-model totals ``sum_k w_k * pi(C_i / k)``, chunked so a
   512 x 4M grid never materialises,
 - :func:`adaptive_quad_batch` — fixed-node Gauss-Legendre quadrature
   with panel doubling, one node layout shared by every grid row.
 
-Batch results carry per-element diagnostics and aggregate into a
-single :class:`~repro.numerics.solvers.SolverDiagnostics` record so the
-observability layer sees batch solves and scalar solves through one
-vocabulary.  Non-converged elements are *flagged in the mask*, never
-returned silently: callers are expected to re-solve flagged elements
-one at a time with the scalar solvers (and count the fallback via
-``batch.fallback_scalar``).
+Elements that fail are *flagged in the mask*, never returned silently:
+no sign change, a NaN function value (also marked ``undefined``) or
+the iteration cap.  :meth:`BatchRootResult.checked_root` turns a
+flagged element into the scalar error contract — the exception or
+warning a one-element solve raises.
 
 With :mod:`repro.obs` enabled each batch call meters
 ``batch.solve.calls`` / ``points`` / ``converged`` / ``failures`` /
@@ -37,15 +35,21 @@ With :mod:`repro.obs` enabled each batch call meters
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.numerics.solvers import RTOL, XTOL, SolverDiagnostics
+from repro.errors import BracketError, ConvergenceError, ConvergenceWarning
 
-#: Growth factor for vectorised bracket expansion (matches the scalar
-#: :mod:`repro.numerics.brackets` default).
+#: Default absolute tolerance on the root location.
+XTOL = 1e-12
+
+#: Default relative tolerance on the root location.
+RTOL = 1e-12
+
+#: Growth factor for vectorised bracket expansion.
 GROWTH = 2.0
 
 #: Cap on vectorised expansion steps.
@@ -71,8 +75,9 @@ class BatchRootResult:
     ----------
     roots:
         Root estimates, one per problem.  Elements whose bracket never
-        contained a sign change are ``nan``; elements that ran out of
-        iterations hold the best estimate found (and are flagged).
+        contained a sign change, or whose function returned NaN, are
+        ``nan``; elements that ran out of iterations hold the best
+        estimate found (and are flagged).
     converged:
         Boolean mask — ``True`` where the root met the tolerance.
     residuals:
@@ -84,6 +89,10 @@ class BatchRootResult:
         every vector call counts once).
     bracket_expanded:
         Mask of elements whose bracket had to be grown.
+    undefined:
+        Mask of elements whose function returned NaN, or whose bracket
+        left the finite reals.  Such an element has no usable sign, so
+        it is flagged apart from a bracket with no sign change.
     """
 
     __slots__ = (
@@ -94,6 +103,7 @@ class BatchRootResult:
         "iterations",
         "function_evaluations",
         "bracket_expanded",
+        "undefined",
     )
 
     def __init__(
@@ -105,6 +115,7 @@ class BatchRootResult:
         iterations: np.ndarray,
         function_evaluations: int,
         bracket_expanded: np.ndarray,
+        undefined: np.ndarray,
     ):
         self.label = label
         self.roots = roots
@@ -113,6 +124,7 @@ class BatchRootResult:
         self.iterations = iterations
         self.function_evaluations = function_evaluations
         self.bracket_expanded = bracket_expanded
+        self.undefined = undefined
 
     @property
     def all_converged(self) -> bool:
@@ -124,26 +136,31 @@ class BatchRootResult:
         """Number of independent problems in the batch."""
         return int(self.roots.size)
 
-    def aggregate(self) -> SolverDiagnostics:
-        """Fold the batch into one :class:`SolverDiagnostics` record.
+    def checked_root(self, i: int, where: str) -> float:
+        """Element ``i``'s root under the scalar error contract.
 
-        ``iterations`` and ``function_calls`` are batch totals,
-        ``residual`` is the worst absolute residual among bracketed
-        elements, ``converged`` is the all-elements verdict, and
-        ``root`` is the single root for one-element batches (``nan``
-        otherwise — there is no one root of 512 problems).
+        A converged root is returned as is.  A flagged element raises
+        :class:`~repro.errors.ConvergenceError` when its function
+        returned NaN and :class:`~repro.errors.BracketError` when its
+        bracket held no sign change; one that hit the iteration cap
+        returns its best root with a
+        :class:`~repro.errors.ConvergenceWarning`.  ``where`` locates
+        the problem in the message (e.g. ``"at C=4.0"``).
         """
-        finite = self.residuals[np.isfinite(self.residuals)]
-        worst = float(np.max(np.abs(finite))) if finite.size else math.nan
-        return SolverDiagnostics(
-            self.label,
-            float(self.roots[0]) if self.size == 1 else math.nan,
-            self.all_converged,
-            int(np.sum(self.iterations)),
-            int(self.function_evaluations),
-            worst,
-            bracket_expanded=bool(np.any(self.bracket_expanded)),
+        root = float(self.roots[i])
+        if self.converged[i]:
+            return root
+        if self.undefined[i]:
+            raise ConvergenceError(f"{self.label}: function value is NaN {where}")
+        if math.isnan(root):
+            raise BracketError(f"{self.label}: no sign change {where}")
+        warnings.warn(
+            f"{self.label}: stopped after {int(self.iterations[i])} iterations "
+            f"without meeting tolerance {where}; returning the best root found",
+            ConvergenceWarning,
+            stacklevel=3,
         )
+        return root
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -172,6 +189,11 @@ def _as_batch(*arrays) -> Tuple[np.ndarray, ...]:
     return tuple(np.array(b, dtype=float).ravel() for b in broadcast)
 
 
+def _same_sign(f_a: np.ndarray, f_b: np.ndarray) -> np.ndarray:
+    """True where both values are nonzero and share a sign (never for NaN)."""
+    return ((f_a < 0.0) & (f_b < 0.0)) | ((f_a > 0.0) & (f_b > 0.0))
+
+
 def expand_brackets_upward(
     func: Callable[..., np.ndarray],
     lo: np.ndarray,
@@ -186,13 +208,13 @@ def expand_brackets_upward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Grow ``hi`` geometrically per element until the sign changes.
 
-    The vector counterpart of
-    :func:`repro.numerics.brackets.expand_bracket_upward`: for every
-    element whose ``[lo, hi]`` interval does not contain a sign change,
-    the right endpoint moves right by a geometrically growing span
-    (never beyond ``upper_limit``).  Elements that exhaust the limit
-    are reported in the failure mask instead of raising, so one
-    hopeless element cannot abort a 512-point sweep.
+    For every element whose ``[lo, hi]`` interval does not contain a
+    sign change, the right endpoint moves right by a geometrically
+    growing span (never beyond ``upper_limit``).  Elements that exhaust
+    the limit are reported in the failure mask instead of raising, so
+    one hopeless element cannot abort a 512-point sweep.  An element
+    whose function returns NaN stops where it is, with the NaN left in
+    ``f_hi`` for the caller to flag; it does not count as failed.
 
     ``args`` are per-element parameter vectors sliced alongside the
     endpoints on every trial evaluation (see :func:`find_roots`).
@@ -204,7 +226,7 @@ def expand_brackets_upward(
     hi = hi.copy()
     f_hi = f_hi.copy()
     span = hi - lo
-    need = ((f_lo < 0.0) == (f_hi < 0.0)) & (f_lo != 0.0) & (f_hi != 0.0)
+    need = _same_sign(f_lo, f_hi)
     expanded = np.zeros_like(need)
     evaluations = 0
     for _ in range(max_steps):
@@ -218,9 +240,8 @@ def expand_brackets_upward(
         trial = np.asarray(func(hi[idx], *[a[idx] for a in args]), dtype=float)
         evaluations += idx.size
         f_hi[idx] = trial
-        found = (trial == 0.0) | ((f_lo[idx] < 0.0) != (trial < 0.0))
-        need[idx[found]] = False
-    failed = ((f_lo < 0.0) == (f_hi < 0.0)) & (f_lo != 0.0) & (f_hi != 0.0)
+        need[idx[~_same_sign(f_lo[idx], trial)]] = False
+    failed = _same_sign(f_lo, f_hi)
     return hi, f_hi, expanded, failed, evaluations
 
 
@@ -248,9 +269,10 @@ def find_roots(
         *compressed* vectors containing only the still-active elements,
         so converged problems stop costing evaluations immediately.
     lo, hi:
-        Bracket endpoints (scalars or arrays, broadcast together).
-        Elements whose bracket holds no sign change are expanded
-        geometrically when ``expand`` is true, else flagged.
+        Bracket endpoints (scalars or arrays, broadcast together),
+        ``lo <= hi`` element-wise.  Elements whose bracket holds no
+        sign change are expanded geometrically when ``expand`` is true,
+        else flagged.
     args:
         Per-element parameter vectors (broadcast with the endpoints)
         compressed alongside ``x`` and passed to ``func`` — this is how
@@ -258,8 +280,7 @@ def find_roots(
         the active-set compression.
     xtol, rtol:
         Convergence is declared where the bracket has shrunk below
-        ``xtol + rtol * |root|`` — the same criterion family brentq
-        uses in the scalar path.
+        ``xtol + rtol * |root|``.
     label:
         Name used in diagnostics.
 
@@ -268,8 +289,14 @@ def find_roots(
     BatchRootResult
         Roots plus per-element convergence mask and diagnostics.
         Elements that never bracketed a sign change come back ``nan``
-        with ``converged=False`` — callers re-solve those one at a time
-        rather than trusting garbage.
+        with ``converged=False``; so do elements whose function
+        returned NaN, which are also marked ``undefined``.  Neither is
+        ever a finite wrong answer.
+
+    Raises
+    ------
+    ValueError
+        If ``lo > hi`` for any element.
 
     Notes
     -----
@@ -281,6 +308,12 @@ def find_roots(
     """
     vectors = _as_batch(lo, hi, *args)
     lo_v, hi_v = vectors[0], vectors[1]
+    inverted = lo_v > hi_v
+    if np.any(inverted):
+        i = int(np.argmax(inverted))
+        raise ValueError(
+            f"{label}: need lo <= hi, got lo={float(lo_v[i])!r} hi={float(hi_v[i])!r}"
+        )
     params = vectors[2:]
     n = lo_v.size
     roots = np.full(n, math.nan)
@@ -293,7 +326,7 @@ def find_roots(
     evaluations = 2 * n
 
     expanded = np.zeros(n, dtype=bool)
-    failed = ((f_lo < 0.0) == (f_hi < 0.0)) & (f_lo != 0.0) & (f_hi != 0.0)
+    failed = _same_sign(f_lo, f_hi)
     if expand and np.any(failed):
         hi_v, f_hi, expanded, failed, extra = expand_brackets_upward(
             func, lo_v, f_lo, hi_v, f_hi, args=params, upper_limit=upper_limit
@@ -307,8 +340,9 @@ def find_roots(
         roots[mask] = endpoint[mask]
         residuals[mask] = 0.0
         converged[mask] = True
+    undefined = (np.isnan(f_lo) | np.isnan(f_hi)) & ~(hit_lo | hit_hi)
 
-    active = np.flatnonzero(~(hit_lo | hit_hi | failed))
+    active = np.flatnonzero(~(hit_lo | hit_hi | failed | undefined))
     if active.size:
         # Chandrupatla state, kept compressed to the active subset: a
         # is the newest iterate, b the opposite bracket end, c the
@@ -341,13 +375,16 @@ def find_roots(
             tol = xtol + rtol * np.abs(xm)
             with np.errstate(divide="ignore", invalid="ignore"):
                 tlim = 0.5 * tol / span
-            done = (tlim >= 0.5) | (fm == 0.0) | ~np.isfinite(span)
+            # a NaN value or a non-finite bracket leaves no sign to follow
+            lost = np.isnan(ft) | ~np.isfinite(span)
+            done = (tlim >= 0.5) | (fm == 0.0) | lost
 
             if np.any(done):
-                idx = active[done]
-                roots[idx] = xm[done]
-                residuals[idx] = fm[done]
-                converged[idx] = True
+                solved = done & ~lost
+                roots[active[solved]] = xm[solved]
+                residuals[active[solved]] = fm[solved]
+                converged[active[solved]] = True
+                undefined[active[lost]] = True
                 keep = ~done
                 active = active[keep]
                 if not active.size:
@@ -382,6 +419,7 @@ def find_roots(
         iterations,
         evaluations,
         bracket_expanded=expanded,
+        undefined=undefined,
     )
     _meter_solve(result)
     return result
@@ -402,16 +440,18 @@ def invert_monotone_batch(
 ) -> BatchRootResult:
     """Solve ``func(x_i) = targets_i`` for a monotone vectorised ``func``.
 
-    The batch counterpart of
-    :func:`repro.numerics.solvers.invert_monotone`: the bandwidth-gap
-    sweep inverts ``B`` at 512 reservation utilities in one call.
-    Unlike the scalar form it never raises on a target already met at
-    ``lo`` — with ``clip='lo'`` the element clips to ``lo`` exactly as
-    the scalar form does, otherwise it is flagged unconverged in the
-    mask and left for the caller's one-at-a-time re-solve.  Brackets expand
-    upward geometrically (to ``upper_limit``) just like the scalar
-    path; elements whose target stays unreachable clip to
-    ``upper_limit`` under ``clip='hi'`` and are flagged otherwise.
+    This is the workhorse behind the bandwidth gap (invert ``B`` at the
+    reservation utilities) and the equalizing price ratio (invert
+    ``W_R`` at the best-effort welfare); the sweep form inverts 512
+    targets in one call.  ``increasing`` orients the residual so that
+    brackets expand upward geometrically, to ``upper_limit``.
+
+    A target already met or passed at ``lo`` needs no solve: it returns
+    ``lo`` when met exactly or under ``clip='lo'`` (e.g. a bandwidth
+    gap of exactly zero when ``R(C) <= B(C)`` by rounding), and is
+    flagged otherwise.  A target still out of reach at ``upper_limit``
+    returns ``upper_limit`` (``hi`` when the limit is infinite) under
+    ``clip='hi'``, and is flagged otherwise.
     """
     targets_v, lo_v, hi_v = _as_batch(targets, lo, hi)
 
@@ -422,38 +462,47 @@ def invert_monotone_batch(
         def residual(x: np.ndarray, t: np.ndarray) -> np.ndarray:
             return t - np.asarray(func(x), dtype=float)
 
-    result = find_roots(
-        residual,
-        lo_v,
-        hi_v,
-        args=(targets_v,),
-        xtol=xtol,
-        rtol=rtol,
-        expand=True,
-        upper_limit=upper_limit,
-        max_iterations=MAX_ITERATIONS,
-        label=label,
-    )
-
-    # scalar-parity endpoint handling: a target already (over)met at lo
+    n = lo_v.size
     r_lo = residual(lo_v, targets_v)
     at_lo = r_lo >= 0.0
-    if clip == "lo":
-        result.roots[at_lo] = lo_v[at_lo]
-        result.residuals[at_lo] = r_lo[at_lo]
-        result.converged[at_lo] = True
-    else:
-        # f(lo) == 0 exactly is a legitimate root; anything past the
-        # target at lo has no solution in the bracket — flag it
-        overshoot = at_lo & (r_lo != 0.0)
-        result.roots[overshoot] = math.nan
-        result.converged[overshoot] = False
+    met = at_lo & ((r_lo == 0.0) | (clip == "lo"))
+    result = BatchRootResult(
+        label,
+        np.where(met, lo_v, math.nan),
+        met,
+        np.where(at_lo, r_lo, math.nan),
+        np.zeros(n, dtype=np.int64),
+        n,
+        bracket_expanded=np.zeros(n, dtype=bool),
+        undefined=np.zeros(n, dtype=bool),
+    )
+    todo = np.flatnonzero(~at_lo)
+    if todo.size:
+        solved = find_roots(
+            residual,
+            lo_v[todo],
+            hi_v[todo],
+            args=(targets_v[todo],),
+            xtol=xtol,
+            rtol=rtol,
+            expand=True,
+            upper_limit=upper_limit,
+            label=label,
+        )
+        result.roots[todo] = solved.roots
+        result.converged[todo] = solved.converged
+        result.residuals[todo] = solved.residuals
+        result.iterations[todo] = solved.iterations
+        result.bracket_expanded[todo] = solved.bracket_expanded
+        result.undefined[todo] = solved.undefined
+        result.function_evaluations += solved.function_evaluations
 
     if clip == "hi":
-        missed = ~result.converged & np.isnan(result.roots) & ~at_lo
-        if math.isfinite(upper_limit):
-            result.roots[missed] = upper_limit
-            result.converged[missed] = True
+        missed = np.isnan(result.roots) & ~at_lo & ~result.undefined
+        result.roots[missed] = (
+            upper_limit if math.isfinite(upper_limit) else hi_v[missed]
+        )
+        result.converged[missed] = True
     return result
 
 

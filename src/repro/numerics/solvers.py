@@ -1,342 +1,38 @@
-"""Root finding and monotone-function inversion.
+"""Root finding and monotone-function inversion, one problem at a time.
 
-Thin, defensive wrappers around :func:`scipy.optimize.brentq` that
-(1) expand brackets automatically and (2) give errors that name the
-quantity being solved for, which matters because these solvers sit at
-the bottom of every gap/welfare computation in the package.
+:func:`find_root` and :func:`invert_monotone` are one-element views of
+the batch kernels :func:`~repro.numerics.batch.find_roots` and
+:func:`~repro.numerics.batch.invert_monotone_batch`: a single solve
+runs the same iteration, bracket expansion and endpoint conventions as
+a grid sweep, and is metered the same way (``batch.solve.*`` under the
+``batch.find_roots`` span).  The views turn the kernels' per-element
+flags into errors that name the quantity being solved for
+(:meth:`~repro.numerics.batch.BatchRootResult.checked_root`):
 
-Diagnostics: :func:`find_root_diag` returns a
-:class:`SolverDiagnostics` record (iterations, function calls, final
-residual, convergence flag) alongside the root, and
-:func:`last_diagnostics` retrieves the most recent record on the
-current thread.  ``find_root`` keeps its scalar return for the many
-call sites that only want the root; with observability
-(:mod:`repro.obs`) enabled it meters every solve into aggregate
-counters and a residual histogram without allocating a per-solve
-record, and disabled it pays one flag check and nothing else.  A
-brentq stop that misses the x-tolerance is no longer silent: it is
-counted, recorded in the diagnostics, and surfaced as a
-:class:`~repro.errors.ConvergenceWarning` while the best root found
-is still returned.
+- no sign change in the (possibly expanded) bracket raises
+  :class:`~repro.errors.BracketError`;
+- a NaN function value raises :class:`~repro.errors.ConvergenceError`;
+- at the iteration cap the best root found is returned with a
+  :class:`~repro.errors.ConvergenceWarning`.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-import warnings
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
-from scipy import optimize
+import numpy as np
 
-from repro import obs
-from repro.errors import BracketError, ConvergenceError, ConvergenceWarning
-from repro.numerics.brackets import expand_bracket_upward
-
-#: Default absolute tolerance on the root location.
-XTOL = 1e-12
-
-#: Default relative tolerance on the root location.
-RTOL = 1e-12
+from repro.numerics.batch import (
+    RTOL,
+    XTOL,
+    find_roots,
+    invert_monotone_batch,
+)
 
 
-class SolverDiagnostics:
-    """What one root solve actually did (the result path's black box).
-
-    ``converged`` is brentq's own verdict on the x-tolerance;
-    ``residual`` is ``f(root)``, which brentq does *not* bound — a
-    large residual with ``converged=True`` flags a near-discontinuity.
-
-    A plain ``__slots__`` class rather than a dataclass: one record is
-    allocated per observed solve, inside loops that run thousands of
-    sub-20-microsecond brentq calls, and dataclass ``__init__``
-    overhead is measurable there.
-    """
-
-    __slots__ = (
-        "label",
-        "root",
-        "converged",
-        "iterations",
-        "function_calls",
-        "residual",
-        "bracket_expanded",
-    )
-
-    def __init__(
-        self,
-        label: str,
-        root: float,
-        converged: bool,
-        iterations: int,
-        function_calls: int,
-        residual: float,
-        bracket_expanded: bool = False,
-    ):
-        self.label = label
-        self.root = root
-        self.converged = converged
-        self.iterations = iterations
-        self.function_calls = function_calls
-        self.residual = residual
-        self.bracket_expanded = bracket_expanded
-
-    @property
-    def met_tolerance(self) -> bool:
-        """Alias for ``converged`` (the solver's tolerance verdict)."""
-        return self.converged
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SolverDiagnostics(label={self.label!r}, root={self.root!r}, "
-            f"converged={self.converged!r}, iterations={self.iterations!r}, "
-            f"function_calls={self.function_calls!r}, "
-            f"residual={self.residual!r}, "
-            f"bracket_expanded={self.bracket_expanded!r})"
-        )
-
-
-_last = threading.local()
-
-
-def last_diagnostics() -> Optional[SolverDiagnostics]:
-    """Diagnostics of this thread's most recent diagnosed solve.
-
-    Populated by every :func:`find_root_diag` call.  Plain
-    :func:`find_root` solves are metered in aggregate but do not
-    allocate per-solve records, so they never appear here.
-    """
-    return getattr(_last, "diag", None)
-
-
-# Cached instrument handles for the hot metering path, keyed on the
-# active registry and its generation so both ``obs.enable(registry=...)``
-# swaps and ``registry.reset()`` invalidate the cache.  The three
-# per-solve instruments share one lock (``obs.share_lock``) so a solve
-# pays a single lock round-trip, not three.
-_instruments_cache: Optional[tuple] = None
-
-
-def _instruments() -> tuple:
-    global _instruments_cache
-    reg = obs.registry()
-    cache = _instruments_cache
-    if (
-        cache is None
-        or cache[0] is not reg
-        or cache[1] != reg.generation
-    ):
-        calls = reg.counter("solver.find_root.calls")
-        iterations = reg.counter("solver.find_root.iterations")
-        residuals = reg.histogram("solver.find_root.residual")
-        lock = obs.share_lock(calls, iterations, residuals)
-        cache = (reg, reg.generation, lock, calls, iterations, residuals)
-        _instruments_cache = cache
-    return cache
-
-
-#: Metered ``find_root`` solves record ``|f(root)|`` into the residual
-#: histogram on every Nth solve only — the residual costs one extra
-#: function evaluation, which would otherwise dominate metering cost on
-#: sub-30us solves.  :func:`find_root_diag` always records it exactly.
-RESIDUAL_SAMPLE_EVERY = 16
-
-
-def _meter(
-    iterations: int,
-    residual: Optional[float],
-    expanded: bool,
-    converged: bool,
-) -> None:
-    """Fold one solve into the solver metrics (caller checked enabled).
-
-    ``residual=None`` means the residual was not sampled this solve.
-    """
-    _, _, lock, calls, iteration_total, residuals = _instruments()
-    with lock:
-        calls.inc_unlocked()
-        iteration_total.inc_unlocked(iterations)
-        if residual is not None:
-            residuals.observe_unlocked(abs(residual))
-    if expanded:
-        obs.counter("solver.bracket_expansions").inc()
-    if not converged:
-        obs.counter("solver.convergence_failures").inc()
-
-
-def _record(diag: SolverDiagnostics) -> None:
-    _last.diag = diag
-    if obs.enabled():
-        _meter(
-            diag.iterations,
-            diag.residual,
-            diag.bracket_expanded,
-            diag.converged,
-        )
-
-
-def _solve(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    expand: bool,
-    upper_limit: float,
-    xtol: float,
-    rtol: float,
-    label: str,
-    want_diag: bool,
-) -> Tuple[float, Optional[SolverDiagnostics]]:
-    """Shared solver core.
-
-    ``want_diag=True`` (the :func:`find_root_diag` path) allocates a
-    :class:`SolverDiagnostics` record and remembers it for
-    :func:`last_diagnostics`.  Without it, the solve is still metered
-    into the aggregate obs instruments when observability is enabled,
-    but skips the per-solve record allocation — that keeps the metered
-    :func:`find_root` hot path cheap.
-    """
-    expanded = False
-    f_lo = func(lo)
-    if f_lo == 0.0:
-        if want_diag:
-            diag = SolverDiagnostics(label, lo, True, 0, 1, 0.0)
-            _record(diag)
-            return lo, diag
-        if obs.enabled():
-            _meter(0, 0.0, False, True)
-        return lo, None
-    f_hi = func(hi)
-    if f_hi == 0.0:
-        if want_diag:
-            diag = SolverDiagnostics(label, hi, True, 0, 2, 0.0)
-            _record(diag)
-            return hi, diag
-        if obs.enabled():
-            _meter(0, 0.0, False, True)
-        return hi, None
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        if not expand:
-            raise BracketError(
-                f"{label}: no sign change on [{lo}, {hi}] "
-                f"(f(lo)={f_lo!r}, f(hi)={f_hi!r})"
-            )
-        lo, hi = expand_bracket_upward(func, lo, hi, upper_limit=upper_limit)
-        expanded = True
-        if lo == hi:
-            if want_diag:
-                diag = SolverDiagnostics(
-                    label, lo, True, 0, 2, func(lo), bracket_expanded=True
-                )
-                _record(diag)
-                return lo, diag
-            if obs.enabled():
-                _meter(0, func(lo), True, True)
-            return lo, None
-    try:
-        root, results = optimize.brentq(
-            func, lo, hi, xtol=xtol, rtol=max(rtol, 4e-16), full_output=True
-        )
-    except (ValueError, RuntimeError) as exc:  # pragma: no cover - scipy detail
-        if obs.enabled():
-            obs.counter("solver.convergence_failures").inc()
-        raise ConvergenceError(f"{label}: brentq failed on [{lo}, {hi}]: {exc}") from exc
-    root = float(root)
-    # RootResults is dict-backed (scipy _RichResult): plain attribute
-    # access funnels through ``__getattr__`` at ~0.6us a read, which
-    # triples the metering cost on a ~16us solve.  Read the dict.
-    if isinstance(results, dict):
-        converged = bool(results["converged"])
-        iterations = int(results["iterations"])
-    else:  # pragma: no cover - pre-_RichResult scipy
-        converged = bool(results.converged)
-        iterations = int(results.iterations)
-    diag = None
-    if want_diag:
-        function_calls = int(
-            results["function_calls"]
-            if isinstance(results, dict)
-            else results.function_calls  # pragma: no cover
-        )
-        diag = SolverDiagnostics(
-            label,
-            root,
-            converged,
-            iterations,
-            function_calls,
-            func(root),
-            bracket_expanded=expanded,
-        )
-        _record(diag)
-    elif obs.enabled():
-        # _meter, inlined: this is the one metering site hot enough
-        # that the extra call layers and a second cache lookup show up.
-        _, _, lock, calls, iteration_total, residuals = _instruments()
-        sampled = calls.value % RESIDUAL_SAMPLE_EVERY == 0
-        residual = abs(func(root)) if sampled else None
-        with lock:
-            calls.inc_unlocked()
-            iteration_total.inc_unlocked(iterations)
-            if residual is not None:
-                residuals.observe_unlocked(residual)
-        if expanded:
-            obs.counter("solver.bracket_expansions").inc()
-        if not converged:
-            obs.counter("solver.convergence_failures").inc()
-    if not converged:  # pragma: no cover - brentq rarely reports this
-        warnings.warn(
-            f"{label}: brentq stopped after {iterations} iterations "
-            f"without meeting tolerance on [{lo}, {hi}]; "
-            "returning the best root found",
-            ConvergenceWarning,
-            stacklevel=3,
-        )
-    return root, diag
-
-
-def find_root_diag(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    expand: bool = False,
-    upper_limit: float = float("inf"),
-    xtol: float = XTOL,
-    rtol: float = RTOL,
-    label: str = "root",
-) -> Tuple[float, SolverDiagnostics]:
-    """Find a root of ``func`` in ``[lo, hi]``; return it with diagnostics.
-
-    Parameters
-    ----------
-    func:
-        Continuous scalar function.
-    lo, hi:
-        Search interval.  If ``expand`` is true and ``func`` does not
-        change sign on the interval, ``hi`` is grown geometrically
-        (up to ``upper_limit``) until it does.
-    label:
-        Human-readable name of the quantity, used in error messages.
-
-    Returns
-    -------
-    (float, SolverDiagnostics)
-        The root location and the solve record.  If brentq stops
-        without meeting the x-tolerance, the best root is still
-        returned, the diagnostics carry ``converged=False``, and a
-        :class:`~repro.errors.ConvergenceWarning` is emitted — a
-        recorded degradation instead of a silent one.
-
-    Raises
-    ------
-    BracketError
-        If no sign change exists in the (possibly expanded) interval.
-    ConvergenceError
-        If brentq fails outright (raises) on the bracketed interval.
-    """
-    root, diag = _solve(
-        func, lo, hi, expand, upper_limit, xtol, rtol, label, want_diag=True
-    )
-    return root, diag
+def _elementwise(func: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """A scalar function as the vector callable the batch kernels take."""
+    return lambda x: np.array([func(float(v)) for v in x])
 
 
 def find_root(
@@ -350,19 +46,40 @@ def find_root(
     rtol: float = RTOL,
     label: str = "root",
 ) -> float:
-    """Find a root of ``func`` in ``[lo, hi]`` (see :func:`find_root_diag`).
+    """Find a root of ``func`` in ``[lo, hi]``.
 
-    The scalar-return form every model call site uses.  With
-    observability enabled the solve is metered (call/iteration
-    counters, residual histogram); per-solve :class:`SolverDiagnostics`
-    records come from :func:`find_root_diag`.  Disabled, it costs one
-    flag check over plain brentq.
+    Parameters
+    ----------
+    func:
+        Continuous scalar function.
+    lo, hi:
+        Search interval, ``lo <= hi``.  If ``expand`` is true and
+        ``func`` does not change sign on the interval, ``hi`` is grown
+        geometrically (up to ``upper_limit``) until it does.
+    label:
+        Human-readable name of the quantity, used in error messages.
+
+    Raises
+    ------
+    BracketError
+        If no sign change exists in the (possibly expanded) interval.
+    ConvergenceError
+        If ``func`` returns NaN during the solve.
+    ValueError
+        If ``lo > hi``.
     """
-    root, _ = _solve(
-        func, lo, hi, expand, upper_limit, xtol, rtol, label,
-        want_diag=False,
+    result = find_roots(
+        _elementwise(func),
+        lo,
+        hi,
+        xtol=xtol,
+        rtol=rtol,
+        expand=expand,
+        upper_limit=upper_limit,
+        label=label,
     )
-    return root
+    reach = f", expanding up to {upper_limit}" if expand else ""
+    return result.checked_root(0, f"on [{lo}, {hi}]{reach}")
 
 
 def invert_monotone(
@@ -380,47 +97,25 @@ def invert_monotone(
 ) -> float:
     """Solve ``func(x) = target`` for a monotone ``func``.
 
-    This is the workhorse behind the bandwidth gap (invert ``B`` at the
-    reservation utility) and the equalizing price ratio (invert ``W_R``
-    at the best-effort welfare).
-
-    Parameters
-    ----------
-    increasing:
-        Direction of monotonicity; used only to orient the residual so
-        bracket expansion knows which way to grow.
-    clip:
-        ``"lo"`` or ``"hi"`` return the corresponding endpoint instead
-        of raising when the target is unreachable on that side (e.g.
-        a bandwidth gap of exactly zero when ``R(C) <= B(C)`` due to
-        floating-point rounding).  ``None`` raises.
+    The one-element view of
+    :func:`~repro.numerics.batch.invert_monotone_batch`, which documents
+    ``increasing``, ``upper_limit`` and ``clip``.  A target that is
+    unreachable (already passed at ``lo``, or out of reach at
+    ``upper_limit``) raises :class:`~repro.errors.BracketError` unless
+    ``clip`` names that side.
     """
-    if increasing:
-        residual = lambda x: func(x) - target  # noqa: E731 - tiny adapters
-    else:
-        residual = lambda x: target - func(x)  # noqa: E731
-
-    r_lo = residual(lo)
-    if r_lo >= 0.0:
-        # target already met (or overshot) at the left endpoint
-        if r_lo == 0.0 or clip == "lo":
-            return lo
-        raise BracketError(
-            f"{label}: target {target!r} already exceeded at lo={lo!r}"
-        )
-    try:
-        return find_root(
-            residual,
-            lo,
-            hi,
-            expand=True,
-            upper_limit=upper_limit,
-            xtol=xtol,
-            rtol=rtol,
-            label=label,
-        )
-    except BracketError:
-        if clip == "hi":
-            # target unreachable within the expansion limit: clip there
-            return upper_limit if math.isfinite(upper_limit) else hi
-        raise
+    result = invert_monotone_batch(
+        _elementwise(func),
+        target,
+        lo,
+        hi,
+        increasing=increasing,
+        upper_limit=upper_limit,
+        xtol=xtol,
+        rtol=rtol,
+        label=label,
+        clip=clip,
+    )
+    return result.checked_root(
+        0, f"for target {target!r} from [{lo}, {hi}], expanding up to {upper_limit}"
+    )

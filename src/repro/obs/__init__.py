@@ -18,7 +18,7 @@ Typical use::
 Instrumented library code follows one pattern — check, then touch::
 
     if obs.enabled():
-        obs.counter("solver.find_root.calls").inc()
+        obs.counter("batch.solve.calls").inc()
     with obs.span("simulation.run", horizon=horizon):
         ...
 """
@@ -45,7 +45,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricTypeMismatchError,
     merge_snapshots,
-    share_lock,
 )
 from repro.obs.report import render_report as _render_report
 from repro.obs.report import render_span_tree, write_report_text
@@ -79,7 +78,6 @@ __all__ = [
     "reset",
     "session",
     "share_journal_env",
-    "share_lock",
     "snapshot",
     "span",
     "timed",

@@ -1,14 +1,11 @@
 """Thread-safe metrics primitives: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of named instruments.
-Instrumented code normally asks the registry by name each time
+Instrumented code asks the registry by name each time
 (``registry.counter(name)``), so registries can be swapped or reset
 without stale handles.  Lookup of an existing instrument is a single
 dict read (safe under the GIL); the registry lock is only taken to
-create one.  Hot paths that cannot afford even the per-call lookups
-may cache handles keyed on ``(registry, registry.generation)`` —
-``generation`` is bumped by :meth:`MetricsRegistry.reset`, so caches
-invalidate on both swap and reset (see ``numerics.solvers._record``).
+create one.
 
 Everything exports to plain dicts (:meth:`MetricsRegistry.snapshot`)
 so JSON serialisation is trivial and lossless.
@@ -54,16 +51,6 @@ class Counter:
             raise ValueError(f"counter {self.name}: increment must be >= 0")
         with self._lock:
             self._value += amount
-
-    def inc_unlocked(self, amount: float = 1.0) -> None:
-        """Like :meth:`inc`, but the caller must hold ``self``'s lock.
-
-        For batched hot-path updates via :func:`share_lock`; never call
-        without holding the (shared) lock.
-        """
-        if amount < 0.0:
-            raise ValueError(f"counter {self.name}: increment must be >= 0")
-        self._value += amount
 
     @property
     def value(self) -> float:
@@ -125,26 +112,18 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        with self._lock:
-            self.observe_unlocked(value)
-
-    def observe_unlocked(self, value: float) -> None:
-        """Like :meth:`observe`, but the caller must hold ``self``'s lock.
-
-        For batched hot-path updates via :func:`share_lock`; never call
-        without holding the (shared) lock.
-        """
         v = float(value)
-        if self._count < HISTOGRAM_SAMPLE_CAP:
-            self._samples.append(v)
-        else:
-            self._samples[self._count % HISTOGRAM_SAMPLE_CAP] = v
-        self._count += 1
-        self._sum += v
-        if v < self._min:
-            self._min = v
-        if v > self._max:
-            self._max = v
+        with self._lock:
+            if self._count < HISTOGRAM_SAMPLE_CAP:
+                self._samples.append(v)
+            else:
+                self._samples[self._count % HISTOGRAM_SAMPLE_CAP] = v
+            self._count += 1
+            self._sum += v
+            if v < self._min:
+                self._min = v
+            if v > self._max:
+                self._max = v
 
     @property
     def count(self) -> int:
@@ -204,25 +183,6 @@ class Histogram:
             self._max = max(self._max, float(stats["max"]))
 
 
-def share_lock(*instruments) -> threading.Lock:
-    """Make several instruments share one lock; return that lock.
-
-    A hot path updating N instruments per event normally pays N lock
-    round-trips.  After ``lock = share_lock(a, b, c)`` the caller can
-    batch the updates under a single ``with lock:`` using the
-    ``*_unlocked`` primitives, while plain ``inc``/``observe`` calls
-    from other threads stay thread-safe (they acquire the same lock).
-
-    Call this right after creating the instruments, before they see
-    concurrent traffic: re-keying the lock of an instrument that is
-    mid-update elsewhere is not synchronised.
-    """
-    lock = instruments[0]._lock
-    for instrument in instruments[1:]:
-        instrument._lock = lock
-    return lock
-
-
 class MetricsRegistry:
     """A named collection of counters, gauges and histograms.
 
@@ -235,10 +195,6 @@ class MetricsRegistry:
     def __init__(self):
         self._instruments: Dict[str, object] = {}
         self._lock = threading.Lock()
-        #: Bumped on :meth:`reset`.  Hot paths that cache instrument
-        #: handles key the cache on ``(registry, generation)`` so a
-        #: reset invalidates them without a per-call dict lookup.
-        self.generation = 0
 
     def _get_or_create(self, name: str, cls):
         instrument = self._instruments.get(name)
@@ -278,7 +234,6 @@ class MetricsRegistry:
         """Drop every instrument (names and values)."""
         with self._lock:
             self._instruments = {}
-            self.generation += 1
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Plain-dict export grouped by instrument kind, names sorted.

@@ -606,7 +606,7 @@ def _p8(config: PaperConfig) -> CheckResult:
 
 @REGISTRY.invariant(
     "P9",
-    "continuum closed-form batch kernels agree with the scalar path",
+    "continuum closed-form views equal their grid evaluation",
     paper_ref="S3.2 worked cases",
     engines=("continuum", "batch"),
     tolerance=TIGHT,

@@ -165,7 +165,7 @@ class TestCliAnalyzeTrace:
 
     def test_analyze_trace_prints_verdict(self, tmp_path, capsys):
         path = self._write_poisson_trace(tmp_path)
-        assert main(["analyze-trace", str(path), "--samples", "1200"]) == 0
+        assert main(["traces", "analyze", str(path), "--samples", "1200"]) == 0
         out = capsys.readouterr().out
         assert "identified census family" in out
         assert "verdict" in out
@@ -173,6 +173,9 @@ class TestCliAnalyzeTrace:
     def test_analyze_trace_rigid_utility(self, tmp_path, capsys):
         path = self._write_poisson_trace(tmp_path)
         assert main(
-            ["analyze-trace", str(path), "--utility", "rigid", "--samples", "1200"]
+            [
+                "traces", "analyze", str(path),
+                "--utility", "rigid", "--samples", "1200",
+            ]
         ) == 0
         assert "verdict" in capsys.readouterr().out

@@ -1,24 +1,30 @@
 """Property-based tests of the batch numerics kernels.
 
-The contract under test: every batch primitive is the scalar primitive
-run element-wise — same roots, same endpoint conventions, and failures
-*flagged* in the convergence mask rather than returned as plausible
-numbers.
+The contract under test: every batch primitive solves each element as
+that element's own scalar problem — checked against an independent
+per-element answer (a closed form), since the one-problem solvers are
+views of these kernels — and failures are *flagged* in the convergence
+mask rather than returned as plausible numbers.
 """
 
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConvergenceError, ConvergenceWarning
 from repro.numerics.batch import (
     find_roots,
     invert_monotone_batch,
     share_weighted_sums,
 )
-from repro.numerics.solvers import find_root, invert_monotone
+from repro.numerics.solvers import find_root
 
-#: Both paths resolve brackets to xtol + rtol*|x| with xtol = 1e-12;
-#: element-wise agreement can therefore differ by ~2 ulps of that.
+#: Brackets resolve to xtol + rtol*|x| with xtol = rtol = 1e-12, so a
+#: root can sit a few of those from the exact value.
 ROOT_RTOL = 1e-9
 ROOT_ATOL = 1e-10
 
@@ -37,10 +43,9 @@ class TestFindRootsMatchesScalar:
             lambda x, c: x**3 - c, 0.0, 10.0, args=(cs,), label="cubic"
         )
         assert bool(np.all(result.converged))
-        scalar = np.array(
-            [find_root(lambda x: x**3 - c, 0.0, 10.0) for c in cs]
+        assert np.allclose(
+            result.roots, cs ** (1.0 / 3.0), rtol=ROOT_RTOL, atol=ROOT_ATOL
         )
-        assert np.allclose(result.roots, scalar, rtol=ROOT_RTOL, atol=ROOT_ATOL)
 
     @given(
         cs=targets_arrays,
@@ -94,6 +99,46 @@ class TestNonConvergedFlaggedNotGarbage:
             result.roots[ok], np.sqrt(cs[ok]), rtol=1e-9, atol=1e-10
         )
 
+    def test_nan_value_is_undefined_not_a_sign_change(self):
+        """A NaN past x = 8 is not a sign change: that element comes
+        back nan and undefined, never as the converged root 8.0, and a
+        bracket with no sign change is not marked undefined."""
+        result = find_roots(
+            lambda x, c: np.where(x > 8.0, np.nan, x - c),
+            0.0,
+            4.0,
+            args=(np.array([30.0, 2.0, 6.0]),),
+            expand=True,
+        )
+        assert not bool(result.converged[0]) and bool(result.undefined[0])
+        assert math.isnan(result.roots[0])
+        assert result.roots[1] == pytest.approx(2.0)
+        assert result.roots[2] == pytest.approx(6.0)
+        assert not np.any(result.undefined[1:])
+        rootless = find_roots(lambda x: x + 1.0, 0.0, 1.0)
+        assert not bool(rootless.undefined[0])
+
+    def test_nan_value_raises_through_find_root(self):
+        nan_past_8 = lambda x: math.nan if x > 8.0 else x - 30.0  # noqa: E731
+        with pytest.raises(ConvergenceError, match="NaN"):
+            find_root(nan_past_8, 0.0, 4.0, expand=True)
+        # NaN inside a bracket that does change sign, hit mid-iteration
+        with pytest.raises(ConvergenceError, match="mid"):
+            find_root(
+                lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
+                0.0,
+                1.0,
+                label="mid",
+            )
+
+    def test_iteration_cap_warns_with_best_root(self):
+        # zero tolerance never converges: the best root comes back flagged
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=0.0, rtol=0.0)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert any(issubclass(w.category, ConvergenceWarning) for w in caught)
+
 
 class TestInvertMonotoneBatchMatchesScalar:
     @given(ts=st.lists(
@@ -108,15 +153,9 @@ class TestInvertMonotoneBatchMatchesScalar:
             upper_limit=1e6, label="batch saturating",
         )
         assert bool(np.all(result.converged))
-        scalar = np.array(
-            [
-                invert_monotone(
-                    lambda x: 1.0 - np.exp(-x), t, 0.0, 0.5, upper_limit=1e6
-                )
-                for t in ts
-            ]
+        assert np.allclose(
+            result.roots, -np.log1p(-ts), rtol=ROOT_RTOL, atol=ROOT_ATOL
         )
-        assert np.allclose(result.roots, scalar, rtol=ROOT_RTOL, atol=ROOT_ATOL)
 
 
 class TestShareWeightedSums:

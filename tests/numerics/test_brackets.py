@@ -1,66 +1,57 @@
-"""Tests for bracket expansion."""
+"""Tests for upward bracket expansion in the root finders."""
 
-import math
-
+import numpy as np
 import pytest
 
 from repro.errors import BracketError
-from repro.numerics.brackets import expand_bracket_downward, expand_bracket_upward
+from repro.numerics.batch import find_roots
+from repro.numerics.solvers import find_root
 
 
 class TestExpandUpward:
     def test_finds_sign_change_beyond_initial_interval(self):
-        f = lambda x: x - 100.0  # noqa: E731
-        lo, hi = expand_bracket_upward(f, 0.0, 1.0)
-        assert f(lo) < 0.0 < f(hi)
+        result = find_roots(lambda x: x - 100.0, 0.0, 1.0, expand=True)
+        assert result.all_converged
+        assert bool(result.bracket_expanded[0])
+        assert result.roots[0] == pytest.approx(100.0)
 
     def test_immediate_sign_change_kept(self):
-        f = lambda x: x - 0.5  # noqa: E731
-        lo, hi = expand_bracket_upward(f, 0.0, 1.0)
-        assert lo == 0.0 and hi == 1.0
+        result = find_roots(lambda x: x - 0.5, 0.0, 1.0, expand=True)
+        assert not bool(result.bracket_expanded[0])
+        assert result.roots[0] == pytest.approx(0.5)
 
     def test_root_at_lo_returns_degenerate_bracket(self):
-        f = lambda x: x  # noqa: E731
-        lo, hi = expand_bracket_upward(f, 0.0, 1.0)
-        assert lo == hi == 0.0
+        # a zero at lo is the root itself, found without expanding
+        result = find_roots(lambda x: x, 0.0, 1.0, expand=True)
+        assert result.roots[0] == 0.0
+        assert not bool(result.bracket_expanded[0])
+        assert find_root(lambda x: x, 0.0, 1.0, expand=True) == 0.0
 
     def test_respects_upper_limit(self):
-        f = lambda x: x - 1e6  # noqa: E731
-        with pytest.raises(BracketError):
-            expand_bracket_upward(f, 0.0, 1.0, upper_limit=100.0)
+        with pytest.raises(BracketError, match="capped"):
+            find_root(
+                lambda x: x - 1e6, 0.0, 1.0, expand=True, upper_limit=100.0,
+                label="capped",
+            )
+        result = find_roots(
+            lambda x: x - 1e6, 0.0, 1.0, expand=True, upper_limit=100.0
+        )
+        assert np.isnan(result.roots[0])  # flagged, not clipped to 100
+        assert not bool(result.converged[0])
 
     def test_no_sign_change_raises(self):
-        f = lambda x: 1.0 + x * 0  # noqa: E731
         with pytest.raises(BracketError):
-            expand_bracket_upward(f, 0.0, 1.0, max_steps=20)
+            find_root(lambda x: 1.0, 0.0, 1.0, expand=True, upper_limit=1e6)
 
     def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            expand_bracket_upward(lambda x: x, 2.0, 1.0)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            find_roots(lambda x: x, 2.0, 1.0, expand=True)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            find_roots(lambda x: x, np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="lo <= hi"):
+            find_root(lambda x: x, 2.0, 1.0, expand=True)
 
     def test_exponential_scale_target(self):
         # root near 2^40: geometric growth must reach it in few steps
-        f = lambda x: x - 2.0**40  # noqa: E731
-        lo, hi = expand_bracket_upward(f, 0.0, 1.0)
-        assert f(hi) >= 0.0
-
-
-class TestExpandDownward:
-    def test_finds_sign_change_below(self):
-        f = lambda x: math.log(x + 1e-12) + 5.0  # noqa: E731
-        lo, hi = expand_bracket_downward(f, 0.5, 1.0)
-        assert (f(lo) < 0.0) != (f(hi) < 0.0)
-
-    def test_respects_lower_limit(self):
-        f = lambda x: x + 1.0  # noqa: E731  (never negative above 0)
-        with pytest.raises(BracketError):
-            expand_bracket_downward(f, 0.5, 1.0, lower_limit=0.0)
-
-    def test_root_at_hi_returns_degenerate_bracket(self):
-        f = lambda x: x - 1.0  # noqa: E731
-        lo, hi = expand_bracket_downward(f, 0.5, 1.0)
-        assert lo == hi == 1.0
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            expand_bracket_downward(lambda x: x, 2.0, 1.0)
+        root = find_root(lambda x: x - 2.0**40, 0.0, 1.0, expand=True)
+        assert root == pytest.approx(2.0**40)

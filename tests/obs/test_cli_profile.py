@@ -103,12 +103,12 @@ class TestProfilingModule:
     def test_run_profiled_counter_deltas_are_per_experiment(self):
         obs.enable()
         # pre-existing counts must not leak into the deltas
-        obs.counter("solver.find_root.calls").inc(500)
+        obs.counter("batch.solve.calls").inc(500)
         exp = registry.get("T2")
         result, entry = profiling.run_profiled(exp, FAST_CONFIG)
         assert entry.ok and entry.error is None
         assert result is not None
-        assert entry.counters.get("solver.find_root.calls", 0) < 500
+        assert entry.counters.get("batch.solve.calls", 0) < 500
 
     def test_run_profiled_captures_exceptions(self):
         obs.enable()

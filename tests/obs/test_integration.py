@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.errors import BracketError
 from repro.loads import PoissonLoad
 from repro.models import FixedLoadModel, VariableLoadModel
+from repro.numerics.batch import find_roots
 from repro.numerics.optimize import maximize_scalar
 from repro.numerics.quadrature import integrate
-from repro.numerics.solvers import (
-    SolverDiagnostics,
-    find_root,
-    find_root_diag,
-    last_diagnostics,
-)
+from repro.numerics.solvers import find_root
 from repro.simulation import AdmitAll, BirthDeathProcess, FlowSimulator, Link
 from repro.utility import AdaptiveUtility, RigidUtility
 
@@ -28,64 +25,42 @@ def _clean_obs():
 
 
 class TestSolverDiagnostics:
+    """A solve's record is its ``BatchRootResult`` (one element for
+    ``find_root``); its metering is the ``batch.solve.*`` counters."""
+
     def test_diag_reports_iterations_and_residual(self):
-        root, diag = find_root_diag(lambda x: x * x - 9.0, 0.0, 10.0)
-        assert root == pytest.approx(3.0)
-        assert isinstance(diag, SolverDiagnostics)
-        assert diag.converged and diag.met_tolerance
-        assert diag.iterations > 0
-        assert diag.function_calls >= diag.iterations
-        assert abs(diag.residual) < 1e-9
+        result = find_roots(lambda x: x * x - 9.0, 0.0, 10.0)
+        assert result.roots[0] == pytest.approx(3.0)
+        assert result.all_converged
+        assert result.iterations[0] > 0
+        assert result.function_evaluations >= result.iterations[0]
+        assert abs(result.residuals[0]) < 1e-9
 
     def test_diag_endpoint_shortcuts(self):
-        _, diag = find_root_diag(lambda x: x, 0.0, 1.0)
-        assert diag.iterations == 0 and diag.residual == 0.0
+        result = find_roots(lambda x: x, 0.0, 1.0)
+        assert result.iterations[0] == 0 and result.residuals[0] == 0.0
 
     def test_diag_records_bracket_expansion(self):
-        root, diag = find_root_diag(
+        result = find_roots(
             lambda x: x - 50.0, 0.0, 1.0, expand=True, label="expanded"
         )
-        assert root == pytest.approx(50.0)
-        assert diag.bracket_expanded
-        assert diag.label == "expanded"
-
-    def test_last_diagnostics_tracks_diagnosed_solves(self):
-        find_root_diag(lambda x: x - 2.0, 0.0, 5.0, label="first")
-        find_root_diag(lambda x: x - 4.0, 0.0, 5.0, label="second")
-        assert last_diagnostics().label == "second"
-
-    def test_find_root_meters_without_allocating_diagnostics(self):
-        obs.enable()
-        find_root(lambda x: x - 1.5, 0.0, 5.0, label="observed")
-        # aggregate metrics recorded, but no per-solve record kept
-        assert obs.counter("solver.find_root.calls").value == 1.0
-        previous = last_diagnostics()
-        assert previous is None or previous.label != "observed"
+        assert result.roots[0] == pytest.approx(50.0)
+        assert bool(result.bracket_expanded[0])
+        assert result.label == "expanded"
 
     def test_solver_metrics_recorded(self):
         obs.enable()
         find_root(lambda x: x * x - 2.0, 0.0, 2.0)
-        find_root(lambda x: x - 50.0, 0.0, 1.0, expand=True)
         counters = obs.snapshot()["counters"]
-        assert counters["solver.find_root.calls"] == 2.0
-        assert counters["solver.find_root.iterations"] > 0
-        assert counters["solver.bracket_expansions"] == 1.0
-        # |f(root)| is sampled: the first solve (calls == 0) pays for it
-        assert obs.snapshot()["histograms"]["solver.find_root.residual"]["count"] == 1
-
-    def test_residual_sampling_stride(self):
-        from repro.numerics.solvers import RESIDUAL_SAMPLE_EVERY
-
-        obs.enable()
-        for _ in range(RESIDUAL_SAMPLE_EVERY + 1):
-            find_root(lambda x: x * x - 2.0, 0.0, 2.0)
-        hist = obs.snapshot()["histograms"]["solver.find_root.residual"]
-        # solves 0 and RESIDUAL_SAMPLE_EVERY are sampled, the rest skip
-        assert hist["count"] == 2
-        # diag solves are always recorded exactly, sampling aside
-        find_root_diag(lambda x: x * x - 2.0, 0.0, 2.0)
-        hist = obs.snapshot()["histograms"]["solver.find_root.residual"]
-        assert hist["count"] == 3
+        assert counters["batch.solve.calls"] == 1.0
+        assert counters["batch.solve.iterations"] > 0
+        assert "batch.solve.failures" not in counters
+        # a solve the kernel flags counts as a failure before it raises
+        with pytest.raises(BracketError):
+            find_root(lambda x: x + 1.0, 0.0, 1.0)
+        counters = obs.snapshot()["counters"]
+        assert counters["batch.solve.calls"] == 2.0
+        assert counters["batch.solve.failures"] == 1.0
 
     def test_solver_metrics_silent_when_disabled(self):
         find_root(lambda x: x - 1.0, 0.0, 5.0)

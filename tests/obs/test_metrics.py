@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricTypeMismatchError,
-    share_lock,
 )
 
 
@@ -188,55 +187,6 @@ class TestSnapshotTypeTags:
         reg = MetricsRegistry()
         reg.absorb_snapshot({"counters": {"m": 3.0}})
         assert reg.counter("m").value == 3.0
-
-
-class TestSharedLockBatches:
-    def test_share_lock_returns_common_lock(self):
-        a, b, h = Counter("a"), Counter("b"), Histogram("h")
-        lock = share_lock(a, b, h)
-        assert a._lock is lock and b._lock is lock and h._lock is lock
-
-    def test_batched_updates_visible(self):
-        a, b, h = Counter("a"), Counter("b"), Histogram("h")
-        lock = share_lock(a, b, h)
-        with lock:
-            a.inc_unlocked()
-            b.inc_unlocked(7.0)
-            h.observe_unlocked(0.5)
-        assert a.value == 1.0
-        assert b.value == 7.0
-        assert h.count == 1 and h.sum == 0.5
-
-    def test_batch_and_plain_increments_race_safely(self):
-        a, b = Counter("a"), Counter("b")
-        lock = share_lock(a, b)
-
-        def batched():
-            for _ in range(10_000):
-                with lock:
-                    a.inc_unlocked()
-                    b.inc_unlocked()
-
-        def plain():
-            for _ in range(10_000):
-                a.inc()
-                b.inc()
-
-        threads = [threading.Thread(target=batched) for _ in range(3)]
-        threads += [threading.Thread(target=plain) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert a.value == 60_000
-        assert b.value == 60_000
-
-    def test_registry_reset_bumps_generation(self):
-        reg = MetricsRegistry()
-        gen = reg.generation
-        reg.counter("c").inc()
-        reg.reset()
-        assert reg.generation == gen + 1
 
 
 class TestCallCounter:
