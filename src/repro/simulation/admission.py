@@ -6,12 +6,18 @@ decision at flow arrival.  A policy sees the current number of
 paper's architecture corresponds to :class:`ThresholdAdmission` with
 the fixed-load optimum ``k_max(C)`` as the threshold, and
 best-effort-only to :class:`AdmitAll`.
+
+:class:`AdmitAll` and a readmitting :class:`ThresholdAdmission` also
+fix the admitted count ``M`` as a function of the census ``N``,
+``M = min(N, K)``; :meth:`AdmissionPolicy.admitted_cap` states that
+rule once, for the ensemble engine and the trace replayer.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable
+import math
+from typing import Callable, Optional
 
 from repro.models.fixed_load import FixedLoadModel
 from repro.utility.base import UtilityFunction
@@ -33,12 +39,30 @@ class AdmissionPolicy(abc.ABC):
         """Admission threshold at this capacity (inf = none)."""
         return float("inf")
 
+    def admitted_cap(self, capacity: float) -> Optional[float]:
+        """``K`` in the closed form ``M = min(N, K)``, or None if none exists.
+
+        Admit-all and an infinite threshold give ``K = inf``, a
+        readmitting threshold ``K = max(0, ceil(threshold(C)))``.  The
+        form holds only on a census path whose dynamics ignore
+        admission: no retries (they fire at rate ``retry * (N - M)``)
+        and no lost-calls clearing of a finite ``K`` (cleared flows
+        never enter ``N``; clearing is refused with readmission).
+        Policies without it — finite non-readmitting thresholds, whose
+        ``M`` depends on the order of past events, and custom
+        subclasses — return None.
+        """
+        return None
+
 
 class AdmitAll(AdmissionPolicy):
     """Best-effort-only: every flow is always admitted."""
 
     def admits(self, admitted: int, capacity: float) -> bool:
         return True
+
+    def admitted_cap(self, capacity: float) -> Optional[float]:
+        return float("inf")
 
     def __repr__(self) -> str:
         return "AdmitAll()"
@@ -110,6 +134,18 @@ class ThresholdAdmission(AdmissionPolicy):
 
     def admits(self, admitted: int, capacity: float) -> bool:
         return admitted < self.threshold(capacity)
+
+    def admitted_cap(self, capacity: float) -> Optional[float]:
+        thr = self.threshold(capacity)
+        if math.isinf(thr):
+            # no threshold: every arrival is admitted, so M = N
+            return math.inf
+        if not self.readmit_waiting:
+            return None
+        # an arrival is admitted iff M < thr, i.e. M < ceil(thr) for
+        # integer M; readmission refills every freed slot at once, so
+        # M stays at min(N, ceil(thr)) through births and deaths alike
+        return float(max(0, math.ceil(thr)))
 
     def __repr__(self) -> str:
         return f"ThresholdAdmission(readmit_waiting={self.readmit_waiting!r})"

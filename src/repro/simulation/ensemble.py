@@ -13,6 +13,14 @@ computation:
   two integers, the full scalar event semantics (threshold admission,
   batch arrivals, departures with promotion, retries,
   lost-calls-cleared) collapse to closed-form array updates.
+- **Census-only stepping.**  Without retries the census dynamics
+  ignore admission, and a policy with a closed form
+  (:meth:`~repro.simulation.admission.AdmissionPolicy.admitted_cap`:
+  ``M = N`` for admit-all or an infinite threshold,
+  ``M = min(N, ceil(threshold))`` for a readmitting threshold) needs
+  no ``M`` in the loop: only ``N`` is stepped and ``M`` is derived
+  from it after assembly.  Finite non-readmitting thresholds, retries
+  and custom policies keep tracking ``M`` in the loop.
 - **Compressed active sets.**  Replications that hit their horizon are
   compacted out, so late steps only pay for the replications still
   running.
@@ -25,11 +33,13 @@ computation:
   replay, so an ensemble replication is event-for-event identical to
   ``FlowSimulator.run(stream=...)`` on the same seed child — the
   parity oracle ``benchmarks/bench_ensemble.py`` enforces.
-- **CRN pairing.**  :func:`paired_gap` drives best-effort and
-  reservation ensembles from the *same* seed children, so the
-  simulated ``delta(C) = R(C) - B(C)`` is estimated with common random
-  numbers (in the paper's basic model the two runs share the census
-  trajectory exactly, leaving only admission-accounting noise).
+- **CRN pairing.**  :func:`paired_gap` scores best-effort and
+  reservation arms on the *same* census trajectories, so the simulated
+  ``delta(C) = R(C) - B(C)`` is estimated with common random numbers,
+  leaving only admission-accounting noise.  Without retries or
+  clearing no admission policy moves the census, so it is simulated
+  once, by the reservation ensemble, and both arms are read off that
+  run, on either engine and under any policy.
 - **Precision-targeted stopping.**  :meth:`EnsembleSimulator.run_until`
   grows the ensemble in batches until a Student-t confidence interval
   on any per-replication statistic reaches a requested half-width.
@@ -264,6 +274,14 @@ class PairedGapResult:
         }
 
 
+def _check_counts(replications: int, jobs: int) -> None:
+    """Refuse replication and worker counts below one."""
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+
+
 class EnsembleSimulator:
     """Vectorized R-replication twin of :class:`FlowSimulator`.
 
@@ -354,12 +372,7 @@ class EnsembleSimulator:
         result is byte-identical whether computed inline or fanned out
         over worker processes.
         """
-        if replications < 1:
-            raise ValueError(
-                f"replications must be >= 1, got {replications!r}"
-            )
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+        _check_counts(replications, jobs)
         children = spawn_children(
             seed if seed is not None else np.random.SeedSequence(), replications
         )
@@ -411,6 +424,7 @@ class EnsembleSimulator:
                 "need 2 <= min_replications <= max_replications, got "
                 f"{min_replications!r} vs {max_replications!r}"
             )
+        _check_counts(max_replications, jobs)
         children = spawn_children(
             seed if seed is not None else np.random.SeedSequence(),
             max_replications,
@@ -724,9 +738,13 @@ class EnsembleSimulator:
         arrivals_win = np.zeros(reps, dtype=np.int64)
         admits_win = np.zeros(reps, dtype=np.int64)
         no_threshold = math.isinf(thr)
-        # under admit-all with no retries every flow is admitted, so
-        # M == N and the admitted side needs no bookkeeping at all
-        track_admitted = (not no_threshold) or retry_rate > 0.0 or readmit
+        # a policy with a closed form keeps M == min(N, m_cap) when no
+        # retries feed M back into the rates (clearing is refused with
+        # readmission, and an infinite cap clears nothing), so the loop
+        # steps N alone and M is derived after assembly; everything
+        # else tracks M in the loop
+        m_cap = self._admission.admitted_cap(capacity) if retry_rate == 0.0 else None
+        track_admitted = m_cap is None
         general_births = cleared or (batch_slot is not None)
 
         # era bookkeeping: step-major blocks, one column per active row
@@ -833,9 +851,11 @@ class EnsembleSimulator:
                         )
                     else:
                         batch = 1
+                    # a readmitting threshold is never cleared and its M
+                    # is untracked, so only tracked runs need n_admit
                     if no_threshold:
                         n_admit = batch
-                    else:
+                    elif track_admitted:
                         n_admit = np.minimum(
                             np.maximum(np.ceil(thr - admitted), 0.0), batch
                         ).astype(np.int64)
@@ -849,7 +869,7 @@ class EnsembleSimulator:
                     census = census + is_birth
                     admitted = admitted + (is_birth & (admitted < thr))
                 else:
-                    # admit-all without retries keeps M == N throughout
+                    # census-only step: M is a function of N
                     census = census + is_birth - is_death
 
                 if track_admitted:
@@ -874,10 +894,8 @@ class EnsembleSimulator:
 
                 if cleared:
                     in_window = is_birth & (t >= warmup)
-                    arrivals_win[rows[in_window]] += (
-                        batch[in_window] if np.ndim(batch) > 0 else 1
-                    )
-                    admits_win[rows[in_window]] += n_admit[in_window]
+                    arrivals_win[rows] += np.where(in_window, batch, 0)
+                    admits_win[rows] += np.where(in_window, n_admit, 0)
 
                 t_buf[step] = t
                 n_buf[step] = census
@@ -905,7 +923,7 @@ class EnsembleSimulator:
             if track_admitted:
                 admitted_out[era_rows, era_off : era_off + span] = mb.T
         if not track_admitted:
-            admitted_out = census_out.copy()
+            admitted_out = np.minimum(census_out, m_cap)
 
         if not cleared:
             # arrivals are exactly the census increments at birth events
@@ -1021,19 +1039,24 @@ def paired_gap(
 ) -> PairedGapResult:
     """CRN-paired estimate of the simulated ``delta(C) = R(C) - B(C)``.
 
-    Runs a best-effort ensemble (default :class:`AdmitAll`) and a
-    reservation ensemble (default the paper's
+    Scores a best-effort arm and a reservation arm (default the paper's
     ``ThresholdAdmission.from_utility(utility)`` with readmission, so
     that the admitted count is exactly ``min(N, k_max)`` as the static
-    model assumes) from the *same* ``SeedSequence`` children:
-    replication ``r`` of both ensembles replays one stream, and since
-    the census dynamics depend only on ``N`` in the paper's basic
-    model, the two census trajectories coincide *exactly* — the
-    per-replication gap ``R_hat_r - B_hat_r`` carries only the
-    admission-accounting difference, with far lower variance than
-    independent seeding would give.
+    model assumes) on the *same* census trajectories.  Without retries
+    or lost-calls clearing the census dynamics depend only on ``N``,
+    and the stream layout ignores admission, so ``N(t)`` is the same
+    under every policy: the per-replication gap ``R_hat_r - B_hat_r``
+    carries only the admission-accounting difference, with far lower
+    variance than independent seeding would give.
+
+    The census is therefore simulated once, by the reservation
+    ensemble, and ``B_hat`` (every present flow scores, so it reads
+    ``N`` alone) and ``R_hat`` are both read off that run.
+    ``best_effort`` is kept for symmetry, but no policy can change
+    ``B_hat`` here, so it cannot change the result.
     """
-    be_policy = best_effort if best_effort is not None else AdmitAll()
+    del best_effort  # B_hat reads the census, which no policy moves
+    _check_counts(replications, jobs)
     res_policy = (
         reservation
         if reservation is not None
@@ -1042,20 +1065,15 @@ def paired_gap(
     children = spawn_children(
         seed if seed is not None else np.random.SeedSequence(), replications
     )
-    kwargs = dict(
+    run = EnsembleSimulator(process, link, res_policy, block=block)._run(
+        children,
+        horizon,
         warmup=warmup,
         initial_census=initial_census,
         max_events=max_events,
         jobs=jobs,
     )
-    be_run = EnsembleSimulator(process, link, be_policy, block=block)._run(
-        children, horizon, **kwargs
-    )
-    res_run = EnsembleSimulator(process, link, res_policy, block=block)._run(
-        children, horizon, **kwargs
-    )
-    be_values, _ = be_run.utility_estimates(utility)
-    _, res_values = res_run.utility_estimates(utility)
+    be_values, res_values = run.utility_estimates(utility)
     return PairedGapResult(
         best_effort=be_values,
         reservation=res_values,

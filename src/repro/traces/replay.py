@@ -15,17 +15,18 @@ constant memory:
    accumulated in global time order, so the result is *byte-identical
    for any chunk size*.
 2. **CRN-paired evaluation** (:meth:`TraceOccupancy.evaluate`).  Each
-   window's histogram is laid out as a synthetic replication row of a
-   real :class:`~repro.simulation.ensemble.EnsembleResult`, once under
-   best-effort accounting (``M = N``) and once under the paper's
-   reservation rule (``M = min(N, ceil(k_max))``, exactly the
-   ``ThresholdAdmission.from_utility(..., readmit_waiting=True)``
-   steady rule the ensemble engine applies) — both rows share the one
-   trace trajectory, the strongest possible common-random-numbers
-   pairing.  ``utility_estimates`` then produces per-window
-   ``(B_hat, R_hat)`` through the engine's own flow-time averaging and
-   a :class:`~repro.simulation.ensemble.PairedGapResult` carries the
-   Welford/Student-t confidence intervals.
+   window's histogram is laid out once as a synthetic replication row
+   of a real :class:`~repro.simulation.ensemble.EnsembleResult`, its
+   admitted row given by the paper's reservation rule
+   ``M = min(N, ceil(k_max))`` — the closed form
+   ``ThresholdAdmission.admitted_cap`` states for the readmitting
+   policy, the same one the ensemble engine applies.  Best-effort
+   (``M = N``) reads the census alone, so both architectures are
+   scored on the one trace trajectory, the strongest possible
+   common-random-numbers pairing.  ``utility_estimates`` then produces
+   per-window ``(B_hat, R_hat)`` through the engine's own flow-time
+   averaging and a :class:`~repro.simulation.ensemble.PairedGapResult`
+   carries the Welford/Student-t confidence intervals.
 
 Windows double as replications: R disjoint spans of ``[warmup,
 horizon]`` give R weakly dependent estimates whose spread prices the
@@ -34,7 +35,6 @@ CI — the block-resampling view of a single long trajectory.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -140,14 +140,15 @@ class TraceOccupancy:
         levels = np.arange(len(weights))
         return float(np.dot(levels, weights) / total)
 
-    def _ensemble_rows(self, admitted_of, capacity: float) -> EnsembleResult:
+    def _ensemble_rows(self, m_cap: float, capacity: float) -> EnsembleResult:
         """Windows as replication rows of a real :class:`EnsembleResult`.
 
         Window ``w``'s histogram becomes a synthetic piecewise-constant
         trajectory spanning ``[edges[w], edges[w+1])`` (levels in
         ascending order — flow-time averages are order-free), closed by
         a census-0 record to the horizon so the trailing span carries
-        zero flow-time and drops out of every estimate.
+        zero flow-time and drops out of every estimate.  The admitted
+        rows follow the closed form ``M = min(N, m_cap)``.
         """
         edges = self.edges
         windows = self.windows
@@ -161,7 +162,6 @@ class TraceOccupancy:
         length = max(len(lv) for lv in rows_levels) + 1
         times = np.full((windows, length), self.horizon, dtype=float)
         census = np.zeros((windows, length), dtype=float)
-        admitted = np.zeros((windows, length), dtype=float)
         counts = np.zeros(windows, dtype=np.int64)
         for w in range(windows):
             levels = rows_levels[w]
@@ -170,7 +170,6 @@ class TraceOccupancy:
             starts = edges[w] + np.concatenate([[0.0], np.cumsum(durs[:-1])])
             times[w, :k] = starts
             census[w, :k] = levels
-            admitted[w, :k] = admitted_of(levels)
             # close the window at level 0 so the span to the horizon
             # carries no flow-time
             times[w, k] = edges[w + 1]
@@ -178,7 +177,7 @@ class TraceOccupancy:
         return EnsembleResult(
             times=times,
             census=census,
-            admitted=admitted,
+            admitted=np.minimum(census, m_cap),
             counts=counts,
             arrivals=np.zeros(windows, dtype=np.int64),
             admissions=np.zeros(windows, dtype=np.int64),
@@ -197,30 +196,20 @@ class TraceOccupancy:
     ) -> ReplayResult:
         """CRN-paired best-effort vs reservation verdict at ``capacity``.
 
-        Both architectures are evaluated on the *same* per-window
-        census histograms through
-        :meth:`EnsembleResult.utility_estimates` — best-effort admits
-        everyone (``M = N``), reservations cap admission at the
-        utility's ``k_max`` exactly as the paper's threshold rule with
-        readmission does in steady state.
+        Both architectures are scored on the *same* per-window census
+        histograms through :meth:`EnsembleResult.utility_estimates`:
+        best-effort admits everyone (``M = N``, which ``B_hat`` reads
+        off the census alone), and reservations follow the readmitting
+        threshold policy's closed form ``M = min(N, ceil(k_max))``
+        (:meth:`ThresholdAdmission.admitted_cap`), the rule the
+        ensemble engine applies to an admission-blind census.
         """
         if capacity <= 0.0:
             raise ModelError(f"capacity must be > 0, got {capacity!r}")
         policy = ThresholdAdmission.from_utility(utility, readmit_waiting=True)
         threshold = float(policy.threshold(capacity))
-        if math.isinf(threshold):
-            cap_m = None
-        else:
-            cap_m = max(0, int(math.ceil(threshold)))
-        be_rows = self._ensemble_rows(lambda levels: levels, capacity)
-        res_rows = self._ensemble_rows(
-            (lambda levels: levels)
-            if cap_m is None
-            else (lambda levels: np.minimum(levels, cap_m)),
-            capacity,
-        )
-        be_values, _ = be_rows.utility_estimates(utility)
-        _, res_values = res_rows.utility_estimates(utility)
+        rows = self._ensemble_rows(policy.admitted_cap(capacity), capacity)
+        be_values, res_values = rows.utility_estimates(utility)
         paired = PairedGapResult(
             best_effort=be_values,
             reservation=res_values,

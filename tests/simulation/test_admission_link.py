@@ -13,6 +13,9 @@ class TestAdmitAll:
         assert policy.admits(10_000, 0.1)
         assert policy.threshold(5.0) == float("inf")
 
+    def test_admitted_cap_is_the_census(self):
+        assert AdmitAll().admitted_cap(5.0) == float("inf")
+
 
 class TestThresholdAdmission:
     def test_fixed_threshold(self):
@@ -43,6 +46,28 @@ class TestThresholdAdmission:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             ThresholdAdmission(-1)
+
+    def test_admitted_cap_only_when_readmitting(self):
+        # M = min(N, ceil(thr)) needs every freed slot refilled at once
+        assert ThresholdAdmission(6.5).admitted_cap(10.0) is None
+        # ...unless there is no threshold: every arrival gets in, M = N
+        assert ThresholdAdmission(float("inf")).admitted_cap(10.0) == float("inf")
+        unbounded_above_5 = ThresholdAdmission(
+            lambda c: float("inf") if c > 5.0 else 3.0
+        )
+        assert unbounded_above_5.admitted_cap(10.0) == float("inf")
+        assert unbounded_above_5.admitted_cap(4.0) is None
+        assert ThresholdAdmission(6, readmit_waiting=True).admitted_cap(10.0) == 6
+        assert ThresholdAdmission(
+            6.5, readmit_waiting=True
+        ).admitted_cap(10.0) == 7
+        assert ThresholdAdmission(0, readmit_waiting=True).admitted_cap(10.0) == 0
+        assert ThresholdAdmission(
+            lambda c: float("inf"), readmit_waiting=True
+        ).admitted_cap(10.0) == float("inf")
+        assert ThresholdAdmission(
+            lambda c: -2.5, readmit_waiting=True
+        ).admitted_cap(10.0) == 0
 
 
 class TestLink:

@@ -25,6 +25,13 @@ from repro.simulation.ensemble import _merge_results
 from repro.utility import AdaptiveUtility
 
 
+class _EveryOther(AdmissionPolicy):
+    """A custom policy: the vectorized engine cannot run it."""
+
+    def admits(self, admitted, capacity):
+        return admitted % 2 == 0
+
+
 def small_ensemble(admission=None, **kwargs):
     return EnsembleSimulator(
         BirthDeathProcess(PoissonLoad(10.0)), Link(12.0), admission, **kwargs
@@ -118,14 +125,11 @@ class TestScalarFallback:
         assert result.replications == 3
 
     def test_custom_admission_falls_back(self):
-        class EveryOther(AdmissionPolicy):
-            def admits(self, admitted, capacity):
-                return admitted % 2 == 0
-
         ens = EnsembleSimulator(
-            BirthDeathProcess(PoissonLoad(8.0)), Link(10.0), EveryOther()
+            BirthDeathProcess(PoissonLoad(8.0)), Link(10.0), _EveryOther()
         )
         assert ens.vectorization_fallback() == "custom_admission"
+        assert ens.admission.admitted_cap(10.0) is None
         assert ens.run(2, 10.0, seed=7).engine == "scalar"
 
     def test_fallback_counters_metered(self):
@@ -211,6 +215,8 @@ class TestRunUntil:
                 min_replications=8,
                 max_replications=4,
             )
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            ens.run_until(lambda r: r.mean_census(), 10.0, ci_halfwidth=0.1, jobs=0)
         with pytest.raises(ValueError, match="one value per replication"):
             ens.run_until(
                 lambda r: np.array([1.0]),
@@ -278,6 +284,106 @@ class TestPairedGap:
             reservation=ThresholdAdmission(5),
         )
         assert len(gap.gap) == 4
+
+    def test_refuses_bad_counts(self):
+        # the same refusals EnsembleSimulator.run gives, before any
+        # simulation (replications=0 used to fail inside numpy)
+        args = (BirthDeathProcess(PoissonLoad(10.0)), Link(12.0), AdaptiveUtility())
+        with pytest.raises(ValueError, match="replications must be >= 1, got 0"):
+            paired_gap(*args, 0, 20.0, seed=1)
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                paired_gap(*args, 2, 20.0, seed=1, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "reservation, jobs",
+        [
+            (None, 1),
+            (None, 2),
+            (ThresholdAdmission(5), 1),
+            (ThresholdAdmission(5), 2),
+            (_EveryOther(), 1),
+        ],
+        ids=["readmit-1", "readmit-2", "in_loop-1", "in_loop-2", "scalar-1"],
+    )
+    def test_shared_census_equals_two_runs(self, reservation, jobs):
+        # reading both arms off the reservation run must reproduce the
+        # separate best-effort and reservation ensembles bit for bit,
+        # with or without a closed form and on either engine
+        load = PoissonLoad(10.0)
+        utility = AdaptiveUtility()
+        policy = (
+            reservation
+            if reservation is not None
+            else ThresholdAdmission.from_utility(utility, readmit_waiting=True)
+        )
+        gap = paired_gap(
+            BirthDeathProcess(load),
+            Link(12.0),
+            utility,
+            5,
+            30.0,
+            warmup=5.0,
+            seed=42,
+            reservation=reservation,
+            jobs=jobs,
+        )
+        be_run = EnsembleSimulator(
+            BirthDeathProcess(load), Link(12.0), AdmitAll()
+        ).run(5, 30.0, warmup=5.0, seed=42)
+        res_run = EnsembleSimulator(
+            BirthDeathProcess(load), Link(12.0), policy
+        ).run(5, 30.0, warmup=5.0, seed=42)
+        be = be_run.utility_estimates(utility)[0]
+        res = res_run.utility_estimates(utility)[1]
+        np.testing.assert_array_equal(gap.best_effort, be)
+        np.testing.assert_array_equal(gap.reservation, res)
+        np.testing.assert_array_equal(gap.gap, res - be)
+
+    def test_stateful_process_arms_share_census(self):
+        # a regime modulator is shared across the replications it
+        # drives; both arms must still see one census, so a policy that
+        # admits everyone scores exactly the best-effort utility
+        gap = paired_gap(
+            RegimeSwitchingProcess(
+                [(1.0, PoissonLoad(6.0)), (1.0, PoissonLoad(12.0))], seed=2
+            ),
+            Link(12.0),
+            AdaptiveUtility(),
+            4,
+            25.0,
+            warmup=3.0,
+            seed=11,
+            reservation=ThresholdAdmission(float("inf")),
+        )
+        np.testing.assert_array_equal(gap.reservation, gap.best_effort)
+        assert not gap.gap.any()
+
+    @pytest.mark.parametrize(
+        "reservation",
+        [None, ThresholdAdmission(5)],
+        ids=["closed_form", "in_loop"],
+    )
+    def test_census_simulated_once(self, reservation):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracing import Tracer
+
+        obs.enable(MetricsRegistry(), Tracer())
+        try:
+            paired_gap(
+                BirthDeathProcess(PoissonLoad(10.0)),
+                Link(12.0),
+                AdaptiveUtility(),
+                4,
+                20.0,
+                seed=43,
+                reservation=reservation,
+            )
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        # the reservation run alone serves both arms, closed form or not
+        assert counters["ensemble.replications"] == 4
 
 
 class TestMerge:

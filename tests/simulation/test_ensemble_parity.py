@@ -5,11 +5,12 @@ The ensemble engine's whole contract is that vectorization changes
 identical to ``FlowSimulator.run(stream=...)`` on seed child ``r``.
 These hypothesis tests drive both engines over randomly drawn
 configurations (process family, admission policy, retry/readmit/
-clearing modes, horizons, seeds) and require bitwise-equal
+clearing modes, horizons, warmups, seeds) and require bitwise-equal
 trajectories and window counters every time.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,16 +44,42 @@ def _policy(name):
         return AdmitAll()
     if name == "threshold":
         return ThresholdAdmission(6)
+    if name == "readmit_fractional":
+        # M = min(N, ceil(6.5)) = min(N, 7)
+        return ThresholdAdmission(6.5, readmit_waiting=True)
+    if name == "readmit_zero":
+        return ThresholdAdmission(0, readmit_waiting=True)
+    if name == "no_threshold":
+        # M = N without readmission: census-only like admit-all
+        return ThresholdAdmission(float("inf"))
     return ThresholdAdmission(6, readmit_waiting=True)
 
 
-def _assert_parity(process, admission, *, horizon, seed, reps, **kwargs):
+POLICIES = [
+    "admit_all",
+    "threshold",
+    "readmit",
+    "readmit_fractional",
+    "readmit_zero",
+    "no_threshold",
+]
+
+#: Warmup is either 0 (the t = 0 population counts as arriving) or
+#: strictly inside the shortest drawn horizon.
+WARMUPS = st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=1.9))
+
+
+def _assert_parity(
+    process, admission, *, horizon, seed, reps, warmup=0.0, **kwargs
+):
     ensemble = EnsembleSimulator(process, Link(CAPACITY), admission, **kwargs)
-    result = ensemble.run(reps, horizon, seed=seed)
+    result = ensemble.run(reps, horizon, warmup=warmup, seed=seed)
     assert result.engine == "vectorized"
     scalar = FlowSimulator(process, Link(CAPACITY), admission, **kwargs)
     for r, child in enumerate(spawn_children(seed, reps)):
-        run = scalar.run(horizon, stream=ReplicationStream(child))
+        run = scalar.run(
+            horizon, warmup=warmup, stream=ReplicationStream(child)
+        )
         trajectory = result.trajectory(r)
         np.testing.assert_array_equal(run.trajectory.times, trajectory.times)
         np.testing.assert_array_equal(run.trajectory.census, trajectory.census)
@@ -60,19 +87,30 @@ def _assert_parity(process, admission, *, horizon, seed, reps, **kwargs):
             run.trajectory.admitted, trajectory.admitted
         )
         assert run.events == result.events[r]
+        # window counters from the flow records, as the scalar
+        # fallback engine counts them
+        flows = run.flows
+        in_window = flows.arrival >= warmup
+        on_arrival = (~np.isnan(flows.admit_time)) & (
+            flows.admit_time == flows.arrival
+        )
+        assert result.arrivals[r] == int(in_window.sum())
+        assert result.admissions[r] == int((in_window & on_arrival).sum())
 
 
 class TestTrajectoryParity:
     @given(
         process=st.sampled_from(["bd", "poisson", "pareto"]),
-        policy=st.sampled_from(["admit_all", "threshold", "readmit"]),
+        policy=st.sampled_from(POLICIES),
         horizon=st.floats(min_value=2.0, max_value=30.0),
+        warmup=WARMUPS,
         seed=st.integers(min_value=0, max_value=2**31),
         reps=st.integers(min_value=1, max_value=5),
     )
-    @settings(max_examples=25, deadline=None)
+    # about 8 draws per policy
+    @settings(max_examples=50, deadline=None)
     def test_all_processes_and_policies(
-        self, process, policy, horizon, seed, reps
+        self, process, policy, horizon, warmup, seed, reps
     ):
         _assert_parity(
             _process(process),
@@ -80,37 +118,76 @@ class TestTrajectoryParity:
             horizon=horizon,
             seed=seed,
             reps=reps,
+            warmup=warmup,
+        )
+
+    @pytest.mark.parametrize("warmup", [0.0, 1.5])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("process", ["bd", "poisson", "pareto"])
+    def test_every_process_policy_and_warmup(self, process, policy, warmup):
+        # the closed-form policies skip in-loop M tracking, so every
+        # combination is pinned, not only the ones hypothesis draws
+        _assert_parity(
+            _process(process),
+            _policy(policy),
+            horizon=12.0,
+            seed=2024,
+            reps=3,
+            warmup=warmup,
         )
 
     @given(
         retry_rate=st.floats(min_value=0.05, max_value=1.0),
+        policy=st.sampled_from(["admit_all", "threshold", "readmit"]),
         horizon=st.floats(min_value=2.0, max_value=25.0),
+        warmup=WARMUPS,
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    @settings(max_examples=10, deadline=None)
-    def test_retry_dynamics(self, retry_rate, horizon, seed):
+    # about 10 draws per policy: the finite threshold is the one case
+    # whose retries both fire and admit, so it must not be starved
+    @settings(max_examples=30, deadline=None)
+    def test_retry_dynamics(self, retry_rate, policy, horizon, warmup, seed):
         _assert_parity(
             BirthDeathProcess(PoissonLoad(8.0)),
-            ThresholdAdmission(6),
+            _policy(policy),
             horizon=horizon,
             seed=seed,
             reps=3,
+            warmup=warmup,
             retry_rate=retry_rate,
         )
 
     @given(
         process=st.sampled_from(["bd", "pareto"]),
+        policy=st.sampled_from(["admit_all", "threshold"]),
         horizon=st.floats(min_value=2.0, max_value=25.0),
+        warmup=WARMUPS,
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    @settings(max_examples=10, deadline=None)
-    def test_lost_calls_cleared(self, process, horizon, seed):
+    # about 10 draws per policy
+    @settings(max_examples=20, deadline=None)
+    def test_lost_calls_cleared(self, process, policy, horizon, warmup, seed):
         _assert_parity(
             _process(process),
-            ThresholdAdmission(6),
+            _policy(policy),
             horizon=horizon,
             seed=seed,
             reps=3,
+            warmup=warmup,
+            lost_calls_cleared=True,
+        )
+
+    @pytest.mark.parametrize("process", ["bd", "poisson"])
+    def test_admit_all_with_clearing_unit_births(self, process):
+        # unit-batch births under admit-all clearing used to index the
+        # scalar admitted-batch size as an array and raise TypeError
+        _assert_parity(
+            _process(process),
+            AdmitAll(),
+            horizon=15.0,
+            seed=7,
+            reps=3,
+            warmup=2.0,
             lost_calls_cleared=True,
         )
 
