@@ -2,7 +2,7 @@
 
 - :class:`FlowTrace` — per-flow arrival/departure records, extractable
   from any simulation run; CSV persistence via :func:`write_trace` /
-  :func:`read_trace`.
+  :func:`read_trace`, views of the chunked CSV writer and reader.
 - census derivation — exact trajectory, point queries, time-uniform
   samples (:mod:`repro.traces.census`).
 - :func:`analyze_trace` — trace -> census identification ->
@@ -23,7 +23,7 @@ from repro.traces.census import (
     census_trajectory,
     mean_census,
 )
-from repro.traces.format import FlowTrace, read_trace, write_trace
+from repro.traces.format import FlowTrace
 from repro.traces.pipeline import analyze_trace
 from repro.traces.replay import (
     DEFAULT_WINDOWS,
@@ -42,10 +42,12 @@ from repro.traces.stream import (
     open_trace,
     open_trace_csv,
     open_trace_npz,
+    read_trace,
     stream_census_at,
     stream_census_samples,
     stream_mean_census,
     stream_trace,
+    write_trace,
     write_trace_csv,
     write_trace_npz,
 )

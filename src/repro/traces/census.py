@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.traces.format import FlowTrace
+from repro.traces.stream import stream_census_samples, stream_trace
 
 
 def census_trajectory(trace: FlowTrace) -> Tuple[np.ndarray, np.ndarray]:
@@ -63,15 +64,10 @@ def census_samples(
 
     Uniform time sampling makes the samples distributed as the
     time-stationary census — exactly the ``P(k)`` of the paper's
-    variable-load model.
+    variable-load model.  A view of
+    :func:`~repro.traces.stream.stream_census_samples`.
     """
-    if n < 1:
-        raise ModelError(f"need n >= 1 samples, got {n!r}")
-    if not 0.0 <= warmup < trace.horizon:
-        raise ModelError(f"warmup must be in [0, horizon), got {warmup!r}")
-    rng = np.random.default_rng(seed)
-    ts = warmup + rng.random(n) * (trace.horizon - warmup)
-    return census_at(trace, ts).astype(int)
+    return stream_census_samples(stream_trace(trace), n, warmup=warmup, seed=seed)
 
 
 def mean_census(trace: FlowTrace, *, warmup: float = 0.0) -> float:

@@ -3,53 +3,32 @@
 A *flow trace* is the minimal observable an operator actually has: one
 (arrival, departure) pair per flow.  Everything the paper needs — the
 census distribution, hence the architecture verdict — derives from it.
-This module defines the in-memory record and a plain-CSV on-disk form
-(`# key=value` header lines, then `arrival,departure` rows) chosen to
-be readable by anything.
+This module defines the in-memory record; its plain-CSV on-disk form
+(`# key=value` header lines, then `arrival,departure` rows) is read and
+written by :mod:`repro.traces.stream`.
 """
 
 from __future__ import annotations
 
-import csv
-import pathlib
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError
 
 
-def _format_time(value: float) -> str:
-    """Shortest decimal string that round-trips the float64 exactly."""
-    if np.isinf(value):
-        return "inf"
-    return repr(float(value))
-
-
-def _parse_flow_row(
-    row: List[str], line_no: int, path
-) -> Tuple[float, float]:
-    """One CSV data row -> (arrival, departure), with a clear error."""
-    if len(row) < 2:
-        raise ModelError(
-            f"trace file {path} line {line_no}: expected "
-            f"'arrival,departure', got {','.join(row)!r}"
-        )
-    try:
-        arrival = float(row[0])
-        departure = float(row[1])
-    except ValueError:
-        raise ModelError(
-            f"trace file {path} line {line_no}: non-numeric flow row "
-            f"{','.join(row)!r}"
-        ) from None
-    if not np.isfinite(arrival) or arrival < 0.0 or departure < arrival:
-        raise ModelError(
-            f"trace file {path} line {line_no}: need 0 <= arrival <= "
-            f"departure, got arrival={arrival!r} departure={departure!r}"
-        )
-    return arrival, departure
+def _flow_arrays(arrival, departure) -> Tuple[np.ndarray, np.ndarray]:
+    """Float arrays of valid flows: matching 1-D, 0 <= arrival <= departure."""
+    a = np.asarray(arrival, dtype=float)
+    d = np.asarray(departure, dtype=float)
+    if a.ndim != 1 or a.shape != d.shape:
+        raise ModelError("need matching 1-D arrival/departure arrays")
+    # ~(d >= a) also refuses NaN times, which d < a lets through
+    if len(a) and (np.any(a < 0.0) or np.any(~(d >= a))):
+        raise ModelError("need 0 <= arrival <= departure per flow")
+    return a, d
 
 
 @dataclass(frozen=True)
@@ -62,14 +41,9 @@ class FlowTrace:
     metadata: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        a = np.asarray(self.arrival, dtype=float)
-        d = np.asarray(self.departure, dtype=float)
-        if len(a) != len(d):
-            raise ModelError("arrival and departure arrays must match in length")
-        if len(a) and (np.any(a < 0.0) or np.any(d < a)):
-            raise ModelError("need 0 <= arrival <= departure per flow")
-        if self.horizon <= 0.0:
-            raise ModelError(f"horizon must be > 0, got {self.horizon!r}")
+        a, d = _flow_arrays(self.arrival, self.departure)
+        if not 0.0 < self.horizon < math.inf:
+            raise ModelError(f"horizon must be finite and > 0, got {self.horizon!r}")
         object.__setattr__(self, "arrival", a)
         object.__setattr__(self, "departure", d)
 
@@ -94,68 +68,3 @@ class FlowTrace:
             horizon=result.horizon,
             metadata={str(k): str(v) for k, v in metadata.items()},
         )
-
-
-def write_trace(trace: FlowTrace, path) -> pathlib.Path:
-    """Write a trace as commented-header CSV.
-
-    Times are written with :func:`repr` (shortest round-trip form), so
-    reading the file back preserves every flow bit-for-bit.
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        handle.write(f"# horizon={_format_time(trace.horizon)}\n")
-        for key, value in sorted(trace.metadata.items()):
-            handle.write(f"# {key}={value}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["arrival", "departure"])
-        for a, d in zip(trace.arrival, trace.departure):
-            writer.writerow([_format_time(a), _format_time(d)])
-    return path
-
-
-def read_trace(path) -> FlowTrace:
-    """Read a trace written by :func:`write_trace`.
-
-    Malformed rows (too few fields, non-numeric times, negative
-    arrivals, ``departure < arrival``) raise
-    :class:`~repro.errors.ModelError` naming the file and line.
-    """
-    path = pathlib.Path(path)
-    horizon: Optional[float] = None
-    metadata: Dict[str, str] = {}
-    arrivals, departures = [], []
-    with path.open() as handle:
-        reader = csv.reader(handle)
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                text = ",".join(row).lstrip("#").strip()
-                if "=" in text:
-                    key, _, value = text.partition("=")
-                    if key.strip() == "horizon":
-                        try:
-                            horizon = float(value)
-                        except ValueError:
-                            raise ModelError(
-                                f"trace file {path} line {line_no}: "
-                                f"bad horizon {value!r}"
-                            ) from None
-                    else:
-                        metadata[key.strip()] = value.strip()
-                continue
-            if row[0] == "arrival":
-                continue
-            a, d = _parse_flow_row(row, line_no, path)
-            arrivals.append(a)
-            departures.append(d)
-    if horizon is None:
-        raise ModelError(f"trace file {path} has no '# horizon=' header")
-    return FlowTrace(
-        arrival=np.asarray(arrivals),
-        departure=np.asarray(departures),
-        horizon=horizon,
-        metadata=metadata,
-    )

@@ -7,10 +7,10 @@ them instead:
 - :class:`TraceChunk` / :class:`TraceStream` — a trace as an iterator
   of bounded arrival/departure chunks plus the up-front header
   (horizon, metadata) every consumer needs before the first flow.
-- chunked persistence — the commented-header CSV of
-  :mod:`repro.traces.format` read and written chunk-by-chunk
-  (:func:`open_trace_csv` / :func:`write_trace_csv`), and an npz
-  *segment directory* (:func:`open_trace_npz` /
+- chunked persistence — the commented-header CSV, read and written
+  chunk by chunk (:func:`open_trace_csv` / :func:`write_trace_csv`;
+  :func:`read_trace` / :func:`write_trace` are in-memory views), and an
+  npz *segment directory* (:func:`open_trace_npz` /
   :func:`write_trace_npz`): one ``index.json`` plus one compressed
   ``segment-NNNNN.npz`` per chunk, so a read never loads more than one
   segment.
@@ -29,17 +29,20 @@ time-ordered sweep that needs arrival-sorted streams.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+import re
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ModelError
 from repro.ioutils import atomic_write_text
-from repro.traces.format import FlowTrace, _format_time, _parse_flow_row
+from repro.traces.format import FlowTrace, _flow_arrays
 
 #: Default flows per chunk: large enough to amortise numpy dispatch,
 #: small enough that a chunk is a few MiB.
@@ -60,14 +63,7 @@ class TraceChunk:
     departure: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.arrival, dtype=float)
-        d = np.asarray(self.departure, dtype=float)
-        if a.ndim != 1 or a.shape != d.shape:
-            raise ModelError(
-                "a trace chunk needs matching 1-D arrival/departure arrays"
-            )
-        if len(a) and (np.any(a < 0.0) or np.any(d < a)):
-            raise ModelError("need 0 <= arrival <= departure per flow")
+        a, d = _flow_arrays(self.arrival, self.departure)
         object.__setattr__(self, "arrival", a)
         object.__setattr__(self, "departure", d)
 
@@ -95,8 +91,8 @@ class TraceStream:
         metadata: Optional[Dict[str, str]] = None,
         flows: Optional[int] = None,
     ):
-        if horizon <= 0.0:
-            raise ModelError(f"horizon must be > 0, got {horizon!r}")
+        if not 0.0 < horizon < math.inf:
+            raise ModelError(f"horizon must be finite and > 0, got {horizon!r}")
         self.horizon = float(horizon)
         self.metadata: Dict[str, str] = dict(metadata or {})
         self.flows = None if flows is None else int(flows)
@@ -192,12 +188,10 @@ def stream_census_samples(
     warmup: float = 0.0,
     seed: Optional[int] = None,
 ) -> np.ndarray:
-    """Streaming twin of :func:`~repro.traces.census.census_samples`.
+    """``n`` time-uniform census samples over ``[warmup, horizon]``.
 
-    Draws the *identical* sample times (same RNG construction, same
-    call sequence) and answers them through :func:`stream_census_at`,
-    so the result is byte-identical to the in-memory function on the
-    same trace, seed and warmup.
+    The sample times come from ``np.random.default_rng(seed)``; they
+    are answered in one pass by :func:`stream_census_at`.
     """
     if n < 1:
         raise ModelError(f"need n >= 1 samples, got {n!r}")
@@ -228,69 +222,160 @@ def stream_mean_census(stream: TraceStream, *, warmup: float = 0.0) -> float:
 
 # -- chunked CSV --------------------------------------------------------
 
+#: Lines per parse block: small enough that parsing never lifts a
+#: replay's peak memory, large enough to amortise ``np.loadtxt``.
+_PARSE_BLOCK_LINES = 8192
 
-def open_trace_csv(
-    path, *, chunk_flows: int = DEFAULT_CHUNK_FLOWS
-) -> TraceStream:
+#: The csv quote, NUL (a csv error before Python 3.11) and the ASCII
+#: separators ``np.loadtxt`` strips as whitespace but ``float`` refuses.
+_ROW_PARSER_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+
+#: Bytes that are not UTF-8, as ``errors="surrogateescape"`` reads them.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _format_time(value: float) -> str:
+    """Shortest decimal string that round-trips the float64 exactly."""
+    return "inf" if np.isinf(value) else repr(float(value))
+
+
+def _utf8_line(line: str, line_no: int, path) -> str:
+    if not line.isascii() and _NOT_UTF8.search(line):
+        raise ModelError(f"trace file {path} line {line_no}: not UTF-8 text")
+    return line
+
+
+def _parse_flow_row(row: List[str], line_no: int, path) -> Tuple[float, float]:
+    """One ``csv.reader`` row -> (arrival, departure): what a flow row is."""
+    if len(row) < 2:
+        raise ModelError(
+            f"trace file {path} line {line_no}: expected "
+            f"'arrival,departure', got {','.join(row)!r}"
+        )
+    try:
+        arrival = float(row[0])
+        departure = float(row[1])
+    except ValueError:
+        raise ModelError(
+            f"trace file {path} line {line_no}: non-numeric flow row "
+            f"{','.join(row)!r}"
+        ) from None
+    if not (0.0 <= arrival < math.inf and departure >= arrival):  # NaN fails too
+        raise ModelError(
+            f"trace file {path} line {line_no}: need 0 <= arrival <= "
+            f"departure, got arrival={arrival!r} departure={departure!r}"
+        )
+    return arrival, departure
+
+
+def _parse_block(block: List[str]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """One ``np.loadtxt`` call over a block of plain flow rows, or None.
+
+    None leaves the block to the row parser: a character that parser
+    reads differently, a blank line (loadtxt skips it), a field over
+    csv's size limit, or a flow it refuses.  Both round correctly.
+    """
+    text = "".join(block)
+    if not text.isascii() or any(ch in text for ch in _ROW_PARSER_ONLY):
+        return None
+    if "\n\n" in text or text.startswith("\n") or max(map(len, block)) > csv.field_size_limit():
+        return None
+    try:
+        rows = np.loadtxt(block, delimiter=",", comments=None, usecols=(0, 1), ndmin=2)
+    except ValueError:
+        return None
+    a, d = rows[:, 0], rows[:, 1]
+    if len(rows) != len(block) or not np.all((a >= 0.0) & (a < np.inf) & (d >= a)):
+        return None
+    return a, d
+
+
+def _parse_rows(block: List[str], rest: Iterator[str], first_line: int, path):
+    """The row parser over ``block``; returns its flows and lines read.
+
+    A quoted field still open at the block's end reads on into ``rest``.
+    """
+    source = enumerate(itertools.chain(block, rest), start=first_line)
+    reader = csv.reader(_utf8_line(line, n, path) for n, line in source)
+    flows: List[Tuple[float, float]] = []
+    try:
+        while reader.line_num < len(block):
+            line_no, row = first_line + reader.line_num, next(reader)
+            if row and not row[0].startswith("#") and row[0] != "arrival":
+                flows.append(_parse_flow_row(row, line_no, path))
+    except csv.Error as exc:
+        line_no = first_line + reader.line_num - 1
+        raise ModelError(f"trace file {path} line {line_no}: {exc}") from None
+    return tuple(np.array(flows, dtype=float).reshape(-1, 2).T), reader.line_num
+
+
+def _flow_chunks(path: pathlib.Path, header_lines: int, chunk_flows: int) -> Iterator[TraceChunk]:
+    """The flow rows after the header, in chunks of exactly ``chunk_flows`` but the last."""
+    pending: List[Tuple[np.ndarray, np.ndarray]] = []
+    held, first_line = 0, header_lines + 1
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
+        for _ in itertools.islice(handle, header_lines):
+            pass
+        while block := list(itertools.islice(handle, _PARSE_BLOCK_LINES)):
+            flows, read = _parse_block(block), len(block)
+            if flows is None:
+                flows, read = _parse_rows(block, handle, first_line, path)
+            first_line += read
+            pending.append(flows)
+            held += len(flows[0])
+            if held >= chunk_flows:
+                a, d = (np.concatenate(column) for column in zip(*pending))
+                cut = held - held % chunk_flows
+                for lo in range(0, cut, chunk_flows):
+                    yield TraceChunk(a[lo : lo + chunk_flows], d[lo : lo + chunk_flows])
+                pending, held = [(a[cut:], d[cut:])], held - cut
+    if held:
+        yield TraceChunk(*(np.concatenate(column) for column in zip(*pending)))
+
+
+def open_trace_csv(path, *, chunk_flows: int = DEFAULT_CHUNK_FLOWS) -> TraceStream:
     """Stream a commented-header CSV trace in bounded chunks.
 
-    Reads the same format :func:`~repro.traces.format.write_trace`
-    produces.  Header lines are parsed eagerly (the stream needs its
-    horizon up front); flow rows are parsed lazily, ``chunk_flows`` at
-    a time.  Malformed rows raise :class:`~repro.errors.ModelError`
-    naming the file and line.
+    Reads what :func:`write_trace_csv` writes.  The header (``#`` and
+    blank lines before the first data row) is read eagerly and needs a
+    finite ``# horizon=`` > 0.  Flow rows are read lazily, a block of
+    lines at a time (:func:`_flow_chunks`).  Bad input raises
+    :class:`~repro.errors.ModelError` naming the file and line.
     """
     if chunk_flows < 1:
         raise ModelError(f"chunk_flows must be >= 1, got {chunk_flows!r}")
     path = pathlib.Path(path)
     horizon: Optional[float] = None
     metadata: Dict[str, str] = {}
-    data_start = 0
-    with path.open() as handle:
+    header_lines = 0
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    if key.strip() == "horizon":
-                        try:
-                            horizon = float(value)
-                        except ValueError:
-                            raise ModelError(
-                                f"trace file {path} line {line_no}: "
-                                f"bad horizon {value!r}"
-                            ) from None
-                    else:
-                        metadata[key.strip()] = value.strip()
-                continue
-            data_start = line_no
-            break
+            text = _utf8_line(line, line_no, path).strip()
+            if text and not text.startswith("#"):
+                break
+            header_lines = line_no
+            key, eq, value = text.lstrip("#").partition("=")
+            if eq and key.strip() != "horizon":
+                metadata[key.strip()] = value.strip()
+            elif eq:
+                try:
+                    horizon = float(value)
+                except ValueError:
+                    horizon = math.nan
+                if not 0.0 < horizon < math.inf:
+                    raise ModelError(
+                        f"trace file {path} line {line_no}: bad horizon "
+                        f"{value!r}; need a finite number > 0"
+                    )
     if horizon is None:
         raise ModelError(f"trace file {path} has no '# horizon=' header")
+    chunks = _flow_chunks(path, header_lines, chunk_flows)
+    return TraceStream(chunks, horizon=horizon, metadata=metadata)
 
-    def chunks() -> Iterator[TraceChunk]:
-        arrivals: List[float] = []
-        departures: List[float] = []
-        with path.open() as handle:
-            reader = csv.reader(handle)
-            for line_no, row in enumerate(reader, start=1):
-                if line_no < data_start or not row:
-                    continue
-                if row[0].startswith("#") or row[0] == "arrival":
-                    continue
-                a, d = _parse_flow_row(row, line_no, path)
-                arrivals.append(a)
-                departures.append(d)
-                if len(arrivals) >= chunk_flows:
-                    yield TraceChunk(np.asarray(arrivals), np.asarray(departures))
-                    arrivals, departures = [], []
-        if arrivals:
-            yield TraceChunk(np.asarray(arrivals), np.asarray(departures))
 
-    return TraceStream(chunks(), horizon=horizon, metadata=metadata)
+def read_trace(path) -> FlowTrace:
+    """Read a whole CSV trace: ``materialize(open_trace_csv(path))``."""
+    return materialize(open_trace_csv(path))
 
 
 def write_trace_csv(stream: TraceStream, path) -> pathlib.Path:
@@ -302,7 +387,7 @@ def write_trace_csv(stream: TraceStream, path) -> pathlib.Path:
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     flows = 0
-    with path.open("w", newline="") as handle:
+    with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write(f"# horizon={_format_time(stream.horizon)}\n")
         for key, value in sorted(stream.metadata.items()):
             handle.write(f"# {key}={value}\n")
@@ -315,6 +400,13 @@ def write_trace_csv(stream: TraceStream, path) -> pathlib.Path:
     if obs.enabled():
         obs.counter("traces.write.flows").inc(flows)
     return path
+
+
+def write_trace(trace: FlowTrace, path) -> pathlib.Path:
+    """Write an in-memory trace as CSV, its flows in stored order."""
+    chunk = TraceChunk(trace.arrival, trace.departure)
+    stream = TraceStream([chunk], horizon=trace.horizon, metadata=trace.metadata)
+    return write_trace_csv(stream, path)
 
 
 # -- npz segment directories --------------------------------------------

@@ -179,3 +179,18 @@ class TestCliAnalyzeTrace:
             ]
         ) == 0
         assert "verdict" in capsys.readouterr().out
+
+
+class TestCliTraceRefusals:
+    @pytest.mark.parametrize(
+        "data",
+        [b"# horizon=10\n0,1\n\xff\xfe,2\n", b"# horizon=10\n0,1\n1,2," + b"7" * 131073 + b"\n"],
+        ids=["not-utf8", "oversized-field"],
+    )
+    def test_bad_trace_exits_2_with_one_line(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert main(["traces", "replay", str(path), "--capacity", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{path} line 3" in err

@@ -57,6 +57,11 @@ class TestTraceChunk:
             TraceChunk(np.array([-1.0]), np.array([2.0]))
         with pytest.raises(ModelError):
             TraceChunk(np.array([2.0]), np.array([1.0]))
+        # NaN fails every comparison, so `departure < arrival` let it in
+        with pytest.raises(ModelError):
+            TraceChunk(np.array([1.0]), np.array([np.nan]))
+        with pytest.raises(ModelError):
+            TraceChunk(np.array([np.nan]), np.array([1.0]))
 
     def test_zero_length_flows_are_valid(self):
         chunk = TraceChunk(np.array([1.0]), np.array([1.0]))
@@ -71,8 +76,9 @@ class TestTraceStream:
         assert stream.flows == len(edge_trace)
 
     def test_bad_horizon_rejected(self):
-        with pytest.raises(ModelError):
-            TraceStream([], horizon=0.0)
+        for horizon in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ModelError, match="horizon"):
+                TraceStream([], horizon=horizon)
 
     def test_streams_are_one_shot(self, edge_trace):
         stream = stream_trace(edge_trace)
@@ -185,16 +191,62 @@ class TestChunkedCsv:
         with pytest.raises(ModelError, match="bad horizon"):
             open_trace_csv(bad)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
+    def test_horizon_must_be_finite_and_positive(self, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# site=a\n# horizon={value}\narrival,departure\n0.0,1.0\n")
+        with pytest.raises(ModelError, match=r"bad\.csv line 2: bad horizon"):
+            open_trace_csv(bad)
+
     @pytest.mark.parametrize(
         "row",
-        ["0.5", "zero,one", "2.0,1.0", "-1.0,3.0"],
-        ids=["short", "non-numeric", "departure-before-arrival", "negative"],
+        ["0.5", "zero,one", "2.0,1.0", "-1.0,3.0", "1.0,nan"],
+        ids=["short", "non-numeric", "departure-before-arrival", "negative", "nan-departure"],
     )
     def test_malformed_rows_name_file_and_line(self, tmp_path, row):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"# horizon=5.0\narrival,departure\n0.0,1.0\n{row}\n")
         with pytest.raises(ModelError, match=r"line 4"):
             list(open_trace_csv(bad))
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (["# site=\xff", "# horizon=5", "0,1"], 1),
+            (["# horizon=5", "0,1", "1,2,\xfe", "2,3"], 3),
+            (["# horizon=5", "0,1", "# \xc3(", "2,3"], 3),
+        ],
+        ids=["header", "data-row", "comment-among-rows"],
+    )
+    def test_undecodable_bytes_name_the_line(self, tmp_path, lines, bad_line):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(ModelError, match=rf"bad\.csv line {bad_line}: not UTF-8"):
+            list(open_trace_csv(bad))
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1," + "0" * 131072 + "2", "1,2," + "x" * 131073],
+        ids=["departure", "extra-column"],
+    )
+    def test_oversized_field_names_the_line(self, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# horizon=5.0\n0.0,1.0\n{row}\n2.0,3.0\n")
+        with pytest.raises(ModelError, match=r"bad\.csv line 3: field larger"):
+            list(open_trace_csv(bad))
+
+    def test_write_trace_keeps_stored_order_and_format(self, tmp_path):
+        trace = FlowTrace(
+            arrival=np.array([2.5, 0.1 + 0.2, 1.0]),
+            departure=np.array([np.inf, 1.0 / 3.0, 1.0]),
+            horizon=5.0,
+            metadata={"site": "pop1", "a": "b"},
+        )
+        path = write_trace(trace, tmp_path / "w.csv")
+        assert path.read_bytes() == (
+            b"# horizon=5.0\n# a=b\n# site=pop1\narrival,departure\r\n"
+            b"2.5,inf\r\n0.30000000000000004,0.3333333333333333\r\n1.0,1.0\r\n"
+        )
 
     def test_chunk_flows_must_be_positive(self, tmp_path):
         with pytest.raises(ModelError):
@@ -233,6 +285,16 @@ class TestNpzSegments:
         path = write_trace_npz(stream_trace(edge_trace, chunk_flows=2), tmp_path / "seg")
         (path / "segment-00001.npz").unlink()
         with pytest.raises(ModelError, match="missing"):
+            list(open_trace_npz(path))
+
+    def test_nan_departure_in_a_segment_is_refused(self, edge_trace, tmp_path):
+        path = write_trace_npz(stream_trace(edge_trace, chunk_flows=2), tmp_path / "seg")
+        np.savez_compressed(
+            path / "segment-00001.npz",
+            arrival=np.array([1.0, 2.5]),
+            departure=np.array([6.0, np.nan]),
+        )
+        with pytest.raises(ModelError, match="arrival <= departure"):
             list(open_trace_npz(path))
 
     def test_flow_count_mismatch_detected(self, edge_trace, tmp_path):

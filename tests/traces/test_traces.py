@@ -37,6 +37,11 @@ class TestFlowTrace:
             FlowTrace(np.array([1.0, 2.0]), np.array([3.0]), horizon=5.0)
         with pytest.raises(ModelError):
             FlowTrace(np.array([1.0]), np.array([2.0]), horizon=0.0)
+        with pytest.raises(ModelError):
+            FlowTrace(np.array([1.0]), np.array([np.nan]), horizon=5.0)
+        for horizon in (np.nan, np.inf):
+            with pytest.raises(ModelError, match="finite"):
+                FlowTrace(np.array([1.0]), np.array([2.0]), horizon=horizon)
 
     def test_durations_clip_open_flows(self, tiny_trace):
         np.testing.assert_allclose(tiny_trace.durations, [4.0, 1.0, 2.0])
@@ -135,8 +140,9 @@ class TestPersistence:
             ("a,b", "non-numeric"),
             ("3.0,1.0", "0 <= arrival <= departure"),
             ("-2.0,1.0", "0 <= arrival <= departure"),
+            ("1.0,nan", "0 <= arrival <= departure"),
         ],
-        ids=["short-row", "non-numeric", "departs-early", "negative"],
+        ids=["short-row", "non-numeric", "departs-early", "negative", "nan-departure"],
     )
     def test_malformed_rows_name_file_and_line(self, tmp_path, row, message):
         bad = tmp_path / "bad.csv"
@@ -145,6 +151,14 @@ class TestPersistence:
             read_trace(bad)
         assert "line 4" in str(err.value)
         assert "bad.csv" in str(err.value)
+
+    def test_horizon_after_the_data_is_refused(self, tmp_path):
+        # the header precedes the flows; a later '#' line is a comment,
+        # for the in-memory reader as for the stream
+        late = tmp_path / "late.csv"
+        late.write_text("arrival,departure\n0.0,1.0\n# horizon=9.0\n")
+        with pytest.raises(ModelError, match="no '# horizon=' header"):
+            read_trace(late)
 
     def test_zero_length_flows_round_trip(self, tmp_path):
         # departure == arrival is a valid (zero-duration) flow and must
