@@ -1,50 +1,12 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-1. **Welfare envelope sweep** (vs per-price exact optimisation) for
-   gamma(p) curves — large speedup at matching accuracy.
-2. **Admission-threshold sensitivity** — how much utility a
-   mis-estimated ``k_max`` costs.
+**Admission-threshold sensitivity** — how much utility a mis-estimated
+``k_max`` costs.
 """
 
-import time
-
-import pytest
-
 from benchmarks.conftest import run_once
-from repro.loads import AlgebraicLoad
-from repro.models import VariableLoadModel, WelfareModel
+from repro.models import VariableLoadModel
 from repro.utility import AdaptiveUtility
-
-
-def test_ablation_welfare_envelope_vs_exact(benchmark, record):
-    load = AlgebraicLoad.from_mean(3.0, 100.0)
-    model = VariableLoadModel(load, AdaptiveUtility())
-    welfare = WelfareModel(model)
-    prices = [0.1, 0.03, 0.01]
-
-    t0 = time.perf_counter()
-    exact = [welfare.equalizing_ratio(p) for p in prices]
-    exact_seconds = time.perf_counter() - t0
-
-    def envelope():
-        fresh = WelfareModel(VariableLoadModel(load, AdaptiveUtility()))
-        return fresh.ratio_curve(prices)
-
-    t0 = time.perf_counter()
-    curve = run_once(benchmark, envelope)
-    envelope_seconds = time.perf_counter() - t0
-
-    rows = [
-        f"p={p:6.3f}  exact gamma={g:.4f}  envelope gamma={e:.4f}"
-        for p, g, e in zip(prices, exact, curve["gamma"])
-    ]
-    rows.append(
-        f"exact path: {exact_seconds:.2f}s for 3 points; "
-        f"envelope: {envelope_seconds:.2f}s for the whole curve"
-    )
-    record("ablation_welfare_envelope", "\n".join(rows))
-    for g, e in zip(exact, curve["gamma"]):
-        assert e == pytest.approx(g, rel=0.03)
 
 
 def test_ablation_threshold_sensitivity(benchmark, record):

@@ -10,7 +10,7 @@ cheaper bandwidth can make reservations more attractive.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.models import ExtensionWelfare, RetryingModel
+from repro.models import RetryingModel, WelfareModel
 from repro.utility import AdaptiveUtility
 from repro.experiments.checkpoints import retrying_checkpoints
 from repro.experiments.figures import retrying_series
@@ -52,18 +52,15 @@ def test_s52_retry_gamma_non_monotone(benchmark, config, record):
 
     "the price ratio curve gamma(p), which in all previous cases was
     monotonically increasing, now decreases for very small p" — checked
-    at paper scale with the exact grid-Legendre welfare transform.
+    at paper scale with the welfare kernel on a capacity table.
     """
     load = config.load("algebraic")
 
     def run():
         retry = RetryingModel(load, AdaptiveUtility(config.kappa), alpha=config.alpha)
-        welfare = ExtensionWelfare(
+        welfare = WelfareModel(
             retry,
-            load.mean,
-            c_min=2.2 * config.kbar,
-            c_max=80.0 * config.kbar,
-            points=110,
+            capacities=np.geomspace(2.2 * config.kbar, 80.0 * config.kbar, 110),
         )
         lo, hi = welfare.price_range()
         prices = np.geomspace(lo * 1.3, hi * 0.7, 10)

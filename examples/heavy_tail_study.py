@@ -71,12 +71,12 @@ def gamma_reversal_demo() -> None:
     """Section 5.2's welfare reversal, computed at paper scale."""
     import numpy as np
 
-    from repro.models import ExtensionWelfare, RetryingModel
+    from repro.models import RetryingModel, WelfareModel
 
     print("\nretrying welfare reversal: gamma(p) is no longer monotone")
     load = AlgebraicLoad.from_mean(3.0, 100.0)
     retry = RetryingModel(load, AdaptiveUtility(), alpha=0.1)
-    welfare = ExtensionWelfare(retry, load.mean, c_min=220.0, c_max=8000.0)
+    welfare = WelfareModel(retry, capacities=np.geomspace(220.0, 8000.0, 160))
     lo, hi = welfare.price_range()
     for p in np.geomspace(lo * 1.3, hi * 0.7, 8):
         gamma = welfare.equalizing_ratio(float(p))

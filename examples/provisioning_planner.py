@@ -35,20 +35,20 @@ def plan(load_name: str) -> None:
         f"{'price':>8} {'C_best_effort':>14} {'C_reservation':>14} "
         f"{'W_B':>8} {'W_R':>8} {'gamma':>7}"
     )
-    for price in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005):
-        cb = welfare.optimal_capacity(price, Architecture.BEST_EFFORT)
-        cr = welfare.optimal_capacity(price, Architecture.RESERVATION)
-        wb = welfare.welfare_best_effort(price)
-        wr = welfare.welfare_reservation(price)
-        gamma = welfare.equalizing_ratio(price)
+    table = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
+    best = welfare.provision_batch(table, Architecture.BEST_EFFORT)
+    res = welfare.provision_batch(table, Architecture.RESERVATION)
+    gammas = welfare.equalizing_ratio_batch(table)
+    for i, price in enumerate(table):
         print(
-            f"{price:8.3f} {cb:14.1f} {cr:14.1f} {wb:8.2f} {wr:8.2f} {gamma:7.4f}"
+            f"{price:8.3f} {best['capacity'][i]:14.1f} {res['capacity'][i]:14.1f} "
+            f"{best['welfare'][i]:8.2f} {res['welfare'][i]:8.2f} {gammas[i]:7.4f}"
         )
 
-    # the whole gamma curve via the fast envelope sweep
+    # the whole gamma curve in one batch call
     prices = np.geomspace(0.003, 0.2, 10)
     curve = welfare.ratio_curve(prices)
-    print("\nequalizing price ratio gamma(p) (envelope sweep):")
+    print("\nequalizing price ratio gamma(p):")
     for p, g in zip(curve["price"], curve["gamma"]):
         bar = "#" * int(round((g - 1.0) * 200.0)) if np.isfinite(g) else ""
         print(f"  p={p:7.4f}  gamma={g:7.4f}  {bar}")

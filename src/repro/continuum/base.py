@@ -23,13 +23,18 @@ import numpy as np
 from repro import obs
 from repro.errors import ModelError
 from repro.loads.continuum import ContinuumLoad
-from repro.numerics.optimize import maximize_scalar
+from repro.numerics.batch import find_roots
 from repro.numerics.quadrature import integrate
 from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
 #: Normalised gaps below this are treated as zero by the gap solver.
 GAP_FLOOR = 1e-12
+
+#: Per-flow bandwidths scanned for the admission optimum ``b*``.  The
+#: low end is the old search limit ``k = 64 C``: an argmax there means
+#: ``pi(b)/b`` keeps growing as shares shrink, i.e. an elastic utility.
+_SHARE_GRID = np.geomspace(1.0 / 64.0, 1e6, 2049)
 
 
 class ContinuumModel:
@@ -61,6 +66,7 @@ class ContinuumModel:
         self._override = k_max_override
         self._tol = float(tol)
         self._kbar = load.mean
+        self._b_star: Optional[float] = None
 
     @property
     def load(self) -> ContinuumLoad:
@@ -78,7 +84,12 @@ class ContinuumModel:
         return self._kbar
 
     def k_max(self, capacity: float) -> float:
-        """Continuum admission threshold ``argmax_k k pi(C/k)``."""
+        """Continuum admission threshold ``argmax_k k pi(C/k)``.
+
+        With ``b = C/k`` the objective is ``C pi(b) / b``, so the
+        optimum is ``k_max(C) = C / b*`` for one per-utility share
+        ``b* = argmax_b pi(b)/b`` (:meth:`optimal_share`).
+        """
         if capacity < 0.0:
             raise ValueError(f"capacity must be >= 0, got {capacity!r}")
         if capacity == 0.0:
@@ -88,22 +99,36 @@ class ContinuumModel:
         hint = getattr(self._utility, "k_max", None)
         if hint is not None:
             return float(hint(capacity))
+        return capacity / self.optimal_share()
+
+    def optimal_share(self) -> float:
+        """``b* = argmax_b pi(b)/b``, computed once per model.
+
+        A grid argmax over :data:`_SHARE_GRID`, then one root polish of
+        the stationarity condition ``b pi'(b) = pi(b)`` between the
+        argmax's neighbours.
+        """
+        if self._b_star is not None:
+            return self._b_star
+        utility = self._utility
+        grid = _SHARE_GRID
+        i = int(np.argmax(np.asarray(utility(grid), dtype=float) / grid))
+        if i == 0:
+            raise ModelError(
+                "continuum k_max has no interior optimum; the utility appears "
+                "elastic — supply k_max_override"
+            )
         if obs.enabled():
             obs.counter("continuum.k_max.searches").inc()
-        k_star, value = maximize_scalar(
-            lambda k: self._utility.fixed_load_total(k, capacity),
-            1e-9,
-            64.0 * capacity + 64.0,
-            grid=512,
-            label=f"continuum k_max(C={capacity})",
+        lo, hi = grid[i - 1], grid[min(i + 1, grid.size - 1)]
+        solved = find_roots(
+            lambda b: np.array([x * utility.derivative(x) - utility.value(x) for x in b]),
+            lo,
+            hi,
+            label="continuum optimal share b*",
         )
-        edge = self._utility.fixed_load_total(64.0 * capacity + 64.0, capacity)
-        if edge >= value:
-            raise ModelError(
-                f"continuum k_max(C={capacity}) has no interior optimum; the "
-                "utility appears elastic — supply k_max_override"
-            )
-        return k_star
+        self._b_star = solved.checked_root(0, "for the continuum optimal share b*")
+        return self._b_star
 
     # ------------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from repro.emulator.surfaces import (
     ErrorBudget,
     default_budget,
     default_degree,
+    default_samples,
     fit_surface,
     fit_surface_2d,
     surface_from_dict,
@@ -260,6 +261,7 @@ def fit_bank(
                     degree=default_degree(quantity),
                     budget=budget,
                     log_x=LOG_X[quantity],
+                    samples=default_samples(quantity),
                 )
             bank.add(surface)
             if obs.enabled():

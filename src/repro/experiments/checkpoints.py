@@ -279,7 +279,7 @@ def welfare_checkpoints(config: Optional[PaperConfig] = None) -> List[Checkpoint
 
     # Poisson rigid: gamma in [1.1, 1.2] over most of the price range
     w = WelfareModel(VariableLoadModel(cfg.load("poisson"), cfg.utility("rigid")))
-    gammas = [w.equalizing_ratio(p) for p in (0.2, 0.1, 0.05, 0.02)]
+    gammas = w.equalizing_ratio_batch([0.2, 0.1, 0.05, 0.02]).tolist()
     in_band = all(1.05 <= g <= 1.25 for g in gammas)
     rows.append(
         Checkpoint(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
 
 from repro.loads.base import LoadDistribution
 from repro.models.sampling import SamplingModel
@@ -67,6 +68,11 @@ class RiskAverseModel:
         """``S`` of the pessimistic component."""
         return self._worst_model.samples
 
+    @property
+    def mean_load(self) -> float:
+        """``k_bar``: per-flow utilities times this are total utilities."""
+        return self._mean_model.mean_load
+
     def k_max(self, capacity: float) -> int:
         """Admission threshold (shared across components)."""
         return self._mean_model.k_max(capacity)
@@ -83,6 +89,20 @@ class RiskAverseModel:
         w = self._aversion
         return (1.0 - w) * self._mean_model.reservation(capacity) + (
             w * self._worst_model.reservation(capacity)
+        )
+
+    def best_effort_batch(self, capacities) -> np.ndarray:
+        """Risk-adjusted best-effort utility over a capacity grid."""
+        w = self._aversion
+        return (1.0 - w) * self._mean_model.best_effort_batch(capacities) + (
+            w * self._worst_model.best_effort_batch(capacities)
+        )
+
+    def reservation_batch(self, capacities) -> np.ndarray:
+        """Risk-adjusted reservation utility over a capacity grid."""
+        w = self._aversion
+        return (1.0 - w) * self._mean_model.reservation_batch(capacities) + (
+            w * self._worst_model.reservation_batch(capacities)
         )
 
     def performance_gap(self, capacity: float) -> float:

@@ -4,7 +4,8 @@
 - :class:`VariableLoadModel` — Section 3.1's ``B(C)``, ``R(C)``,
   ``delta(C)`` and ``Delta(C)``.
 - :class:`WelfareModel` — Section 4's ``C(p)``, ``W(p)`` and the
-  equalizing price ratio ``gamma(p)``.
+  equalizing price ratio ``gamma(p)``, for the basic model and the
+  Section 5 extensions.
 - :class:`SamplingModel` — Section 5.1's worst-of-S-samples extension.
 - :class:`RetryingModel` — Section 5.2's blocked-flows-retry extension.
 - :class:`ArchitectureComparison` — all of the above behind one call.
@@ -16,7 +17,6 @@ from repro.models.comparison import (
     ComparisonReport,
 )
 from repro.models.erlang import carried_utility, erlang_b, erlang_b_inverse
-from repro.models.extension_welfare import ExtensionWelfare
 from repro.models.fixed_load import (
     Architecture,
     FixedLoadComparison,
@@ -36,7 +36,6 @@ __all__ = [
     "erlang_b",
     "erlang_b_inverse",
     "ComparisonReport",
-    "ExtensionWelfare",
     "FixedLoadComparison",
     "FixedLoadModel",
     "ProvisioningDecision",

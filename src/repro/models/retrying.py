@@ -99,6 +99,11 @@ class RetryingModel:
         return self._alpha
 
     @property
+    def mean_load(self) -> float:
+        """Intrinsic mean load ``L``: per-flow utilities times this are totals."""
+        return self._intrinsic_mean
+
+    @property
     def base_model(self) -> VariableLoadModel:
         """The no-retries model this extends."""
         return self._base

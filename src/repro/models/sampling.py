@@ -87,6 +87,11 @@ class SamplingModel:
         return self._samples
 
     @property
+    def mean_load(self) -> float:
+        """``k_bar``: per-flow utilities times this are total utilities."""
+        return self._kbar
+
+    @property
     def base_model(self) -> VariableLoadModel:
         """The single-sample model this extends."""
         return self._base

@@ -440,18 +440,25 @@ class VariableLoadModel:
         """``V_R`` at per-capacity admission thresholds ``kmax >= 1``.
 
         One masked share-weighted sum over the admitted flows plus the
-        overload term ``k_max pi(C/k_max) P(K > k_max)``.
+        overload term ``k_max pi(C/k_max) P(K > k_max)``.  Rows are summed
+        in groups of thresholds within a quarter octave of each other, so
+        each row's sum stops near its own ``k_max`` rather than at the
+        largest one in the grid.
         """
-        top = int(kmax.max())
-        self._ensure_terms(top)
-        admitted = share_weighted_sums(
-            caps,
-            self._kpk[: top + 1],
-            self._utility,
-            k_start=1,
-            k_stop=top + 1,
-            kmax=kmax,
-        )
+        admitted = np.empty(caps.size)
+        groups = np.floor(4.0 * np.log2(kmax)).astype(np.int64)
+        for group in np.unique(groups).tolist():
+            idx = np.flatnonzero(groups == group)
+            top = int(kmax[idx].max())
+            self._ensure_terms(top)
+            admitted[idx] = share_weighted_sums(
+                caps[idx],
+                self._kpk[: top + 1],
+                self._utility,
+                k_start=1,
+                k_stop=top + 1,
+                kmax=kmax[idx],
+            )
         sf = np.asarray(self._load.sf_array(kmax), dtype=float)
         at_cap = np.asarray(self._utility(caps / kmax), dtype=float)
         return admitted + kmax * at_cap * sf
@@ -478,15 +485,29 @@ class VariableLoadModel:
         wrong (measurement error, trunk-reservation margins).  This
         evaluates the reservation total at any threshold so that
         sensitivity can be quantified — by construction it is maximised
-        at ``threshold = k_max(C)``.
+        at ``threshold = k_max(C)``.  A one-element view of
+        :meth:`total_reservation_at_thresholds`.
         """
-        caps = validated_capacities([capacity])
         if threshold < 0 or threshold != int(threshold):
             raise ValueError(f"threshold must be a nonneg integer, got {threshold!r}")
-        kmax = int(threshold)
-        if capacity == 0.0 or kmax < max(1, self._load.support_min):
-            return 0.0
-        return float(self._reservation_totals(caps, np.array([kmax]))[0])
+        return float(self.total_reservation_at_thresholds([capacity], [threshold])[0])
+
+    def total_reservation_at_thresholds(self, capacities, thresholds) -> np.ndarray:
+        """``V_R`` over a capacity grid, each point at its own threshold.
+
+        The smooth pieces ``V_R^m`` whose upper envelope over ``m`` is
+        ``V_R``; thresholds below the load's support give 0.
+        """
+        caps = validated_capacities(capacities)
+        given = np.asarray(thresholds, dtype=float).ravel()
+        kmax = given.astype(np.int64)
+        if given.size != caps.size or np.any((kmax != given) | (kmax < 0)):
+            raise ValueError("thresholds must be nonneg integers, one per capacity")
+        totals = np.zeros(caps.size)
+        live = np.flatnonzero((caps > 0.0) & (kmax >= max(1, self._load.support_min)))
+        if live.size:
+            totals[live] = self._reservation_totals(caps[live], kmax[live])
+        return totals
 
     def reservation_at_threshold(self, capacity: float, threshold: int) -> float:
         """Normalised reservation utility at an arbitrary threshold."""
@@ -695,29 +716,6 @@ class VariableLoadModel:
             upper_limit=upper_limit,
             label=f"capacity for R = {target}",
         )
-
-    # ------------------------------------------------------------------
-    # derivative (used by the welfare model's first-order conditions)
-    # ------------------------------------------------------------------
-
-    def best_effort_marginal(self, capacity: float, *, step: Optional[float] = None) -> float:
-        """``dV_B/dC`` by central difference (V_B is smooth in C).
-
-        For rigid utilities V_B is piecewise-constant and this is not
-        meaningful; the welfare model uses the exact jump structure
-        instead.
-        """
-        h = step if step is not None else 1e-5 * max(1.0, capacity)
-        lo = max(0.0, capacity - h)
-        below, above = self.total_best_effort_batch([lo, capacity + h]).tolist()
-        return (above - below) / (capacity + h - lo)
-
-    def reservation_marginal(self, capacity: float, *, step: Optional[float] = None) -> float:
-        """``dV_R/dC`` by central difference (smooth utilities only)."""
-        h = step if step is not None else 1e-5 * max(1.0, capacity)
-        lo = max(0.0, capacity - h)
-        below, above = self.total_reservation_batch([lo, capacity + h]).tolist()
-        return (above - below) / (capacity + h - lo)
 
     # ------------------------------------------------------------------
     # sweeps

@@ -2,15 +2,13 @@
 
 The paper's quantities are defined implicitly far more often than
 explicitly: the bandwidth gap ``Delta(C)`` is the solution of
-``B(C + Delta) = R(C)``, the welfare-optimal capacity ``C(p)`` is an
-argmax, the equalizing price ratio ``gamma(p)`` is the solution of
-``W_R(gamma * p) = W_B(p)``, and the discrete sums run over infinite
+``B(C + Delta) = R(C)``, the continuum admission share ``b*`` solves
+``b pi'(b) = pi(b)``, and the discrete sums run over infinite
 supports.  This subpackage provides the small set of robust primitives
 those definitions need:
 
 - :func:`find_root` / :func:`invert_monotone` — bracketed root finding
   with automatic bracket expansion, one problem at a time,
-- :func:`maximize_scalar` — scalar maximisation of smooth objectives,
 - :func:`sum_series` — adaptive truncation of infinite series with an
   optional analytic tail bound,
 - :func:`integrate` — quadrature over finite or semi-infinite intervals,
@@ -35,7 +33,6 @@ from repro.numerics.batch import (
     invert_monotone_batch,
     share_weighted_sums,
 )
-from repro.numerics.optimize import maximize_scalar
 from repro.numerics.quadrature import integrate
 from repro.numerics.series import fixed_point, sum_series
 from repro.numerics.solvers import find_root, invert_monotone
@@ -50,7 +47,6 @@ __all__ = [
     "integrate",
     "invert_monotone",
     "invert_monotone_batch",
-    "maximize_scalar",
     "share_weighted_sums",
     "sum_series",
 ]

@@ -568,8 +568,8 @@ def _p6(config: PaperConfig) -> CheckResult:
 
 @REGISTRY.invariant(
     "P7",
-    "welfare equalizing_ratio_batch agrees with the scalar path",
-    paper_ref="S4 (gamma(p) envelope sweep vs direct inversion)",
+    "welfare equalizing_ratio_batch agrees with its one-element views",
+    paper_ref="S4 (gamma(p) grid call vs one-price calls of the same kernel)",
     engines=("scalar", "batch"),
     tolerance=TolerancePolicy(rtol=1e-5, atol=1e-7),
 )

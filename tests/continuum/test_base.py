@@ -29,6 +29,13 @@ class TestKMax:
         # kappa calibration puts the continuum optimum exactly at C
         assert m.k_max(10.0) == pytest.approx(10.0, rel=1e-3)
 
+    def test_numeric_optimum_is_linear_in_capacity(self):
+        # k pi(C/k) = C pi(b)/b with b = C/k: one optimal share b* for
+        # every capacity, so k_max(C)/C is a constant
+        m = ContinuumModel(ExponentialLoad(0.5), AdaptiveUtility())
+        assert m.k_max(10.0) / 10.0 == pytest.approx(m.k_max(1000.0) / 1000.0, rel=1e-12)
+        assert m.k_max(1000.0) == pytest.approx(1000.0 / m.optimal_share(), rel=1e-15)
+
     def test_elastic_raises(self):
         m = ContinuumModel(ExponentialLoad(1.0), ExponentialElasticUtility())
         with pytest.raises(ModelError, match="elastic"):

@@ -60,6 +60,35 @@ class TestFitBank:
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
+class TestGammaSurfacesDenseProbe:
+    """Each gamma surface against the exact gamma at 2000 fresh prices.
+
+    The exact gamma has small kinks where the optimal admission
+    threshold switches (near p = 0.3 on the heavy-tailed loads); the
+    certification sample must be dense enough that no probe between its
+    points exceeds the certified bound.
+    """
+
+    PROBES = 2000
+
+    @pytest.mark.parametrize("load", ["poisson", "exponential", "algebraic"])
+    def test_every_probe_within_the_certified_bound(self, load):
+        surf = fit_bank(quantities=("gamma",), loads=(load,)).lookup(
+            "gamma", load, "adaptive"
+        )
+        # log-spaced, offset irrationally from the fit nodes and the
+        # (log-spaced, endpoint-inclusive) certification sample
+        frac = (np.arange(self.PROBES) + np.sqrt(0.5)) / self.PROBES
+        xs = surf.lo * (surf.hi / surf.lo) ** frac
+        exact = exact_values("gamma", DEFAULT_CONFIG, load, "adaptive", xs)
+        residual = np.abs(surf.evaluate(xs) - exact)
+        worst = int(np.argmax(residual))
+        assert residual[worst] <= surf.certified_bound, (
+            f"p={xs[worst]}: residual {residual[worst]:.3e} > "
+            f"bound {surf.certified_bound:.3e}"
+        )
+
+
 class TestCheckBank:
     def test_fresh_probe_report(self, small_bank):
         rows = check_bank(small_bank, probes=13)

@@ -105,17 +105,16 @@ class TestSamplingWelfareInvariance:
         """Section 5.1: sampling does not alter gamma(p->0) for the
         exponential load — provisioning still wins asymptotically."""
         from repro.loads import GeometricLoad
-        from repro.models import ExtensionWelfare, SamplingModel
+        from repro.models import SamplingModel, WelfareModel
         from repro.utility import AdaptiveUtility
 
         load = GeometricLoad.from_mean(FAST_CONFIG.kbar)
         u = AdaptiveUtility()
-        welfare = ExtensionWelfare(
+        welfare = WelfareModel(
             SamplingModel(load, u, 10),
-            load.mean,
-            c_min=0.3 * FAST_CONFIG.kbar,
-            c_max=40.0 * FAST_CONFIG.kbar,
-            points=140,
+            capacities=np.geomspace(
+                0.3 * FAST_CONFIG.kbar, 40.0 * FAST_CONFIG.kbar, 140
+            ),
         )
         lo, _ = welfare.price_range()
         small_p = max(2.0 * lo, 1e-4)

@@ -1,9 +1,10 @@
 """Tests for the risk-averse scoring extension."""
 
+import numpy as np
 import pytest
 
 from repro.extensions import RiskAverseModel
-from repro.models import SamplingModel, VariableLoadModel
+from repro.models import Architecture, SamplingModel, VariableLoadModel, WelfareModel
 
 
 class TestBlending:
@@ -69,3 +70,32 @@ class TestRiskAmplifiesTheCase:
         m = RiskAverseModel(geometric_load, adaptive, samples=4, aversion=0.5)
         base = VariableLoadModel(geometric_load, adaptive)
         assert m.k_max(15.0) == base.k_max(15.0)
+
+
+class TestWelfare:
+    def test_batch_calls_are_the_blend(self, geometric_load, adaptive):
+        m = RiskAverseModel(geometric_load, adaptive, samples=4, aversion=0.3)
+        caps = [6.0, 12.0, 24.0]
+        np.testing.assert_allclose(
+            m.best_effort_batch(caps), [m.best_effort(c) for c in caps], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            m.reservation_batch(caps), [m.reservation(c) for c in caps], rtol=1e-12
+        )
+
+    def test_welfare_over_a_capacity_table(self, geometric_load, adaptive):
+        caps = np.geomspace(2.0, 400.0, 120)
+        prices = [0.02, 0.05, 0.1]
+        risk = RiskAverseModel(geometric_load, adaptive, samples=4, aversion=1.0)
+        sampled = SamplingModel(geometric_load, adaptive, 4)
+        got = WelfareModel(risk, capacities=caps)
+        want = WelfareModel(sampled, capacities=caps)
+        gamma = got.equalizing_ratio_batch(prices)
+        assert np.all(gamma >= 1.0)
+        np.testing.assert_allclose(gamma, want.equalizing_ratio_batch(prices), rtol=1e-12)
+        for architecture in Architecture:
+            np.testing.assert_allclose(
+                got.provision_batch(prices, architecture)["welfare"],
+                want.provision_batch(prices, architecture)["welfare"],
+                rtol=1e-12,
+            )

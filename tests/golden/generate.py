@@ -9,7 +9,9 @@ kappa = 0.62086, z = 3) at ~10 canonical grid points each:
 
 - ``delta``  — performance gap δ(C) = R(C) − B(C), Figures 2–4;
 - ``Delta``  — bandwidth gap Δ(C) with B(C + Δ) = R(C), Figures 2–4;
-- ``gamma``  — discrete welfare price-ratio curve γ(p) per figure;
+- ``gamma``  — discrete welfare price-ratio curve γ(p) per figure
+  (CI re-derives these with ``welfare_reference.py``, which shares no
+  code with the welfare kernel, and fails past 1e-9 relative);
 - ``algebraic_shared_tables`` — B(C), δ(C) and Δ(C) for the algebraic
   load at capacities straddling the shared zeta-table series levels,
   pinning the memoised polynomial-tail evaluation path end to end;

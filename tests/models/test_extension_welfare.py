@@ -1,4 +1,9 @@
-"""Tests for welfare analysis over the Section 5 extension models."""
+"""Tests for welfare analysis over the Section 5 extension models.
+
+The extension models go through the same :class:`WelfareModel` kernel
+as the basic model, searching the capacity table they are given (the
+retry fixed point is only valid well above the mean load).
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 from repro.errors import ModelError
 from repro.loads import AlgebraicLoad, GeometricLoad
 from repro.models import (
-    ExtensionWelfare,
+    Architecture,
     RetryingModel,
     SamplingModel,
     VariableLoadModel,
@@ -20,7 +25,7 @@ def retry_welfare():
     load = AlgebraicLoad.from_mean(3.0, 12.0)
     retry = RetryingModel(load, AdaptiveUtility(), alpha=0.1)
     return (
-        ExtensionWelfare(retry, load.mean, c_min=30.0, c_max=1200.0, points=100),
+        WelfareModel(retry, capacities=np.geomspace(30.0, 1200.0, 100)),
         load,
     )
 
@@ -51,9 +56,9 @@ class TestEnvelope:
         _, load = retry_welfare
         retry = RetryingModel(load, AdaptiveUtility(), alpha=0.1)
         with pytest.raises(ModelError):
-            ExtensionWelfare(retry, 0.0)
-        with pytest.raises(ModelError):
-            ExtensionWelfare(retry, load.mean, c_min=100.0, c_max=50.0)
+            WelfareModel(retry, capacities=[100.0, 50.0])
+        with pytest.raises(ValueError):
+            WelfareModel(retry, capacities=[-1.0, 50.0, 100.0])
 
 
 class TestSamplingConsistency:
@@ -63,7 +68,7 @@ class TestSamplingConsistency:
         load = GeometricLoad.from_mean(12.0)
         u = AdaptiveUtility()
         s1 = SamplingModel(load, u, 1)
-        ext = ExtensionWelfare(s1, load.mean, c_min=8.0, c_max=400.0, points=140)
+        ext = WelfareModel(s1, capacities=np.geomspace(8.0, 400.0, 140))
         base = WelfareModel(VariableLoadModel(load, u))
         for p in (0.05, 0.02):
             assert ext.equalizing_ratio(p) == pytest.approx(
@@ -73,12 +78,9 @@ class TestSamplingConsistency:
     def test_sampling_raises_gamma(self):
         load = GeometricLoad.from_mean(12.0)
         u = AdaptiveUtility()
-        s1 = ExtensionWelfare(
-            SamplingModel(load, u, 1), load.mean, c_min=8.0, c_max=400.0
-        )
-        s8 = ExtensionWelfare(
-            SamplingModel(load, u, 8), load.mean, c_min=8.0, c_max=400.0
-        )
+        caps = np.geomspace(8.0, 400.0, 160)
+        s1 = WelfareModel(SamplingModel(load, u, 1), capacities=caps)
+        s8 = WelfareModel(SamplingModel(load, u, 8), capacities=caps)
         p = 0.03
         assert s8.equalizing_ratio(p) > s1.equalizing_ratio(p)
 
@@ -127,5 +129,7 @@ class TestLegendreProperties:
         welfare, _ = retry_welfare
         lo, hi = welfare.price_range()
         ps = np.geomspace(lo * 1.2, hi * 0.8, 6)
-        caps = [welfare.optimal_capacity("reservation", float(p)) for p in ps]
+        caps = [
+            welfare.optimal_capacity(float(p), Architecture.RESERVATION) for p in ps
+        ]
         assert all(b <= a for a, b in zip(caps, caps[1:]))

@@ -220,15 +220,22 @@ class TestSweep:
 
 
 class TestMarginals:
+    """``V_B'(C) = sum_k P(k) pi'(C/k)``, the slope the welfare kernel's
+    finite differences read off ``total_best_effort_batch``."""
+
     def test_best_effort_marginal_positive(self, geometric_load, adaptive):
         m = VariableLoadModel(geometric_load, adaptive)
-        assert m.best_effort_marginal(10.0) > 0.0
+        low, high = m.total_best_effort_batch([9.99, 10.01])
+        assert high > low
 
     def test_marginal_matches_slope(self, geometric_load, adaptive):
         m = VariableLoadModel(geometric_load, adaptive)
-        c, h = 15.0, 0.5
-        slope = (m.total_best_effort(c + h) - m.total_best_effort(c - h)) / (2 * h)
-        assert m.best_effort_marginal(c) == pytest.approx(slope, rel=0.01)
+        c, h = 15.0, 1e-3
+        low, high = m.total_best_effort_batch([c - h, c + h])
+        ks = np.arange(1, 4000)
+        pk = geometric_load.pmf_array(ks)
+        marginal = sum(p * adaptive.derivative(c / k) for p, k in zip(pk, ks))
+        assert (high - low) / (2 * h) == pytest.approx(marginal, rel=1e-6)
 
     def test_invalid_tol_rejected(self, geometric_load, adaptive):
         with pytest.raises(ValueError):
@@ -284,6 +291,20 @@ class TestThresholdSensitivity:
         m = VariableLoadModel(geometric_load, adaptive)
         with pytest.raises(ValueError):
             m.reservation_at_threshold(10.0, -1)
+
+    def test_grid_of_thresholds_matches_views(self, geometric_load, adaptive):
+        # the welfare kernel reads the pieces V_R^m through the grid form;
+        # rows far apart in k_max are summed in separate groups
+        m = VariableLoadModel(geometric_load, adaptive)
+        caps, ks = [3.0, 12.0, 0.0, 200.0, 40.0], [2, 11, 5, 190, 0]
+        grid = m.total_reservation_at_thresholds(caps, ks)
+        for c, k, got in zip(caps, ks, grid):
+            fresh = VariableLoadModel(geometric_load, adaptive)
+            assert got == pytest.approx(fresh.total_reservation_at_threshold(c, k), rel=1e-12)
+        assert grid[2] == 0.0 and grid[4] == 0.0
+        for bad in ([2.5] * 5, [-1] * 5, [1, 2]):
+            with pytest.raises(ValueError):
+                m.total_reservation_at_thresholds(caps, bad)
 
 
 class TestCapacityPlanning:

@@ -8,7 +8,6 @@ from repro.errors import BracketError
 from repro.loads import PoissonLoad
 from repro.models import FixedLoadModel, VariableLoadModel
 from repro.numerics.batch import find_roots
-from repro.numerics.optimize import maximize_scalar
 from repro.numerics.quadrature import integrate
 from repro.numerics.solvers import find_root
 from repro.simulation import AdmitAll, BirthDeathProcess, FlowSimulator, Link
@@ -83,14 +82,6 @@ class TestQuadratureMetrics:
 
 
 class TestOptimizerMetrics:
-    def test_maximize_scalar_counted(self):
-        obs.enable()
-        x, v = maximize_scalar(lambda x: -(x - 2.0) ** 2, 0.0, 5.0, grid=16)
-        assert x == pytest.approx(2.0, abs=1e-6)
-        counters = obs.snapshot()["counters"]
-        assert counters["optimize.maximize_scalar.calls"] == 1.0
-        assert counters["optimize.maximize_scalar.evaluations"] == 17.0
-
     def test_k_max_search_and_cache_hits_counted(self):
         obs.enable()
         model = FixedLoadModel(AdaptiveUtility())
