@@ -2,17 +2,19 @@
 
 Section 3.1 describes the network load not by arrival dynamics but by a
 stationary probability distribution over the number of simultaneously
-active flows.  Models need four things from a distribution beyond its
+active flows.  Models need five things from a distribution beyond its
 pmf: the mean (paper fixes ``k_bar = 100``), the survival function
 (the reservation model's overload mass), the *partial first moment
 tail* ``sum_{k >= n} k P(k)`` (for truncating infinite sums with a hard
-bound), and the ability to rescale to a different mean within the same
-family (the retry fixed point inflates the offered load).
+bound), the *mass window* where every census sum runs, and the ability
+to rescale to a different mean within the same family (the retry fixed
+point inflates the offered load).
 """
 
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -96,6 +98,19 @@ class LoadDistribution(abc.ABC):
         pmf = np.maximum(pmf, 0.0)
         pmf /= pmf.sum()
         return rng.choice(ks.astype(int), size=size, p=pmf)
+
+    def mass_window(self, eps: float) -> tuple:
+        """``(k_lo, k_hi)``: where the census sums of the models run.
+
+        Outside the window each side holds at most ``eps`` of the first
+        moment ``sum_k k P(k)``, so a sum of ``P(k) k f(k)`` with
+        ``|f| <= 1`` over the window misses at most ``2 eps``.  The
+        default is the whole support: ``k_lo = 0`` and no right edge
+        (``k_hi = inf``), which leaves the right side to the models'
+        tail bound on ``mean_tail``.  Light-tailed families override it
+        with closed-form edges.
+        """
+        return 0, math.inf
 
     def continuous_pmf(self, x: float) -> float:
         """Smooth extension of the pmf to real ``x``.

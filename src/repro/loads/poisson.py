@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import stats
 
 from repro.loads.base import LoadDistribution
 
@@ -58,11 +58,22 @@ class PoissonLoad(LoadDistribution):
             raise ValueError(f"size must be >= 0, got {size!r}")
         return rng.poisson(self._nu, size=size)
 
-    def continuous_pmf(self, x: float) -> float:
-        """``exp(-nu + x ln nu - lnGamma(x+1))`` — smooth in ``x``."""
-        if x < 0.0:
-            return 0.0
-        return math.exp(-self._nu + x * math.log(self._nu) - float(special.gammaln(x + 1.0)))
+    def mass_window(self, eps: float) -> tuple:
+        """Closed-form Chernoff edges, ``O(sqrt(nu))`` apart at any ``nu``.
+
+        ``k P(k) = nu P(k - 1)`` makes each side's first-moment mass
+        ``nu`` times a Poisson tail probability.  The Chernoff bound
+        ``P(K >= nu x) <= exp(-nu h(x))`` (``P(K <= nu x)`` for
+        ``x < 1``), with ``h(x) = x ln x - x + 1``, and the lower bounds
+        ``h(1 + d) >= d^2 / (2 (1 + d/3))`` and ``h(1 - d) >= d^2 / 2``
+        put each side below ``eps`` at ``t^2 = 2 L (nu + t/3)`` to the
+        right and ``t^2 = 2 L nu`` to the left, where ``L = ln(nu/eps)``.
+        """
+        nu = self._nu
+        log_ratio = max(0.0, math.log(nu / eps))
+        left = math.sqrt(2.0 * nu * log_ratio)
+        right = log_ratio / 3.0 + math.sqrt(log_ratio**2 / 9.0 + 2.0 * nu * log_ratio)
+        return max(0, math.floor(nu - left)), math.ceil(nu + right)
 
     def mean_tail(self, n: int) -> float:
         """``sum_{k>=n} k P(k) = nu * P(K >= n - 1)``.

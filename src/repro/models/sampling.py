@@ -28,6 +28,7 @@ model exactly (a property the tests exercise).
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -78,8 +79,6 @@ class SamplingModel:
         self._base = VariableLoadModel(load, utility, k_max_limit=k_max_limit)
         self._biased = SizeBiasedLoad(load)
         self._kbar = load.mean
-        # cached cdf of Q on 0..n (grown on demand)
-        self._cdf = np.empty(0)
 
     @property
     def samples(self) -> int:
@@ -104,19 +103,18 @@ class SamplingModel:
     # internals
     # ------------------------------------------------------------------
 
-    def _ensure_cdf(self, n: int) -> None:
-        """Grow the cached cdf of the size-biased census to cover <= n."""
-        if len(self._cdf) >= n + 1:
-            return
-        size = 1 << max(10, (n + 1).bit_length())
-        ks = np.arange(size, dtype=float)
-        qk = ks * np.asarray(self._load.pmf_array(ks), dtype=float) / self._kbar
-        if self._load.support_min > 0:
-            qk[: self._load.support_min] = 0.0
-        cdf = np.cumsum(qk)
+    def _cdf(self, top: int) -> np.ndarray:
+        """``F(k)``, the cdf of ``Q``, for ``k = k_lo - 1 .. top``.
+
+        Built from the base model's mass window and ``k P(k)`` terms:
+        ``F`` starts at 0 just below ``k_lo``, where the window leaves
+        out a negligible share of the first moment.
+        """
+        terms = self._base.census_terms(top + 1)
+        cdf = np.concatenate(([0.0], np.cumsum(terms) / self._kbar))
         # guard against cumsum drift above 1
         np.clip(cdf, 0.0, 1.0, out=cdf)
-        self._cdf = cdf
+        return cdf
 
     def _sf_q_pow(self, n: int) -> float:
         """``P(max of S draws > n)`` with full tail precision."""
@@ -127,29 +125,36 @@ class SamplingModel:
         return s * sf1 - 0.5 * s * (s - 1.0) * sf1 * sf1
 
     def _truncation_points(self, caps: np.ndarray) -> np.ndarray:
-        """Per-capacity N with ``pi(C/N) * P(max > N) < tol``.
+        """Per-capacity N with ``pi(C/N) * P(max >= N) < tol``.
 
-        The max-of-``S`` survival ``P(max > n)`` is capacity-independent,
-        so each power-of-two level costs one scalar call regardless of
-        grid size.
+        The sums stop before ``N``, on the levels ``k_lo + 1024 * 2^j``
+        past the window's left edge, and never inside a finite window:
+        a level that clears ``tol`` there would still leave out up to
+        ``tol`` of ``B_S``, more than the gap ``R_S - B_S`` can carry.
+        The max-of-``S`` survival is capacity-independent, so each
+        level costs one scalar call regardless of grid size.
         """
+        k_lo, k_hi = self._base.window
         out = np.full(caps.size, -1, dtype=np.int64)
         open_ = np.ones(caps.size, dtype=bool)
-        n = 1024
+        span = 1024
         while np.any(open_):
-            sfp = self._sf_q_pow(n)
+            n = k_lo + span
+            sfp = self._sf_q_pow(n - 1)
             vals = np.asarray(self._utility(caps[open_] / n), dtype=float)
             done = np.minimum(1.0, vals) * sfp < self._tol
             sel = np.flatnonzero(open_)[done]
             out[sel] = n
             open_[sel] = False
-            if np.any(open_) and n > 1 << 26:
+            if np.any(open_) and span > 1 << 26:
                 bad = float(caps[np.flatnonzero(open_)[0]])
                 raise ConvergenceError(
                     f"sampling-model truncation exceeded 2^26 terms at C={bad}; "
                     "loosen tol or reduce the capacity range"
                 )
-            n <<= 1
+            span <<= 1
+        if math.isfinite(k_hi):
+            np.maximum(out, k_hi + 1, out=out)
         return out
 
     # ------------------------------------------------------------------
@@ -199,15 +204,13 @@ class SamplingModel:
         live = np.flatnonzero(caps > 0.0)
         if live.size == 0:
             return totals
+        k_lo = self._base.window[0]
         points = self._truncation_points(caps[live])
-        for n in np.unique(points):
-            n = int(n)
+        for n in np.unique(points).tolist():
             idx = live[points == n]
-            self._ensure_cdf(n)
-            cdf_pow = self._cdf[: n + 1] ** self._samples
-            weights = np.concatenate(([0.0], np.diff(cdf_pow)))
+            weights = np.diff(self._cdf(n - 1) ** self._samples)
             totals[idx] = share_weighted_sums(
-                caps[idx], weights, self._utility, k_start=1, k_stop=n + 1
+                caps[idx], weights, self._utility, k_start=k_lo
             )
         return totals
 
@@ -230,22 +233,23 @@ class SamplingModel:
         idx = pos[live]
         sub_caps = caps[idx]
         sub_kmax = kmax[live]
-        top = int(sub_kmax.max())
-        self._ensure_cdf(top)
-        cdf = self._cdf[: top + 1]
+        k_lo, k_hi = self._base.window
+        top = max(k_lo - 1, min(int(sub_kmax.max()), k_hi))
+        cdf = self._cdf(top)
         cdf_pow = cdf**self._samples
-        weights = np.concatenate(([0.0], np.diff(cdf_pow)))
         # below-threshold worst loads: H(j) = F(j)^S for j < kmax
         inner = share_weighted_sums(
             sub_caps,
-            weights,
+            np.diff(cdf_pow),
             self._utility,
-            k_start=1,
-            k_stop=top + 1,
+            k_start=k_lo,
             kmax=sub_kmax - 1,
         )
-        # worst load exactly kmax (admitted with first sample <= kmax)
-        at_cap = cdf[sub_kmax] - cdf_pow[sub_kmax - 1]
+        # worst load exactly kmax (admitted with first sample <= kmax);
+        # F(j) sits at cdf[j - k_lo + 1], clipped into the window
+        at = np.clip(sub_kmax - k_lo + 1, 0, top - k_lo + 1)
+        before = np.clip(sub_kmax - k_lo, 0, top - k_lo + 1)
+        at_cap = cdf[at] - cdf_pow[before]
         # overload-admitted flows (first sample k1 > kmax, prob kmax/k1):
         # sum_{k>kmax} Q(k) kmax / k = kmax * P(K > kmax) / k_bar
         over = (

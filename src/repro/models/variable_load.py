@@ -20,12 +20,17 @@ capacity buys best-effort the reservation architecture's utility.
 
 Numerics
 --------
-The infinite sum for ``V_B`` is truncated where an analytic bound on
-the remainder (``pi(C/N) * sum_{k>=N} k P(k)``, both closed-form)
-drops below tolerance.  Under heavy-tailed loads at large ``C`` that
-truncation point can exceed any reasonable array size, so beyond a cap
-the far tail is replaced by an Euler-Maclaurin integral of the smooth
-pmf extension — exact integrand, no model-specific approximation.
+Every census sum runs over the load's mass window ``[k_lo, k_hi]``
+(:meth:`~repro.loads.LoadDistribution.mass_window`), outside which
+each side holds a negligible share of the first moment: a Poisson
+sum costs ``O(sqrt(k_bar))`` terms at any ``k_bar``.  The sum for
+``V_B`` is truncated where an analytic bound on the remainder
+(``pi(C/N) * sum_{k>=N} k P(k)``, both closed-form) drops below
+tolerance.  Under heavy-tailed loads at large ``C`` that truncation
+point can exceed any reasonable array size, so beyond a cap the far
+tail is replaced by an Euler-Maclaurin integral of the smooth pmf
+extension — exact integrand, no model-specific approximation.  A sum
+no plan can certify raises :class:`~repro.errors.OutOfDomainError`.
 
 Each quantity has one implementation, a ``*_batch`` kernel over a
 capacity grid; the scalar entry points are one-element views of it.
@@ -40,7 +45,7 @@ import numpy as np
 
 from repro import obs
 from repro.caching import BoundedCache
-from repro.errors import ConvergenceError
+from repro.errors import OutOfDomainError
 from repro.loads.base import LoadDistribution
 from repro.models.fixed_load import FixedLoadModel, validated_capacities
 from repro.numerics import series
@@ -52,8 +57,13 @@ from repro.utility.base import UtilityFunction
 #: Default absolute tolerance on the (unnormalised) total utilities.
 DEFAULT_TOL = 1e-9
 
-#: Largest array length brute-force summation will allocate.
+#: Largest array length brute-force summation will allocate: the most
+#: terms one series level spans past the window's left edge.
 BRUTE_FORCE_CAP = 1 << 22
+
+#: Share of the model's ``tol`` each side of the load's mass window may
+#: leave out.
+WINDOW_SHARE = 1e-3
 
 #: Normalised performance gaps below this are treated as exactly zero
 #: when solving for the bandwidth gap (they are below the numerical
@@ -67,43 +77,13 @@ _MODE_DENSE = 0
 _MODE_TAIL = 1
 _MODE_EM = 2
 
-#: Smallest series level the planner will consider.  Levels below the
-#: historical 1024 matter once the polynomial tail exists: a solver
-#: probe at C ~ 80 clears the certified remainder bound already at
-#: n = 256, quartering its dense head.  Loads whose tails die fast
-#: (Poisson) become DENSE at 256 too — the omitted terms are below one
-#: ulp of the total, so reported values do not move.
+#: Span of the first series level past the window's left edge.  Levels
+#: below the historical 1024 matter once the polynomial tail exists: a
+#: solver probe at C ~ 80 clears the certified remainder bound already
+#: at n = 256, quartering its dense head.  A finite window (Poisson)
+#: plans DENSE at the first level or at its right edge, whichever is
+#: later (see :meth:`VariableLoadModel._plan_batch`).
 _PLAN_MIN_LEVEL = 256
-
-#: Process-wide memo of planner capacity ceilings keyed by
-#: ``(load, utility, tol)`` — loads and utilities hash by value, so
-#: every model over the same family shares one table (and the bisection
-#: cost below is paid once per family, not once per model instance).
-_PLAN_CEILINGS: BoundedCache = BoundedCache(maxsize=128)
-
-
-def _capacity_ceiling(predicate: Callable[[float], bool], b_hi: float) -> float:
-    """``sup { b >= 0 : predicate(b) }`` for a monotone predicate.
-
-    ``predicate`` must hold on ``[0, b*)`` and fail on ``(b*, b_hi]``
-    (tail-bound predicates are monotone in the per-flow bandwidth).
-    Returns ``inf`` when it holds everywhere up to ``b_hi``.  The
-    bisection keeps the invariant ``predicate(lo) == True``, so any
-    residual slack only sends capacities to a *higher* level — it can
-    never admit a capacity whose tail bound misses the tolerance.
-    """
-    if predicate(b_hi):
-        return math.inf
-    lo, hi = 0.0, float(b_hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, lo):
-            break
-    return lo
 
 
 def solve_bandwidth_gaps(
@@ -201,15 +181,15 @@ class VariableLoadModel:
         # certified Maclaurin expansion of pi (None for rigid/ramp
         # utilities) — enables the shared polynomial-tail evaluation
         self._maclaurin = utility.maclaurin(series.TAIL_DEGREE)
-        # per-level planner ceilings, resolved lazily from the shared
-        # process-wide memo (see _plan_ceilings)
-        self._ceilings: Optional[tuple] = None
         self._fixed = FixedLoadModel(
             utility, k_max_limit=k_max_limit, k_max_override=k_max_override
         )
         self._kbar = load.mean
-        # grown-on-demand k*P(k) series weights
+        # where every census sum runs; grown-on-demand k*P(k) weights
+        # from its left edge, and the load's mean_tail at each level
+        self._k_lo, self._k_hi = load.mass_window(WINDOW_SHARE * self._tol)
         self._kpk = np.empty(0)
+        self._level_tails: dict = {}
         # per-capacity totals: float keys rounded to the solver
         # x-tolerance (so gap-solver probes hit) and LRU-bounded (so
         # long sweeps cannot grow them without limit)
@@ -247,108 +227,74 @@ class VariableLoadModel:
     # internal summation machinery
     # ------------------------------------------------------------------
 
-    def _ensure_terms(self, n: int) -> None:
-        """Grow the cached ``k P(k)`` weights to cover k <= n."""
-        if len(self._kpk) >= n + 1:
-            return
-        size = 1 << max(10, (n + 1).bit_length())
-        ks = np.arange(size, dtype=float)
-        pk = np.asarray(self._load.pmf_array(ks), dtype=float)
-        if self._load.support_min > 0:
-            pk[: self._load.support_min] = 0.0
-        self._kpk = ks * pk
+    @property
+    def window(self) -> tuple:
+        """``(k_lo, k_hi)``: the load's mass window the sums run over."""
+        return self._k_lo, self._k_hi
 
-    def _plan_ceilings(self) -> tuple:
-        """Per-level capacity ceilings ``(levels, c_dense, c_tail)``.
+    def census_terms(self, stop: int) -> np.ndarray:
+        """``k P(k)`` for ``k_lo <= k < stop``, a view of a grown prefix.
 
-        Level ``n`` closes a capacity as DENSE when ``C <= c_dense``
-        (the plain tail bound ``min(1, pi(C/n)) * mean_tail(n)`` clears
-        the tolerance — the historical truncation rule) and as TAIL
-        when ``C <= c_tail`` (the certified Maclaurin remainder bound
-        fits in half the tolerance).  Both bounds are monotone in
-        ``C/n``, so each rule collapses to one capacity threshold per
-        level, found once by bisection and shared process-wide across
-        every model over the same ``(load, utility, tol)``.  Planning a
-        grid is then pure comparisons — no utility evaluations on the
-        hot path at all.
+        A finite window wider than ``BRUTE_FORCE_CAP`` is refused with
+        :class:`~repro.errors.OutOfDomainError` before anything is
+        allocated: no plan can certify a sum over it.
         """
-        cached = self._ceilings
-        if cached is not None:
-            return cached
-        key = (self._load, self._utility, self._tol)
-        cached = _PLAN_CEILINGS.get(key)
-        if cached is None:
-            levels, c_dense, c_tail = [], [], []
-            n = _PLAN_MIN_LEVEL
-            while n <= BRUTE_FORCE_CAP:
-                mt = self._load.mean_tail(n)
-                if mt <= 0.0:
-                    cd, ct = math.inf, -math.inf
-                else:
-                    cd = n * _capacity_ceiling(
-                        lambda b: min(1.0, self._utility.value(b)) * mt
-                        < self._tol,
-                        1e9,
-                    )
-                    if self._maclaurin is None:
-                        ct = -math.inf
-                    else:
-                        mac = self._maclaurin
-                        ct = n * _capacity_ceiling(
-                            lambda b: float(mac.remainder_bound(b)) * mt
-                            <= 0.5 * self._tol,
-                            mac.radius,
-                        )
-                levels.append(n)
-                c_dense.append(cd)
-                c_tail.append(ct)
-                if cd == math.inf:
-                    # this level closes every capacity as DENSE; higher
-                    # levels are unreachable
-                    break
-                n <<= 1
-            cached = (
-                np.asarray(levels, dtype=np.int64),
-                np.asarray(c_dense, dtype=float),
-                np.asarray(c_tail, dtype=float),
-            )
-            _PLAN_CEILINGS.put(key, cached)
-        self._ceilings = cached
-        return cached
+        span = stop - self._k_lo
+        terms = self._kpk
+        if len(terms) < span:
+            if math.isfinite(self._k_hi) and self._k_hi - self._k_lo > BRUTE_FORCE_CAP:
+                raise OutOfDomainError(
+                    f"the mass window [{self._k_lo}, {self._k_hi}] of {self._load!r} "
+                    f"spans more than {BRUTE_FORCE_CAP} terms"
+                )
+            size = 1 << max(10, (span - 1).bit_length())
+            ks = np.arange(self._k_lo, self._k_lo + size, dtype=float)
+            terms = self._kpk = ks * np.asarray(self._load.pmf_array(ks), dtype=float)
+        return terms[: max(0, span)]
 
     def _plan_batch(self, caps: np.ndarray) -> tuple:
         """Choose an evaluation mode and series level per capacity.
 
-        Walks the power-of-two levels once for the whole grid, closing
-        capacities against the precomputed ceilings: DENSE when the
-        plain tail bound clears the tolerance, else TAIL when the
-        utility's certified Maclaurin remainder fits in half the
-        tolerance *and* the load can supply a moment-tail table at that
-        level — the dense head then stops at ``n`` and the rest is the
-        shared polynomial.  Whatever is still open past
-        ``BRUTE_FORCE_CAP`` falls to the Euler-Maclaurin integral.
-        DENSE is tested first so loads whose tails die fast (Poisson)
-        keep plans equivalent to the historical truncation rule.
+        Walks the levels ``k_lo + 256 * 2^j`` once for the whole grid,
+        testing each level's two closing rules on the capacities still
+        open: DENSE when the plain tail bound
+        ``min(1, pi(C/n)) * mean_tail(n)`` clears the tolerance, else
+        TAIL when the utility's certified Maclaurin remainder fits in
+        half the tolerance *and* the load can supply a moment-tail
+        table at that level — the dense head then stops at ``n`` and
+        the rest is the shared polynomial.  TAIL serves right tails
+        without a window edge only: a finite window is cheaper to sum
+        than to tabulate.  Whatever is still open once a level would
+        span more than ``BRUTE_FORCE_CAP`` terms falls to the
+        Euler-Maclaurin integral.  No level stops inside a finite
+        window: a level there may leave out all of ``tol``, more than a
+        small gap ``R - B`` can carry, so it moves to ``k_hi + 1``,
+        past which the window leaves out ``WINDOW_SHARE * tol``.
         """
-        level_arr, c_dense, c_tail = self._plan_ceilings()
         modes = np.full(caps.size, _MODE_EM, dtype=np.int64)
         levels = np.full(caps.size, -1, dtype=np.int64)
-        open_ = np.ones(caps.size, dtype=bool)
-        for i, n in enumerate(level_arr):
-            if not np.any(open_):
-                break
-            dense_ok = open_ & (caps <= c_dense[i])
-            tail_ok = open_ & ~dense_ok & (caps <= c_tail[i])
-            if np.any(tail_ok) and (
-                series.shared_moment_tail_table(self._load, int(n)) is None
-            ):
-                tail_ok = np.zeros_like(tail_ok)
-            closed = dense_ok | tail_ok
-            if np.any(closed):
-                modes[dense_ok] = _MODE_DENSE
-                modes[tail_ok] = _MODE_TAIL
-                levels[closed] = n
-                open_ &= ~closed
+        open_ = np.arange(caps.size)
+        span = _PLAN_MIN_LEVEL
+        while open_.size and span <= BRUTE_FORCE_CAP:
+            n = self._k_lo + span
+            mt = self._level_tails.get(n)
+            if mt is None:
+                mt = self._level_tails[n] = self._load.mean_tail(n)
+            shares = caps[open_] / n
+            dense = np.minimum(1.0, self._utility(shares)) * mt < self._tol
+            tail = np.zeros_like(dense)
+            if self._maclaurin is not None and math.isinf(self._k_hi) and not np.all(dense):
+                bound = self._maclaurin.remainder_bound(shares[~dense]) * mt
+                tail[~dense] = bound <= 0.5 * self._tol
+                if np.any(tail) and series.shared_moment_tail_table(self._load, n) is None:
+                    tail[:] = False
+            modes[open_[dense]] = _MODE_DENSE
+            modes[open_[tail]] = _MODE_TAIL
+            levels[open_[dense | tail]] = n
+            open_ = open_[~(dense | tail)]
+            span <<= 1
+        if math.isfinite(self._k_hi):
+            np.maximum(levels, self._k_hi + 1, out=levels, where=levels >= 0)
         return modes, levels
 
     def _euler_maclaurin_tail(self, n0: int, capacity: float) -> float:
@@ -407,14 +353,16 @@ class VariableLoadModel:
     def _em_totals(self, caps: np.ndarray) -> np.ndarray:
         """``V_B`` as a dense head plus the Euler-Maclaurin tail.
 
-        The head stops at ``n0``, the first power of two above ``32 C``
-        clamped to ``[2^12, BRUTE_FORCE_CAP]``, and runs as one
-        share-weighted sum per ``n0`` group; the tail past ``n0`` is one
-        quadrature per capacity (:meth:`_euler_maclaurin_tail`).
+        The head spans ``[k_lo, n0)``, ``n0 - k_lo`` the first power of
+        two above ``32 C`` clamped to ``[2^12, BRUTE_FORCE_CAP]``, and
+        runs as one share-weighted sum per ``n0`` group; the tail past
+        ``n0`` is one quadrature per capacity
+        (:meth:`_euler_maclaurin_tail`).  A load with no smooth pmf
+        extension is refused with :class:`~repro.errors.OutOfDomainError`.
         """
         n0s = np.array(
             [
-                min(BRUTE_FORCE_CAP, 1 << max(12, int(32 * c).bit_length()))
+                self._k_lo + min(BRUTE_FORCE_CAP, 1 << max(12, int(32 * c).bit_length()))
                 for c in caps.tolist()
             ],
             dtype=np.int64,
@@ -422,15 +370,14 @@ class VariableLoadModel:
         totals = np.empty(caps.size)
         for n0 in np.unique(n0s).tolist():
             group = n0s == n0
-            self._ensure_terms(n0)
             totals[group] = share_weighted_sums(
-                caps[group], self._kpk[:n0], self._utility, k_start=1, k_stop=n0
+                caps[group], self.census_terms(n0), self._utility, k_start=self._k_lo
             )
         for i, (c, n0) in enumerate(zip(caps.tolist(), n0s.tolist())):
             try:
                 totals[i] += self._euler_maclaurin_tail(n0, c)
             except NotImplementedError as exc:
-                raise ConvergenceError(
+                raise OutOfDomainError(
                     f"V_B(C={c}) needs a tail correction but the load "
                     f"has no smooth pmf extension: {exc}"
                 ) from exc
@@ -439,24 +386,23 @@ class VariableLoadModel:
     def _reservation_totals(self, caps: np.ndarray, kmax: np.ndarray) -> np.ndarray:
         """``V_R`` at per-capacity admission thresholds ``kmax >= 1``.
 
-        One masked share-weighted sum over the admitted flows plus the
-        overload term ``k_max pi(C/k_max) P(K > k_max)``.  Rows are summed
-        in groups of thresholds within a quarter octave of each other, so
-        each row's sum stops near its own ``k_max`` rather than at the
-        largest one in the grid.
+        One masked share-weighted sum over the admitted flows in the
+        window, ``k_lo <= k <= min(k_max, k_hi)``, plus the overload term
+        ``k_max pi(C/k_max) P(K > k_max)``.  Rows are summed in groups of
+        thresholds within a quarter octave of each other, so each row's
+        sum stops near its own ``k_max`` rather than at the largest one
+        in the grid.
         """
         admitted = np.empty(caps.size)
         groups = np.floor(4.0 * np.log2(kmax)).astype(np.int64)
         for group in np.unique(groups).tolist():
             idx = np.flatnonzero(groups == group)
-            top = int(kmax[idx].max())
-            self._ensure_terms(top)
+            top = min(int(kmax[idx].max()), self._k_hi)
             admitted[idx] = share_weighted_sums(
                 caps[idx],
-                self._kpk[: top + 1],
+                self.census_terms(top + 1),
                 self._utility,
-                k_start=1,
-                k_stop=top + 1,
+                k_start=self._k_lo,
                 kmax=kmax[idx],
             )
         sf = np.asarray(self._load.sf_array(kmax), dtype=float)
@@ -522,13 +468,13 @@ class VariableLoadModel:
         """``V_B`` over a capacity grid in a handful of numpy calls.
 
         Capacities are grouped by the planner's (mode, level) — levels
-        are powers of two, so grids share a few groups.  Each DENSE or
-        TAIL group's head runs as one chunked matrix product; TAIL
-        groups then add the shared polynomial tail, one Horner pass
-        over the group's grid from the memoised moment table (no
-        per-point series work).  Capacities the planner leaves open
-        past ``BRUTE_FORCE_CAP`` take the Euler-Maclaurin integral
-        (:meth:`_em_totals`).
+        sit a power of two past the window's left edge, so grids share
+        a few groups.  Each DENSE or TAIL group's head runs as one
+        chunked matrix product; TAIL groups then add the shared
+        polynomial tail, one Horner pass over the group's grid from the
+        memoised moment table (no per-point series work).  Capacities
+        the planner leaves open past ``BRUTE_FORCE_CAP`` terms take the
+        Euler-Maclaurin integral (:meth:`_em_totals`).
 
         ``cache=False`` bypasses the per-capacity LRU entirely (neither
         read nor written).  The bandwidth-gap solver uses it for its
@@ -550,9 +496,8 @@ class VariableLoadModel:
             if mode == _MODE_EM:
                 totals[idx] = self._em_totals(caps[idx])
                 continue
-            self._ensure_terms(n)
             sums = share_weighted_sums(
-                caps[idx], self._kpk[:n], self._utility, k_start=1, k_stop=n
+                caps[idx], self.census_terms(n), self._utility, k_start=self._k_lo
             )
             if mode == _MODE_TAIL:
                 table = series.shared_moment_tail_table(self._load, n)

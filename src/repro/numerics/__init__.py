@@ -9,8 +9,6 @@ those definitions need:
 
 - :func:`find_root` / :func:`invert_monotone` — bracketed root finding
   with automatic bracket expansion, one problem at a time,
-- :func:`sum_series` — adaptive truncation of infinite series with an
-  optional analytic tail bound,
 - :func:`integrate` — quadrature over finite or semi-infinite intervals,
 - :func:`fixed_point` — damped fixed-point iteration (retry model).
 
@@ -34,7 +32,7 @@ from repro.numerics.batch import (
     share_weighted_sums,
 )
 from repro.numerics.quadrature import integrate
-from repro.numerics.series import fixed_point, sum_series
+from repro.numerics.series import fixed_point
 from repro.numerics.solvers import find_root, invert_monotone
 
 __all__ = [
@@ -48,5 +46,4 @@ __all__ = [
     "invert_monotone",
     "invert_monotone_batch",
     "share_weighted_sums",
-    "sum_series",
 ]

@@ -513,11 +513,10 @@ def share_weighted_sums(
     value_fn: Callable[[np.ndarray], np.ndarray],
     *,
     k_start: int = 1,
-    k_stop: Optional[int] = None,
     kmax: Optional[np.ndarray] = None,
     chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
 ) -> np.ndarray:
-    """``S_i = sum_k weights[k] * value_fn(C_i / k)`` for a whole grid.
+    """``S_i = sum_j weights[j] * value_fn(C_i / (k_start + j))`` for a whole grid.
 
     The truncated-series kernel of the discrete variable-load model,
     evaluated as chunked outer products: the ``(capacity, k)`` matrix
@@ -530,14 +529,14 @@ def share_weighted_sums(
     capacities:
         Capacity grid (1-D).
     weights:
-        Series weights indexed by ``k`` (``weights[k]`` multiplies the
-        ``pi(C/k)`` term).  Typically ``k * P(k)`` or max-order-statistic
-        increments.
+        Series weights lined up with ``k_start``: ``weights[j]``
+        multiplies the ``pi(C/k)`` term of ``k = k_start + j``.
+        Typically ``k * P(k)`` over a load's mass window, or
+        max-order-statistic increments.
     value_fn:
         Vectorised ``pi`` evaluation (broadcasts over a 2-D array).
-    k_start, k_stop:
-        Half-open term range ``[k_start, k_stop)``; ``k_stop`` defaults
-        to ``len(weights)``.
+    k_start:
+        The flow count of ``weights[0]``.
     kmax:
         Optional per-capacity inclusive upper index: terms with
         ``k > kmax[i]`` contribute nothing to row ``i`` (the
@@ -545,17 +544,13 @@ def share_weighted_sums(
     """
     caps = np.asarray(capacities, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float)
-    stop = weights.size if k_stop is None else min(int(k_stop), weights.size)
-    if k_start >= stop or caps.size == 0:
+    # terms whose weight is exactly 0.0 (underflowed pmf, k = 0)
+    # contribute exactly nothing — skip the value_fn work for any
+    # leading/trailing run of them
+    nonzero = np.flatnonzero(weights)
+    if nonzero.size == 0 or caps.size == 0:
         return np.zeros(caps.size)
-    # terms whose weight is exactly 0.0 (underflowed pmf, zeroed
-    # support) contribute exactly nothing — skip the value_fn work for
-    # any leading/trailing run of them
-    nonzero = np.flatnonzero(weights[k_start:stop])
-    if nonzero.size == 0:
-        return np.zeros(caps.size)
-    stop = k_start + int(nonzero[-1]) + 1
-    k_start = k_start + int(nonzero[0])
+    first, stop = int(nonzero[0]), int(nonzero[-1]) + 1
     kmax_col = None
     if kmax is not None:
         kmax_col = np.asarray(kmax, dtype=float).reshape(-1, 1)
@@ -564,9 +559,9 @@ def share_weighted_sums(
     totals = np.zeros(caps.size)
     elements = 0
     caps_col = caps.reshape(-1, 1)
-    for start in range(k_start, stop, chunk):
+    for start in range(first, stop, chunk):
         end = min(stop, start + chunk)
-        ks = np.arange(start, end, dtype=float)
+        ks = np.arange(k_start + start, k_start + end, dtype=float)
         shares = caps_col / ks
         values = np.asarray(value_fn(shares), dtype=float)
         if kmax_col is not None:

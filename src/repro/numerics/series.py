@@ -1,12 +1,9 @@
-"""Infinite-series summation and fixed-point iteration.
+"""Shared series tails and fixed-point iteration.
 
-The discrete variable-load model sums ``P(k) * k * pi(C/k)`` over all
-``k >= 0``.  For Poisson and geometric loads the terms die fast; for the
-algebraic load they die like ``k**-(z+1)`` and a naive truncation at a
-fixed K either wastes work or silently loses tail mass.
-:func:`sum_series` truncates adaptively and can account for the missing
-tail with an analytic bound supplied by the caller (the load classes
-supply Hurwitz-zeta tails).
+The discrete variable-load model sums ``P(k) * k * pi(C/k)`` over the
+load's mass window.  For Poisson and geometric loads the terms die
+fast; for the algebraic load they die like ``k**-(z+1)`` and a naive
+truncation at a fixed K either wastes work or silently loses tail mass.
 
 The shared-table machinery (:func:`shared_moment_tail_table`,
 :func:`power_series_tail`) replaces the *deep* part of those sums with a
@@ -24,15 +21,12 @@ point (and per Chandrupatla iteration inside root-level sweeps).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.caching import BoundedCache
 from repro.errors import ConvergenceError
-
-#: Default absolute tolerance for series truncation.
-SERIES_TOL = 1e-12
 
 #: Degree of the shared Maclaurin/moment-tail machinery.  96 terms of
 #: the adaptive utility's series reach machine precision for arguments
@@ -110,68 +104,6 @@ def power_series_tail(
     )  # row j holds caps**(j+1)
     out = weights[0] + powers.T @ weights[1:]
     return out.reshape(caps.shape)
-
-#: Default hard cap on summed terms.
-MAX_TERMS = 5_000_000
-
-#: Number of consecutive negligible terms required before stopping when
-#: no analytic tail bound is available.  Protects against premature
-#: truncation on terms that dip (e.g. a utility that is zero for a
-#: stretch of k before the distribution mass arrives).
-QUIET_RUN = 64
-
-
-def sum_series(
-    term: Callable[[int], float],
-    start: int = 0,
-    *,
-    tol: float = SERIES_TOL,
-    max_terms: int = MAX_TERMS,
-    tail_bound: Optional[Callable[[int], float]] = None,
-    label: str = "series",
-) -> float:
-    """Sum ``term(k)`` for ``k = start, start+1, ...`` adaptively.
-
-    Parameters
-    ----------
-    term:
-        Non-negative series term (negative terms are allowed but the
-        stopping rule assumes the magnitude eventually decays).
-    tail_bound:
-        Optional function giving an upper bound on ``sum_{j>=k} |term(j)|``.
-        When provided, summation stops as soon as the bound drops below
-        ``tol`` and the bound's midpoint is *not* added (bounds from the
-        load classes are tight enough that adding half the bound buys
-        nothing but complicates testing).
-    label:
-        Name used in error messages.
-
-    Raises
-    ------
-    ConvergenceError
-        If ``max_terms`` terms are summed without meeting the tolerance.
-    """
-    total = 0.0
-    quiet = 0
-    k = start
-    for _ in range(max_terms):
-        value = term(k)
-        total += value
-        k += 1
-        if tail_bound is not None:
-            if tail_bound(k) < tol:
-                return total
-        else:
-            if abs(value) < tol:
-                quiet += 1
-                if quiet >= QUIET_RUN:
-                    return total
-            else:
-                quiet = 0
-    raise ConvergenceError(
-        f"{label}: series did not converge within {max_terms} terms "
-        f"(last term at k={k - 1} was {value!r})"
-    )
 
 
 def fixed_point(

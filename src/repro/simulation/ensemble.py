@@ -1029,7 +1029,6 @@ def paired_gap(
     *,
     warmup: float = 0.0,
     seed: Optional[int] = None,
-    best_effort: Optional[AdmissionPolicy] = None,
     reservation: Optional[AdmissionPolicy] = None,
     initial_census: Optional[int] = None,
     max_events: int = 20_000_000,
@@ -1051,11 +1050,10 @@ def paired_gap(
 
     The census is therefore simulated once, by the reservation
     ensemble, and ``B_hat`` (every present flow scores, so it reads
-    ``N`` alone) and ``R_hat`` are both read off that run.
-    ``best_effort`` is kept for symmetry, but no policy can change
-    ``B_hat`` here, so it cannot change the result.
+    ``N`` alone) and ``R_hat`` are both read off that run.  No
+    admission policy can move ``B_hat``, so the best-effort arm takes
+    none.
     """
-    del best_effort  # B_hat reads the census, which no policy moves
     _check_counts(replications, jobs)
     res_policy = (
         reservation

@@ -23,12 +23,16 @@ kappa = 0.62086, z = 3) at ~10 canonical grid points each:
   T5.1–T5.6 (alg/adaptive, alpha from the config; capacities start at
   1.3 k̄ because the retry fixed point needs C ≳ 1.2 k̄) plus the
   closed-form ``((z-1)/alpha)^{1/(z-2)}`` ratios;
+- ``poisson_large_kbar`` — B, R, δ and Δ for a Poisson load at
+  k̄ = 1e7 and C/k̄ ∈ {0.5, 0.95, 1, 2}, rigid and adaptive: computed by
+  ``census_reference.py``'s dense window sums (no planner, no mass
+  window), which CI re-runs against these pins at 1e-9 relative;
 - ``meanfield`` — the fluid-diffusion engine's B̂(C)/R̂(C)/gap over the
   canonical capacities (Poisson census, Gauss–Hermite closure): the
   quadrature is deterministic, so the pins hold the whole fluid solve +
   diffusion functional chain bit-stable.
 
-Values come through the scalar entry points, which are one-element
+Model values come through the scalar entry points, which are one-element
 views of the batch kernels; the golden test holds those views and the
 grid calls to the same numbers, so a regression in a kernel (or a
 scalar path forked away from it) fails CI.
@@ -41,6 +45,7 @@ import pathlib
 
 import numpy as np
 
+import census_reference
 from repro.continuum import (
     RigidExponentialContinuum,
     retrying_rigid_ratio,
@@ -146,6 +151,8 @@ def main() -> int:
         "rigid_ratio": retrying_rigid_ratio(cfg.z, cfg.alpha),
         "rigid_ratio_z2p1": retrying_rigid_ratio(2.1, cfg.alpha),
     }
+
+    payload[census_reference.SECTION] = census_reference.pins()
 
     from repro.meanfield import MeanFieldSimulator
     from repro.simulation import BirthDeathProcess, Link

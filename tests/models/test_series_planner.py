@@ -9,8 +9,7 @@ Two properties carry the evaluation path:
    differ from it only by summation-order roundoff.
 2. **Plans are sound.**  Whatever mode the planner picks, the value it
    produces must match a deep dense reference within the model's
-   tolerance, and the precomputed per-level capacity ceilings must sit
-   on the conservative side of the bounds they summarise.
+   tolerance, and the levels start at the load's mass window.
 """
 
 import warnings
@@ -82,37 +81,18 @@ class TestPlanSoundness:
                 reference, abs=2.0 * model._tol + slack
             )
 
-    def test_ceilings_sit_on_the_conservative_side(self):
-        model = VariableLoadModel(_ALG, _ADAPTIVE)
-        levels, c_dense, c_tail = model._plan_ceilings()
-        mac = model._maclaurin
-        for n, cd, ct in zip(levels, c_dense, c_tail):
-            mt = _ALG.mean_tail(int(n))
-            if np.isfinite(cd):
-                # just inside the DENSE ceiling the plain bound clears tol
-                b = (cd / n) * (1.0 - 1e-9)
-                assert min(1.0, _ADAPTIVE.value(b)) * mt < model._tol
-            if np.isfinite(ct) and ct > 0.0:
-                b = (ct / n) * (1.0 - 1e-9)
-                assert float(mac.remainder_bound(b)) * mt <= 0.5 * model._tol
-                # and just outside it does not (the bisection is tight)
-                b_out = (ct / n) * (1.0 + 1e-6)
-                assert float(mac.remainder_bound(b_out)) * mt > 0.5 * model._tol
-
-    def test_ceilings_shared_across_equal_models(self):
-        a = VariableLoadModel(_ALG, _ADAPTIVE)
-        b = VariableLoadModel(AlgebraicLoad.from_mean(3.0, 100.0), _ADAPTIVE)
-        assert a._plan_ceilings() is b._plan_ceilings()
-
     def test_dense_mode_for_light_tails(self):
-        # a mean-100 Poisson tail is gone by n = 256: every figure-range
-        # capacity must plan DENSE at the lowest level, never TAIL/EM
+        # a mean-100 Poisson window is 256 terms wide at most: every
+        # figure-range capacity must plan DENSE at the first level,
+        # k_lo + 256, never TAIL/EM
         from repro.loads import PoissonLoad
 
         model = VariableLoadModel(PoissonLoad(100.0), _ADAPTIVE)
+        k_lo, k_hi = model.window
+        assert 0 < k_lo and k_hi < k_lo + 256
         modes, levels = model._plan_batch(np.linspace(20.0, 220.0, 9))
         assert np.all(modes == _MODE_DENSE)
-        assert np.all(levels == 256)
+        assert np.all(levels == k_lo + 256)
 
 
 class TestEulerMaclaurinDegenerateBreakpoints:

@@ -67,19 +67,16 @@ class TestEulerMaclaurinTail:
     """The EM branch: capacities the planner leaves open past the cap.
 
     The power-law utility has no Maclaurin series, so no level can
-    close as TAIL; with ``BRUTE_FORCE_CAP`` shrunk (and the process-wide
-    ceiling memo cleared, else it serves the unpatched ceilings) the
-    dense bound cannot close either, and the plan must be EM.
+    close as TAIL; with ``BRUTE_FORCE_CAP`` shrunk the dense bound
+    cannot close either, and the plan must be EM.
     """
 
     @pytest.fixture
     def shrunk_cap(self, monkeypatch):
         def shrink(cap):
             monkeypatch.setattr(vlm, "BRUTE_FORCE_CAP", cap)
-            vlm._PLAN_CEILINGS.clear()
 
-        yield shrink
-        vlm._PLAN_CEILINGS.clear()
+        return shrink
 
     def _check_em(self, shrink, load, caps):
         u = PowerLowUtility(2.0)

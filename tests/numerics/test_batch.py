@@ -171,7 +171,7 @@ class TestShareWeightedSums:
         weights[rng.random(n) < 0.3] = 0.0  # exercise zero-run trimming
         caps = rng.uniform(0.5, 50.0, size=m)
         value_fn = lambda b: 1.0 - np.exp(-np.asarray(b))  # noqa: E731
-        got = share_weighted_sums(caps, weights, value_fn, k_start=1)
+        got = share_weighted_sums(caps, weights[1:], value_fn, k_start=1)
         ks = np.arange(1, n, dtype=float)
         want = np.array(
             [np.dot(weights[1:], value_fn(c / ks)) for c in caps]
@@ -191,7 +191,7 @@ class TestShareWeightedSums:
         kmax = rng.integers(1, n, size=m)
         value_fn = lambda b: np.asarray(b) / (1.0 + np.asarray(b))  # noqa: E731
         got = share_weighted_sums(
-            caps, weights, value_fn, k_start=1, kmax=kmax
+            caps, weights[1:], value_fn, k_start=1, kmax=kmax
         )
         ks = np.arange(1, n, dtype=float)
         want = np.array(

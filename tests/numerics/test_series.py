@@ -1,5 +1,5 @@
-"""Tests for series summation, fixed-point iteration and the shared
-moment-tail table / polynomial-tail machinery."""
+"""Tests for fixed-point iteration and the shared moment-tail table /
+polynomial-tail machinery."""
 
 import math
 
@@ -13,59 +13,8 @@ from repro.numerics.series import (
     fixed_point,
     power_series_tail,
     shared_moment_tail_table,
-    sum_series,
 )
 from repro.utility import AdaptiveUtility
-
-
-class TestSumSeries:
-    def test_geometric_series(self):
-        total = sum_series(lambda k: 0.5**k, 0, tol=1e-14)
-        assert total == pytest.approx(2.0, abs=1e-10)
-
-    def test_with_tail_bound_stops_early(self):
-        calls = []
-
-        def term(k):
-            calls.append(k)
-            return 0.5**k
-
-        total = sum_series(
-            term, 0, tol=1e-6, tail_bound=lambda k: 2.0 * 0.5**k
-        )
-        assert total == pytest.approx(2.0, abs=1e-5)
-        assert max(calls) < 64  # the quiet-run path would go further
-
-    def test_survives_a_dip_of_zero_terms(self):
-        # zero for k in [0, 45): a naive "stop on first small term" rule
-        # would truncate inside the dip; the quiet-run window (64
-        # consecutive negligible terms) must carry the sum across it
-        def term(k):
-            if k < 45:
-                return 0.0
-            return 0.5 ** (k - 45) if k < 150 else 0.0
-
-        total = sum_series(term, 0, tol=1e-12)
-        assert total == pytest.approx(2.0, abs=1e-9)
-
-    def test_dip_longer_than_quiet_run_is_a_known_limit(self):
-        # dips longer than QUIET_RUN terms require a tail_bound; the
-        # bare heuristic stops early by design
-        def term(k):
-            return 1.0 if k == 200 else 0.0
-
-        assert sum_series(term, 0, tol=1e-12) == 0.0
-
-    def test_divergent_series_raises(self):
-        with pytest.raises(ConvergenceError):
-            sum_series(lambda k: 1.0, 0, max_terms=1000)
-
-    def test_poisson_mean_identity(self):
-        nu = 7.0
-        total = sum_series(
-            lambda k: k * math.exp(-nu) * nu**k / math.factorial(k), 0
-        )
-        assert total == pytest.approx(nu, abs=1e-9)
 
 
 class TestFixedPoint:

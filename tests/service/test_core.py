@@ -8,6 +8,8 @@ ladder, which is precisely what these tests are about.
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 import threading
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.emulator import DOMAINS, exact_values, fit_bank
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.runner.cache import ResultCache
 from repro.service import EmulatorService, QueryError
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" / "figures.json"
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +102,22 @@ class TestBatchQueries:
         assert reply["source"] == "exact"
         assert len(reply["values"]) == 2
 
+    def test_large_kbar_what_if_matches_the_dense_reference(self, service):
+        # at kbar = 1e7 the Poisson census lies far past a dense head
+        # counted from k = 0: the exact path must sum where the mass is
+        pins = json.loads(GOLDEN.read_text())["poisson_large_kbar"]
+        c = pins["capacity"][1]
+        for quantity, rtol in (("delta", 1e-9), ("Delta", 1e-6)):
+            reply = service.point(quantity, "poisson", "adaptive", c, kbar=pins["kbar"])
+            assert reply["source"] == "exact"
+            assert reply["value"] == pytest.approx(pins["adaptive"][quantity][1], rel=rtol)
+
     def test_gamma_served_from_its_log_surface(self, service):
         reply = service.batch("gamma", "poisson", "adaptive", [1e-3, 0.01, 0.3])
         assert reply["source"] == "surface"
-        # gamma in (1, e) per the paper's welfare bound
-        assert all(1.0 < v < np.e for v in reply["values"])
+        # gamma in [1, e) per the paper's welfare bound; at small p
+        # Poisson/adaptive gamma - 1 is below float resolution
+        assert all(1.0 <= v < np.e for v in reply["values"])
 
 
 class TestCacheFallback:

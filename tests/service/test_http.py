@@ -8,6 +8,11 @@ fallback path under parallel load.
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -201,3 +206,41 @@ class TestMeanFieldEngineHint:
         with pytest.raises(ServiceClientError) as exc:
             client.point("gamma", "poisson", "adaptive", 110.0, engine="meanfield")
         assert exc.value.status == 400
+
+
+_REFUSAL_PROBE = """
+import json, resource
+from repro.emulator.bank import SurfaceBank
+from repro.service import BackgroundServer, EmulatorService, ServiceClient, ServiceClientError
+service = EmulatorService(bank=SurfaceBank(config_digest="none"))
+statuses = {}
+with BackgroundServer(service) as server, ServiceClient(*server.address) as client:
+    base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for quantity, x in (("delta", 0.95e12), ("Delta", 0.95e12), ("gamma", 0.05)):
+        try:
+            client.point(quantity, "poisson", "adaptive", x, kbar=1e12)
+            statuses[quantity] = 200
+        except ServiceClientError as exc:
+            statuses[quantity] = exc.status
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"statuses": statuses, "added_mb": (peak - base) / 1024.0}))
+"""
+
+
+def test_exact_path_refuses_where_no_plan_certifies():
+    # a Poisson window at kbar = 1e12 spans ~2e7 terms, past the dense
+    # cap: every exact query is a 400, decided before any census array
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _REFUSAL_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    reply = json.loads(out.stdout.strip().splitlines()[-1])
+    assert reply["statuses"] == {"delta": 400, "Delta": 400, "gamma": 400}
+    assert reply["added_mb"] < 100.0

@@ -41,10 +41,10 @@ class TestRaisedWhereDocumented:
             NetworkTopology({}, [])
 
     def test_convergence_error_from_series(self):
-        from repro.numerics import sum_series
+        from repro.numerics import fixed_point
 
         with pytest.raises(ConvergenceError):
-            sum_series(lambda k: 1.0, 0, max_terms=100)
+            fixed_point(lambda x: x + 1.0, 0.0, max_iter=100)
 
     def test_bracket_error_names_the_quantity(self):
         from repro.numerics import find_root

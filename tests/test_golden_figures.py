@@ -14,6 +14,7 @@ Failure messages name the figure and the grid point so a red CI run
 points straight at the number that moved.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -150,6 +151,33 @@ def test_continuum_gamma_scalar_and_batch(golden):
     _assert_pointwise(
         "continuum_rigid_exp", "gamma(p)", prices, batch, entry["gamma"], "batch"
     )
+
+
+@pytest.mark.parametrize("utility", ["rigid", "adaptive"])
+def test_poisson_large_kbar_scalar_and_batch(utility, golden):
+    """Pin the mass window: a Poisson census at k̄ = 1e7 lies far past
+    the dense cap counted from k = 0, so only a sum that starts where
+    the mass is reaches these reference values."""
+    entry = golden["poisson_large_kbar"]
+    caps = entry["capacity"]
+    pins = entry[utility]
+
+    def model():
+        cfg = dataclasses.replace(DEFAULT_CONFIG, kbar=entry["kbar"])
+        return VariableLoadModel(cfg.load(entry["load"]), cfg.utility(utility))
+
+    scalar_model, batch_model = model(), model()
+    grid = np.asarray(caps)
+    for quantity, scalar_fn, batch_fn in (
+        ("best_effort", scalar_model.best_effort, batch_model.best_effort_batch),
+        ("reservation", scalar_model.reservation, batch_model.reservation_batch),
+        ("delta", scalar_model.performance_gap, batch_model.performance_gap_batch),
+        ("Delta", scalar_model.bandwidth_gap, batch_model.bandwidth_gap_batch),
+    ):
+        label = f"poisson_large_kbar/{utility}"
+        scalar = [scalar_fn(float(c)) for c in caps]
+        _assert_pointwise(label, quantity, caps, scalar, pins[quantity], "scalar")
+        _assert_pointwise(label, quantity, caps, batch_fn(grid), pins[quantity], "batch")
 
 
 def _sampling_model(entry):
