@@ -25,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.continuum.rigid_algebraic import RigidAlgebraicContinuum
+from repro.continuum.rigid_algebraic import RigidAlgebraicContinuum, algebraic_capacities
 from repro.errors import ModelError
+from repro.models.base import CapacityModel
 
 
 def best_effort_loss_coefficient(z: float, a: float) -> float:
@@ -69,7 +70,7 @@ def gap_ratio_limit(a: float) -> float:
     return a ** (-a / (1.0 - a))
 
 
-class AdaptiveAlgebraicContinuum:
+class AdaptiveAlgebraicContinuum(CapacityModel):
     """Closed forms for the ramp(a) x Pareto(z) case."""
 
     def __init__(self, z: float, a: float):
@@ -102,12 +103,12 @@ class AdaptiveAlgebraicContinuum:
 
     # ------------------------- closed forms -------------------------
     # Each quantity has one formula, over a capacity grid; the
-    # per-point methods below are one-element views of it.
+    # per-point views and the totals come from CapacityModel.
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """``B(C) = V_B(C)/k_bar`` with ``V_B(C) = k_bar - c_B C^{2-z}``
         for ``C >= 1``."""
-        caps = self._rigid._grid(capacities)
+        caps = algebraic_capacities(capacities)
         kbar = self.mean_load
         return (kbar - self._c_b * caps ** (2.0 - self._z)) / kbar
 
@@ -117,36 +118,12 @@ class AdaptiveAlgebraicContinuum:
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
         """``delta(C) = (c_B - c_R) C^{2-z} / k_bar``."""
-        caps = self._rigid._grid(capacities)
+        caps = algebraic_capacities(capacities)
         return (self._c_b - self._c_r) * caps ** (2.0 - self._z) / self.mean_load
 
     def bandwidth_gap_batch(self, capacities) -> np.ndarray:
         """``Delta(C) = C (gap_ratio - 1)`` — exactly linear in ``C``."""
-        return self._rigid._grid(capacities) * (self.gap_ratio() - 1.0)
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C)``: a one-element :meth:`best_effort_batch`."""
-        return float(self.best_effort_batch([capacity])[0])
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C)``: a one-element :meth:`reservation_batch`."""
-        return float(self.reservation_batch([capacity])[0])
-
-    def total_best_effort(self, capacity: float) -> float:
-        """``V_B(C) = k_bar B(C)``."""
-        return self.mean_load * self.best_effort(capacity)
-
-    def total_reservation(self, capacity: float) -> float:
-        """``V_R(C) = k_bar R(C)``."""
-        return self.mean_load * self.reservation(capacity)
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
-        return float(self.performance_gap_batch([capacity])[0])
-
-    def bandwidth_gap(self, capacity: float) -> float:
-        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
-        return float(self.bandwidth_gap_batch([capacity])[0])
+        return algebraic_capacities(capacities) * (self.gap_ratio() - 1.0)
 
     # --------------------------- welfare ----------------------------
 

@@ -23,12 +23,18 @@ import numpy as np
 
 from repro.continuum.rigid_exponential import RigidExponentialContinuum
 from repro.errors import ModelError
-from repro.models.variable_load import solve_bandwidth_gaps
+from repro.models.base import CapacityModel
+from repro.models.fixed_load import validated_capacities
 from repro.numerics.solvers import find_root, invert_monotone
 
 
-class AdaptiveExponentialContinuum:
+class AdaptiveExponentialContinuum(CapacityModel):
     """Closed forms for the ramp(a) x exponential-load case."""
+
+    #: ``R - B`` is exact here, so the gap floor sits below the discrete
+    #: models' and the gap brackets may grow to 1e12.
+    GAP_FLOOR = 1e-13
+    GAP_LIMIT = 1e12
 
     def __init__(self, a: float, beta: float = 1.0):
         if not 0.0 <= a < 1.0:
@@ -55,8 +61,8 @@ class AdaptiveExponentialContinuum:
         return 1.0 / self._beta
 
     # ------------------------- closed forms -------------------------
-    # Each quantity has one formula, over a capacity grid; the
-    # per-point methods below are one-element views of it.
+    # B has one formula, over a capacity grid; R is the rigid case's,
+    # and delta, Delta, the views and the totals come from CapacityModel.
 
     def _exp_cap(self, capacity: float) -> float:
         """``e^{-beta C / a}`` with the ``a = 0`` limit handled."""
@@ -67,7 +73,7 @@ class AdaptiveExponentialContinuum:
     def best_effort_batch(self, capacities) -> np.ndarray:
         """Normalised ``B(C) = beta V_B(C)`` (closed-form ``V_B``, verified
         against quadrature in tests)."""
-        caps = self._rigid._grid(capacities)
+        caps = validated_capacities(capacities)
         a, beta = self._a, self._beta
         bc = beta * caps
         e1 = np.exp(-bc)
@@ -87,54 +93,6 @@ class AdaptiveExponentialContinuum:
     def reservation_batch(self, capacities) -> np.ndarray:
         """Normalised ``R`` — the rigid closed form (``k_max(C) = C``)."""
         return self._rigid.reservation_batch(capacities)
-
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta(C) = R(C) - B(C)``, clipped at zero."""
-        return np.maximum(
-            0.0,
-            self.reservation_batch(capacities)
-            - self.best_effort_batch(capacities),
-        )
-
-    def bandwidth_gap_batch(
-        self, capacities, *, gap_floor: float = 1e-13
-    ) -> np.ndarray:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)``, one vectorised
-        inversion of the closed-form ``B`` for the whole grid."""
-        caps = self._rigid._grid(capacities)
-        return solve_bandwidth_gaps(
-            self.best_effort_batch,
-            caps,
-            self.reservation_batch(caps),
-            self.best_effort_batch(caps),
-            gap_floor=gap_floor,
-            upper_limit=1e12,
-            label="adaptive-exponential Delta",
-        )
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C)``: a one-element :meth:`best_effort_batch`."""
-        return float(self.best_effort_batch([capacity])[0])
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C)``: a one-element :meth:`reservation_batch`."""
-        return float(self.reservation_batch([capacity])[0])
-
-    def total_best_effort(self, capacity: float) -> float:
-        """``V_B(C) = B(C) / beta``."""
-        return self.best_effort(capacity) / self._beta
-
-    def total_reservation(self, capacity: float) -> float:
-        """``V_R(C) = R(C) / beta``."""
-        return self.reservation(capacity) / self._beta
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
-        return float(self.performance_gap_batch([capacity])[0])
-
-    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-13) -> float:
-        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
-        return float(self.bandwidth_gap_batch([capacity], gap_floor=gap_floor)[0])
 
     def bandwidth_gap_limit(self) -> float:
         """``lim_{C->inf} Delta(C) = -ln(1-a)/beta`` (paper Section 3.3)."""

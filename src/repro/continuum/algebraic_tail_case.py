@@ -29,13 +29,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from repro.continuum.rigid_algebraic import algebraic_capacities
 from repro.errors import ModelError
-from repro.numerics.solvers import invert_monotone
+from repro.models.base import CapacityModel
 from repro.utility.algebraic_tail import AlgebraicTailUtility
 
 
-class AlgebraicTailAlgebraicContinuum:
+class AlgebraicTailAlgebraicContinuum(CapacityModel):
     """``pi(b) = 1 - b^-tau`` (b > 1) under the Pareto(z) census."""
+
+    #: The closed forms carry no truncation noise, so the gap floor sits
+    #: below the discrete models' and the gap brackets may grow to 1e12.
+    GAP_FLOOR = 1e-13
+    GAP_LIMIT = 1e12
 
     def __init__(self, z: float, tau: float):
         if z <= 2.0:
@@ -74,70 +82,37 @@ class AlgebraicTailAlgebraicContinuum:
 
     # ----------------------- closed-form totals -----------------------
 
-    def total_best_effort(self, capacity: float) -> float:
-        """``V_B(C)`` for ``C >= 1`` (flows above share 1 gain utility)."""
-        self._check_capacity(capacity)
+    def best_effort_batch(self, capacities) -> np.ndarray:
+        """Normalised ``B(C)`` for ``C >= 1`` (flows above share 1 gain utility)."""
+        caps = algebraic_capacities(capacities)
         z, tau = self._z, self._tau
         m = tau + 2.0 - z
         kbar = self.mean_load
         # int_1^C (z-1)k^{1-z}(1 - (C/k)^-tau) dk
-        piece_full = kbar * (1.0 - capacity ** (2.0 - z))
-        piece_tail = (
-            (z - 1.0)
-            / m
-            * (capacity ** (2.0 - z) - capacity ** (-tau))
-        )
-        return piece_full - piece_tail
+        piece_full = kbar * (1.0 - caps ** (2.0 - z))
+        piece_tail = (z - 1.0) / m * (caps ** (2.0 - z) - caps ** (-tau))
+        return (piece_full - piece_tail) / kbar
 
-    def total_reservation(self, capacity: float) -> float:
-        """``V_R(C)`` with the admission threshold at ``k_max(C)``."""
-        self._check_capacity(capacity)
+    def reservation_batch(self, capacities) -> np.ndarray:
+        """Normalised ``R(C)`` with the admission threshold at ``k_max(C)``."""
+        caps = algebraic_capacities(capacities)
         z, tau = self._z, self._tau
         m = tau + 2.0 - z
         kbar = self.mean_load
-        kmax = self.k_max(capacity)
-        if kmax < 1.0:
+        kmax = caps / self._b_star
+        if caps.size and float(np.min(kmax)) < 1.0:
             raise ModelError(
-                f"closed forms need k_max >= 1 (C >= {self._b_star:.4f}), got C={capacity!r}"
+                f"closed forms need k_max >= 1 (C >= {self._b_star:.4f}), "
+                f"got C={float(np.min(caps))!r}"
             )
         admitted_full = kbar * (1.0 - kmax ** (2.0 - z))
         # C^-tau * kmax^m = C^{2-z} * b_star^-m
         admitted_tail = (
-            (z - 1.0)
-            / m
-            * (capacity ** (2.0 - z) * self._b_star ** (-m) - capacity ** (-tau))
+            (z - 1.0) / m * (caps ** (2.0 - z) * self._b_star ** (-m) - caps ** (-tau))
         )
         # overload term: kmax * pi(b*) * sf(kmax)
         overload = kmax ** (2.0 - z) * self._utility.value(self._b_star)
-        return admitted_full - admitted_tail + overload
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C)``."""
-        return self.total_best_effort(capacity) / self.mean_load
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C)``."""
-        return self.total_reservation(capacity) / self.mean_load
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-13) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)`` exactly."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=1e12,
-            label=f"algebraic-tail Delta(C={capacity})",
-        )
-        return max(0.0, solution - capacity)
+        return (admitted_full - admitted_tail + overload) / kbar
 
     # -------------------------- asymptotics ---------------------------
 
@@ -161,11 +136,3 @@ class AlgebraicTailAlgebraicContinuum:
         if d_lo <= 0.0 or d_hi <= 0.0:
             raise ModelError("gap vanished inside the measurement window")
         return math.log(d_hi / d_lo) / math.log(c_hi / c_lo)
-
-    # ---------------------------- guards ------------------------------
-
-    def _check_capacity(self, capacity: float) -> None:
-        if capacity < 1.0:
-            raise ModelError(
-                f"the algebraic-tail closed forms hold for C >= 1, got {capacity!r}"
-            )

@@ -23,13 +23,11 @@ import numpy as np
 from repro import obs
 from repro.errors import ModelError
 from repro.loads.continuum import ContinuumLoad
+from repro.models.base import CapacityModel
+from repro.models.fixed_load import validated_capacities
 from repro.numerics.batch import find_roots
 from repro.numerics.quadrature import integrate
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
-
-#: Normalised gaps below this are treated as zero by the gap solver.
-GAP_FLOOR = 1e-12
 
 #: Per-flow bandwidths scanned for the admission optimum ``b*``.  The
 #: low end is the old search limit ``k = 64 C``: an argmax there means
@@ -37,7 +35,7 @@ GAP_FLOOR = 1e-12
 _SHARE_GRID = np.geomspace(1.0 / 64.0, 1e6, 2049)
 
 
-class ContinuumModel:
+class ContinuumModel(CapacityModel):
     """Numeric continuum variable-load model for any (load, utility).
 
     Parameters
@@ -197,86 +195,34 @@ class ContinuumModel:
 
     # ------------------------------------------------------------------
 
-    def total_best_effort(self, capacity: float) -> float:
-        """``V_B(C)`` by quadrature."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        return self._weighted_utility_integral(capacity, 0.0, math.inf)
+    def best_effort_batch(self, capacities) -> np.ndarray:
+        """Normalised ``B`` over a capacity grid: one quadrature per point.
 
-    def total_reservation(self, capacity: float) -> float:
-        """``V_R(C)`` by quadrature plus the capped-overload term."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        kmax = self.k_max(capacity)
-        if kmax <= 0.0:
-            return 0.0
-        admitted = self._weighted_utility_integral(capacity, 0.0, kmax)
-        overload = kmax * self._utility.value(capacity / kmax) * self._load.sf(kmax)
-        return admitted + overload
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C)``."""
-        return self.total_best_effort(capacity) / self._kbar
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C)``."""
-        return self.total_reservation(capacity) / self._kbar
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = R(C) - B(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    # ------------------------------------------------------------------
-    # batch evaluation
-    # ------------------------------------------------------------------
-
-    def _scalar_batch(self, fn, capacities) -> np.ndarray:
-        """Per-point evaluation of ``fn`` over a grid, metered as
-        scalar fallbacks — adaptive quadrature adapts its panels to
-        each capacity, so there is no shared vector kernel here."""
-        caps = np.asarray(capacities, dtype=float).ravel()
+        Adaptive quadrature adapts its panels to each capacity, so
+        there is no shared vector kernel here; the points are metered
+        as ``batch.fallback_scalar``.
+        """
+        caps = validated_capacities(capacities)
         if obs.enabled():
             obs.counter("batch.fallback_scalar").inc(int(caps.size))
-        return np.array([fn(float(c)) for c in caps])
-
-    def best_effort_batch(self, capacities) -> np.ndarray:
-        """Normalised ``B`` over a capacity grid (per-point quadrature)."""
-        return self._scalar_batch(self.best_effort, capacities)
+        totals = [
+            self._weighted_utility_integral(c, 0.0, math.inf) if c > 0.0 else 0.0
+            for c in caps.tolist()
+        ]
+        return np.asarray(totals) / self._kbar
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """Normalised ``R`` over a capacity grid (per-point quadrature)."""
-        return self._scalar_batch(self.reservation, capacities)
-
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (per-point quadrature)."""
-        return self._scalar_batch(self.performance_gap, capacities)
-
-    def bandwidth_gap_batch(self, capacities) -> np.ndarray:
-        """``Delta`` over a capacity grid (per-point inversion)."""
-        return self._scalar_batch(self.bandwidth_gap, capacities)
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"continuum bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)
+        """Normalised ``R`` over a capacity grid: quadrature up to ``k_max``
+        plus the capped-overload term, per point (metered as
+        ``batch.fallback_scalar``)."""
+        caps = validated_capacities(capacities)
+        if obs.enabled():
+            obs.counter("batch.fallback_scalar").inc(int(caps.size))
+        totals = np.zeros(caps.size)
+        for i, c in enumerate(caps.tolist()):
+            kmax = self.k_max(c)
+            if kmax <= 0.0:
+                continue
+            admitted = self._weighted_utility_integral(c, 0.0, kmax)
+            totals[i] = admitted + kmax * self._utility.value(c / kmax) * self._load.sf(kmax)
+        return totals / self._kbar

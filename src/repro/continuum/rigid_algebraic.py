@@ -22,9 +22,22 @@ import math
 import numpy as np
 
 from repro.errors import ModelError
+from repro.models.base import CapacityModel
+from repro.models.fixed_load import validated_capacities
 
 
-class RigidAlgebraicContinuum:
+def algebraic_capacities(capacities) -> np.ndarray:
+    """A validated capacity grid on ``C >= 1``, where the Pareto closed
+    forms hold (the census starts at ``k = 1``)."""
+    caps = validated_capacities(capacities)
+    if caps.size and float(np.min(caps)) < 1.0:
+        raise ModelError(
+            f"the algebraic closed forms hold for C >= 1, got {float(np.min(caps))!r}"
+        )
+    return caps
+
+
+class RigidAlgebraicContinuum(CapacityModel):
     """All Section 3.2/4 closed forms for the rigid x algebraic case."""
 
     def __init__(self, z: float):
@@ -49,57 +62,24 @@ class RigidAlgebraicContinuum:
 
     # ------------------------- closed forms -------------------------
     # Each quantity has one formula, over a capacity grid; the
-    # per-point methods below are one-element views of it.
-
-    def _grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 1.0:
-            raise ModelError(
-                f"the algebraic closed forms hold for C >= 1, got "
-                f"{float(np.min(caps))!r}"
-            )
-        return caps
+    # per-point views and the totals come from CapacityModel.
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """``B(C) = 1 - C^{2-z}`` for ``C >= 1``."""
-        return 1.0 - self._grid(capacities) ** (2.0 - self._z)
+        return 1.0 - algebraic_capacities(capacities) ** (2.0 - self._z)
 
     def reservation_batch(self, capacities) -> np.ndarray:
         """``R(C) = 1 - C^{2-z}/(z-1)`` for ``C >= 1``."""
-        return 1.0 - self._grid(capacities) ** (2.0 - self._z) / (self._z - 1.0)
+        return 1.0 - algebraic_capacities(capacities) ** (2.0 - self._z) / (self._z - 1.0)
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
         """``delta(C) = C^{2-z} (z-2)/(z-1)``."""
         z = self._z
-        return self._grid(capacities) ** (2.0 - z) * (z - 2.0) / (z - 1.0)
+        return algebraic_capacities(capacities) ** (2.0 - z) * (z - 2.0) / (z - 1.0)
 
     def bandwidth_gap_batch(self, capacities) -> np.ndarray:
         """``Delta(C) = C ((z-1)^{1/(z-2)} - 1)`` — exactly linear."""
-        return self._grid(capacities) * (self.gap_ratio() - 1.0)
-
-    def best_effort(self, capacity: float) -> float:
-        """``B(C)``: a one-element :meth:`best_effort_batch`."""
-        return float(self.best_effort_batch([capacity])[0])
-
-    def reservation(self, capacity: float) -> float:
-        """``R(C)``: a one-element :meth:`reservation_batch`."""
-        return float(self.reservation_batch([capacity])[0])
-
-    def total_best_effort(self, capacity: float) -> float:
-        """Unnormalised ``V_B(C) = k_bar B(C)``."""
-        return self.mean_load * self.best_effort(capacity)
-
-    def total_reservation(self, capacity: float) -> float:
-        """Unnormalised ``V_R(C) = k_bar R(C)``."""
-        return self.mean_load * self.reservation(capacity)
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
-        return float(self.performance_gap_batch([capacity])[0])
-
-    def bandwidth_gap(self, capacity: float) -> float:
-        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
-        return float(self.bandwidth_gap_batch([capacity])[0])
+        return algebraic_capacities(capacities) * (self.gap_ratio() - 1.0)
 
     # --------------------------- welfare ----------------------------
 

@@ -28,6 +28,8 @@ import numpy as np
 from scipy import special
 
 from repro.errors import ModelError
+from repro.models.base import CapacityModel
+from repro.models.fixed_load import validated_capacities
 from repro.numerics.batch import find_roots
 
 #: Largest price with a nonzero best-effort provisioning optimum
@@ -35,7 +37,7 @@ from repro.numerics.batch import find_roots
 PRICE_CEILING = 1.0 / math.e
 
 
-class RigidExponentialContinuum:
+class RigidExponentialContinuum(CapacityModel):
     """All Section 3.2/4 closed forms for the rigid x exponential case."""
 
     def __init__(self, beta: float = 1.0):
@@ -55,28 +57,20 @@ class RigidExponentialContinuum:
 
     # ------------------------- closed forms -------------------------
     # Each quantity has one formula, over a capacity (or price) grid;
-    # the per-point methods below are one-element views of it.
-
-    def _grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 0.0:
-            raise ValueError(
-                f"capacity must be >= 0, got {float(np.min(caps))!r}"
-            )
-        return caps
+    # the per-point views and the totals come from CapacityModel.
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """Normalised ``B(C) = 1 - e^{-beta C}(1 + beta C)``."""
-        bc = self._beta * self._grid(capacities)
+        bc = self._beta * validated_capacities(capacities)
         return 1.0 - np.exp(-bc) * (1.0 + bc)
 
     def reservation_batch(self, capacities) -> np.ndarray:
         """Normalised ``R(C) = 1 - e^{-beta C}``."""
-        return 1.0 - np.exp(-self._beta * self._grid(capacities))
+        return 1.0 - np.exp(-self._beta * validated_capacities(capacities))
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
         """``delta(C) = beta C e^{-beta C}``."""
-        bc = self._beta * self._grid(capacities)
+        bc = self._beta * validated_capacities(capacities)
         return bc * np.exp(-bc)
 
     def bandwidth_gap_batch(self, capacities) -> np.ndarray:
@@ -86,7 +80,7 @@ class RigidExponentialContinuum:
         each root is unique and bracketable; one vectorised root find
         solves the grid.
         """
-        caps = self._grid(capacities)
+        caps = validated_capacities(capacities)
         beta = self._beta
 
         def residual(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -129,30 +123,6 @@ class RigidExponentialContinuum:
         for i in np.flatnonzero(~result.converged):
             result.checked_root(i, f"at p={ps[i]}")
         return result.roots
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised ``B(C)``: a one-element :meth:`best_effort_batch`."""
-        return float(self.best_effort_batch([capacity])[0])
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised ``R(C)``: a one-element :meth:`reservation_batch`."""
-        return float(self.reservation_batch([capacity])[0])
-
-    def total_best_effort(self, capacity: float) -> float:
-        """``V_B(C) = B(C) / beta``."""
-        return self.best_effort(capacity) / self._beta
-
-    def total_reservation(self, capacity: float) -> float:
-        """``V_R(C) = R(C) / beta``."""
-        return self.reservation(capacity) / self._beta
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)``: a one-element :meth:`performance_gap_batch`."""
-        return float(self.performance_gap_batch([capacity])[0])
-
-    def bandwidth_gap(self, capacity: float) -> float:
-        """``Delta(C)``: a one-element :meth:`bandwidth_gap_batch`."""
-        return float(self.bandwidth_gap_batch([capacity])[0])
 
     def bandwidth_gap_asymptotic(self, capacity: float) -> float:
         """Leading large-C behaviour ``ln(beta C)/beta`` (paper Section 3.3)."""

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.loads.continuum import ContinuumLoad
+from repro.models.base import CapacityModel
+from repro.models.fixed_load import validated_capacities
 from repro.numerics.quadrature import integrate
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
 
-class ContinuumSamplingModel:
+class ContinuumSamplingModel(CapacityModel):
     """Worst-of-S-samples model over a continuum census.
 
     ``k_max(C) = C`` is assumed (true for the rigid and ramp utilities
@@ -54,6 +57,11 @@ class ContinuumSamplingModel:
     def samples(self) -> int:
         """Number of census samples per flow."""
         return self._samples
+
+    @property
+    def mean_load(self) -> float:
+        """``k_bar`` of the census density."""
+        return self._kbar
 
     def k_max(self, capacity: float) -> float:
         """Admission threshold (defaults to the ``k_max(C) = C`` cases)."""
@@ -119,45 +127,29 @@ class ContinuumSamplingModel:
 
     # ------------------------------------------------------------------
 
-    def best_effort(self, capacity: float) -> float:
-        """``B_S(C)`` — per-flow expected utility at the worst sample."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        return self._weighted_integral(capacity, self._load.support_min, math.inf)
+    def best_effort_batch(self, capacities) -> np.ndarray:
+        """``B_S`` — per-flow expected utility at the worst sample, one
+        quadrature per capacity."""
+        caps = validated_capacities(capacities)
+        lo = self._load.support_min
+        values = [
+            self._weighted_integral(c, lo, math.inf) if c > 0.0 else 0.0
+            for c in caps.tolist()
+        ]
+        return np.asarray(values, dtype=float)
 
-    def reservation(self, capacity: float) -> float:
-        """``R_S(C)`` — admit on first sample, cap subsequent censuses."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        kmax = self.k_max(capacity)
-        if kmax <= self._load.support_min:
-            return 0.0
-        below = self._weighted_integral(capacity, self._load.support_min, kmax)
-        f_cap = self._biased_cdf(kmax)
-        at_cap = f_cap - f_cap**self._samples
-        over = kmax * self._load.sf(kmax) / self._kbar
-        return below + (at_cap + over) * self._utility.value(capacity / kmax)
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta_S(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-12) -> float:
-        """``Delta_S(C)`` solving ``B_S(C + Delta) = R_S(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=1e9,
-            label=f"continuum sampling gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)
+    def reservation_batch(self, capacities) -> np.ndarray:
+        """``R_S`` — admit on first sample, cap subsequent censuses; one
+        quadrature per capacity."""
+        caps = validated_capacities(capacities)
+        values = np.zeros(caps.size)
+        for i, c in enumerate(caps.tolist()):
+            kmax = self.k_max(c) if c > 0.0 else 0.0
+            if kmax <= self._load.support_min:
+                continue
+            below = self._weighted_integral(c, self._load.support_min, kmax)
+            f_cap = self._biased_cdf(kmax)
+            at_cap = f_cap - f_cap**self._samples
+            over = kmax * self._load.sf(kmax) / self._kbar
+            values[i] = below + (at_cap + over) * self._utility.value(c / kmax)
+        return values

@@ -102,15 +102,9 @@ def continuum_series(config: Optional[PaperConfig] = None, *, points: int = 30) 
     }
     out: dict = {"capacity_over_kbar": caps}
     for tag, model in cases.items():
-        for name in ("best_effort", "reservation", "bandwidth_gap"):
-            batch = getattr(model, f"{name}_batch", None)
-            if batch is not None:
-                series = np.asarray(batch(caps), dtype=float)
-            else:
-                series = np.array(
-                    [getattr(model, name)(float(c)) for c in caps]
-                )
-            out[f"{name}_{tag}"] = series
+        out[f"best_effort_{tag}"] = model.best_effort_batch(caps)
+        out[f"reservation_{tag}"] = model.reservation_batch(caps)
+        out[f"bandwidth_gap_{tag}"] = model.bandwidth_gap_batch(caps)
     return out
 
 

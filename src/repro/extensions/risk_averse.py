@@ -21,13 +21,13 @@ from typing import Optional
 import numpy as np
 
 from repro.loads.base import LoadDistribution
+from repro.models.base import CapacityModel
 from repro.models.sampling import SamplingModel
-from repro.models.variable_load import GAP_FLOOR, VariableLoadModel
-from repro.numerics.solvers import invert_monotone
+from repro.models.variable_load import VariableLoadModel
 from repro.utility.base import UtilityFunction
 
 
-class RiskAverseModel:
+class RiskAverseModel(CapacityModel):
     """Blend of mean-performance and worst-of-S-samples scoring.
 
     Parameters
@@ -77,20 +77,6 @@ class RiskAverseModel:
         """Admission threshold (shared across components)."""
         return self._mean_model.k_max(capacity)
 
-    def best_effort(self, capacity: float) -> float:
-        """Risk-adjusted best-effort utility."""
-        w = self._aversion
-        return (1.0 - w) * self._mean_model.best_effort(capacity) + (
-            w * self._worst_model.best_effort(capacity)
-        )
-
-    def reservation(self, capacity: float) -> float:
-        """Risk-adjusted reservation utility."""
-        w = self._aversion
-        return (1.0 - w) * self._mean_model.reservation(capacity) + (
-            w * self._worst_model.reservation(capacity)
-        )
-
     def best_effort_batch(self, capacities) -> np.ndarray:
         """Risk-adjusted best-effort utility over a capacity grid."""
         w = self._aversion
@@ -104,29 +90,3 @@ class RiskAverseModel:
         return (1.0 - w) * self._mean_model.reservation_batch(capacities) + (
             w * self._worst_model.reservation_batch(capacities)
         )
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)`` under risk-adjusted scoring (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` under risk-adjusted scoring."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"risk-averse bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)

@@ -28,12 +28,12 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.loads.base import LoadDistribution
-from repro.models.variable_load import GAP_FLOOR
-from repro.numerics.solvers import invert_monotone
+from repro.models.base import CapacityModel
+from repro.models.fixed_load import validated_capacities
 from repro.utility.base import UtilityFunction
 
 
-class TwoClassModel:
+class TwoClassModel(CapacityModel):
     """Exact best-effort vs reservations for two independent classes.
 
     Parameters
@@ -147,64 +147,46 @@ class TwoClassModel:
 
     # ------------------------------------------------------------------
 
-    def best_effort(self, capacity: float) -> float:
+    def best_effort_batch(self, capacities) -> np.ndarray:
         """Normalised best-effort utility (per mean offered flow)."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        states = self._state_utilities_best_effort(capacity)
-        return float(np.sum(self._weights * states)) / self._mean_total
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised reservation utility."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        # The greedy density-ordered packing never overbooks, so in
-        # census states where squeezing one more flow below its nominal
-        # demand beats boosting the packed set (e.g. 9 flows at 99% of
-        # demand vs 8 boosted ones) it loses to plain equal sharing.  A
-        # reservation-capable network can always fall back to exactly
-        # the best-effort allocation — reservations equal to the
-        # equal-share levels — so the architecture's value is the
-        # state-wise better of the two policies.  This also makes
-        # reservation dominance (delta >= 0) hold exactly rather than
-        # "in practice".
-        states = np.maximum(
-            self._state_utilities_reservation(capacity),
-            self._state_utilities_best_effort(capacity),
+        return self._census_average(
+            capacities, self._state_utilities_best_effort
         )
-        return float(np.sum(self._weights * states)) / self._mean_total
 
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)`` across both classes (nonnegative: the
-        reservation side falls back to the equal-share allocation in
-        any census state where the greedy packing would lose to it)."""
-        return self.reservation(capacity) - self.best_effort(capacity)
+    def reservation_batch(self, capacities) -> np.ndarray:
+        """Normalised reservation utility.
 
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"two-class bandwidth gap at C={capacity}",
+        The greedy density-ordered packing never overbooks, so in
+        census states where squeezing one more flow below its nominal
+        demand beats boosting the packed set (e.g. 9 flows at 99% of
+        demand vs 8 boosted ones) it loses to plain equal sharing.  A
+        reservation-capable network can always fall back to exactly
+        the best-effort allocation — reservations equal to the
+        equal-share levels — so the architecture's value is the
+        state-wise better of the two policies.  This also makes
+        reservation dominance (delta >= 0) hold exactly rather than
+        "in practice".
+        """
+        return self._census_average(
+            capacities,
+            lambda c: np.maximum(
+                self._state_utilities_reservation(c),
+                self._state_utilities_best_effort(c),
+            ),
         )
-        return max(0.0, solution - capacity)
+
+    def _census_average(self, capacities, state_utilities) -> np.ndarray:
+        """``sum P(k1) P(k2) U(k1, k2; C) / mean`` per capacity.
+
+        Each capacity is one weighted sum over the whole census grid,
+        so the grid is walked per point; ``C = 0`` gives 0.
+        """
+        caps = validated_capacities(capacities)
+        totals = [
+            float(np.sum(self._weights * state_utilities(c))) if c > 0.0 else 0.0
+            for c in caps.tolist()
+        ]
+        return np.asarray(totals) / self._mean_total
 
     def per_class_best_effort(self, capacity: float) -> Tuple[float, float]:
         """Per-class normalised best-effort utilities (class means)."""

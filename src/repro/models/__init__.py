@@ -1,5 +1,8 @@
 """The paper's models: Sections 2-5 as composable classes.
 
+- :class:`CapacityModel` — the comparison contract: a model supplies
+  ``B`` and ``R`` over a capacity grid, and ``delta``, ``Delta``, the
+  scalar views and the sweep are derived once.
 - :class:`FixedLoadModel` — Section 2's ``V(k) = k pi(C/k)`` analysis.
 - :class:`VariableLoadModel` — Section 3.1's ``B(C)``, ``R(C)``,
   ``delta(C)`` and ``Delta(C)``.
@@ -11,6 +14,7 @@
 - :class:`ArchitectureComparison` — all of the above behind one call.
 """
 
+from repro.models.base import CapacityModel
 from repro.models.comparison import (
     ArchitectureComparison,
     ComparisonPoint,
@@ -31,6 +35,7 @@ __all__ = [
     "ALPHA_PAPER",
     "Architecture",
     "ArchitectureComparison",
+    "CapacityModel",
     "ComparisonPoint",
     "carried_utility",
     "erlang_b",

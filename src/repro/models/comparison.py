@@ -150,16 +150,7 @@ class ArchitectureComparison:
 
     def at(self, capacity: float) -> ComparisonPoint:
         """Every Section 3 quantity at one capacity."""
-        m = self._model
-        return ComparisonPoint(
-            capacity=capacity,
-            k_max=m.k_max(capacity),
-            best_effort=m.best_effort(capacity),
-            reservation=m.reservation(capacity),
-            performance_gap=m.performance_gap(capacity),
-            bandwidth_gap=m.bandwidth_gap(capacity),
-            overload_probability=m.overload_probability(capacity),
-        )
+        return self._points([capacity])[0]
 
     def sweep(
         self,
@@ -168,7 +159,7 @@ class ArchitectureComparison:
         prices: Optional[Sequence[float]] = None,
     ) -> ComparisonReport:
         """Full report over a capacity grid (and optional price grid)."""
-        points = [self.at(float(c)) for c in capacities]
+        points = self._points(capacities)
         if prices is not None:
             curve = self.welfare.ratio_curve(prices)
             return ComparisonReport(
@@ -177,6 +168,22 @@ class ArchitectureComparison:
                 gamma_values=curve["gamma"],
             )
         return ComparisonReport(points=points)
+
+    def _points(self, capacities) -> list:
+        """Section 3 quantities over a capacity grid: one model sweep,
+        one ``k_max`` grid call and one survival-function array."""
+        series = self._model.sweep(capacities)
+        kmax = self._model.k_max_batch(series["capacity"])
+        # a threshold of 0 admits nobody: overload is certain
+        overload = np.where(kmax >= 1, self._load.sf_array(np.maximum(kmax, 1)), 1.0)
+        quantities = ("best_effort", "reservation", "performance_gap", "bandwidth_gap")
+        rows = zip(
+            series["capacity"].tolist(),
+            kmax.tolist(),
+            *(series[name].tolist() for name in quantities),
+            overload.tolist(),
+        )
+        return [ComparisonPoint(*row) for row in rows]
 
     def break_even_complexity_cost(self, price: float) -> float:
         """Fractional extra bandwidth cost reservations may carry.

@@ -36,11 +36,9 @@ from repro import obs
 from repro.caching import BoundedCache
 from repro.errors import ModelError
 from repro.loads.base import LoadDistribution
-from repro.models.variable_load import (
-    GAP_FLOOR,
-    VariableLoadModel,
-    solve_bandwidth_gaps,
-)
+from repro.models.base import CapacityModel
+from repro.models.fixed_load import validated_capacities
+from repro.models.variable_load import VariableLoadModel
 from repro.numerics.series import fixed_point
 from repro.utility.base import UtilityFunction
 
@@ -52,7 +50,7 @@ ALPHA_PAPER = 0.1
 THETA_CEILING = 0.9
 
 
-class RetryingModel:
+class RetryingModel(CapacityModel):
     """Reservation model with blocked flows retrying (paper Section 5.2).
 
     Parameters
@@ -168,108 +166,42 @@ class RetryingModel:
         return self._model_at_mean(mean).blocking_fraction(capacity)
 
     # ------------------------------------------------------------------
-    # the model's quantities
+    # the model's kernels
     # ------------------------------------------------------------------
 
-    def best_effort(self, capacity: float) -> float:
-        """``B(C)`` — identical to the basic model (no blocking)."""
-        return self._base.best_effort(capacity)
+    def best_effort_batch(self, capacities) -> np.ndarray:
+        """``B`` over a capacity grid — the base model's (no blocking)."""
+        return self._base.best_effort_batch(capacities)
 
-    def reservation(self, capacity: float) -> float:
-        """``R~(C) = (L~/L) R_{L~}(C) - alpha D`` (paper Section 5.2)."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        if capacity == 0.0:
-            return 0.0
-        mean = self.offered_mean(capacity)
-        inflated = self._model_at_mean(mean)
-        ratio = mean / self._intrinsic_mean
-        retries = ratio - 1.0
-        return ratio * inflated.reservation(capacity) - self._alpha * retries
+    def reservation_batch(self, capacities) -> np.ndarray:
+        """``R~(C) = (L~/L) R_{L~}(C) - alpha D`` over a capacity grid.
 
-    def performance_gap(self, capacity: float) -> float:
-        """``delta~(C) = R~(C) - B(C)``.
+        The paper's Section 5.2 expression.  The retry fixed point
+        couples each capacity to its *own* inflated load distribution,
+        so there is no shared series to vectorise; each point runs its
+        own fixed point (counted as ``batch.fallback_scalar``), with
+        results landing in the fixed-point cache as usual.
+        """
+        caps = validated_capacities(capacities)
+        if obs.enabled():
+            obs.counter("batch.fallback_scalar").inc(int(caps.size))
+        values = np.zeros(caps.size)
+        for i, capacity in enumerate(caps.tolist()):
+            if capacity == 0.0:
+                continue
+            mean = self.offered_mean(capacity)
+            ratio = mean / self._intrinsic_mean
+            retries = ratio - 1.0
+            inflated = self._model_at_mean(mean).reservation(capacity)
+            values[i] = ratio * inflated - self._alpha * retries
+        return values
+
+    def performance_gap_batch(self, capacities) -> np.ndarray:
+        """``delta~ = R~ - B`` over a capacity grid.
 
         Unlike the basic model this can go negative at very low
         capacity (heavy blocking makes retry penalties swamp the
         admission benefit), so it is *not* clipped.
         """
-        return self.reservation(capacity) - self.best_effort(capacity)
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta~(C)``: a one-element :meth:`bandwidth_gap_batch`."""
-        return float(
-            self.bandwidth_gap_batch(
-                [capacity], gap_floor=gap_floor, upper_limit=upper_limit
-            )[0]
-        )
-
-    # ------------------------------------------------------------------
-    # batch evaluation (whole-grid sweeps)
-    # ------------------------------------------------------------------
-
-    def best_effort_batch(self, capacities) -> np.ndarray:
-        """``B`` over a capacity grid — the base model's batch curve."""
-        return self._base.best_effort_batch(capacities)
-
-    def reservation_batch(self, capacities) -> np.ndarray:
-        """``R~`` over a capacity grid.
-
-        The retry fixed point couples each capacity to its *own*
-        inflated load distribution, so there is no shared series to
-        vectorise; each point runs the scalar solve (counted as
-        ``batch.fallback_scalar``), with results landing in the
-        fixed-point cache as usual.
-        """
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if obs.enabled():
-            obs.counter("batch.fallback_scalar").inc(int(caps.size))
-        return np.array([self.reservation(float(c)) for c in caps])
-
-    def bandwidth_gap_batch(
-        self,
-        capacities,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> np.ndarray:
-        """``Delta~`` solving ``B(C + Delta) = R~(C)`` over a capacity grid.
-
-        One vectorised inversion; elements where retries make
-        reservations no better than best effort return 0.0.
-        """
-        caps = np.asarray(capacities, dtype=float).ravel()
-        return solve_bandwidth_gaps(
-            self.best_effort_batch,
-            caps,
-            self.reservation_batch(caps),
-            self.best_effort_batch(caps),
-            gap_floor=gap_floor,
-            upper_limit=upper_limit,
-            label="retrying bandwidth gap batch",
-        )
-
-    def sweep(self, capacities, *, include_gaps: bool = True) -> dict:
-        """Figure-series sweep mirroring :meth:`VariableLoadModel.sweep`.
-
-        Best-effort and the bandwidth-gap inversion run through the
-        batch kernels; the reservation fixed point stays per-point.
-        """
-        caps = np.asarray(list(capacities), dtype=float)
-        b = self.best_effort_batch(caps)
-        r = self.reservation_batch(caps)
-        out = {
-            "capacity": caps,
-            "best_effort": b,
-            "reservation": r,
-            "performance_gap": r - b,
-        }
-        if include_gaps:
-            out["bandwidth_gap"] = self.bandwidth_gap_batch(caps)
-        return out
+        caps = validated_capacities(capacities)
+        return self.reservation_batch(caps) - self.best_effort_batch(caps)

@@ -36,17 +36,14 @@ import numpy as np
 from repro.errors import ConvergenceError
 from repro.loads.base import LoadDistribution
 from repro.loads.weighted import SizeBiasedLoad
+from repro.models.base import CapacityModel
 from repro.models.fixed_load import validated_capacities
-from repro.models.variable_load import (
-    GAP_FLOOR,
-    VariableLoadModel,
-    solve_bandwidth_gaps,
-)
+from repro.models.variable_load import VariableLoadModel
 from repro.numerics.batch import share_weighted_sums
 from repro.utility.base import UtilityFunction
 
 
-class SamplingModel:
+class SamplingModel(CapacityModel):
     """Worst-of-``S``-samples performance model (paper Section 5.1).
 
     Parameters
@@ -158,36 +155,6 @@ class SamplingModel:
         return out
 
     # ------------------------------------------------------------------
-    # the model's quantities
-    # ------------------------------------------------------------------
-
-    def best_effort(self, capacity: float) -> float:
-        """``B_S(C) = E[pi(C / max_S)]``: a one-element :meth:`best_effort_batch`."""
-        return float(self.best_effort_batch([capacity])[0])
-
-    def reservation(self, capacity: float) -> float:
-        """``R_S(C)``: a one-element :meth:`reservation_batch`."""
-        return float(self.reservation_batch([capacity])[0])
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta_S(C)``: a one-element :meth:`performance_gap_batch`."""
-        return float(self.performance_gap_batch([capacity])[0])
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta_S(C)``: a one-element :meth:`bandwidth_gap_batch`."""
-        return float(
-            self.bandwidth_gap_batch(
-                [capacity], gap_floor=gap_floor, upper_limit=upper_limit
-            )[0]
-        )
-
-    # ------------------------------------------------------------------
     # batch evaluation (whole-grid sweeps)
     # ------------------------------------------------------------------
 
@@ -260,44 +227,3 @@ class SamplingModel:
         pi_cap = np.asarray(self._utility(sub_caps / sub_kmax), dtype=float)
         totals[idx] = inner + (at_cap + over) * pi_cap
         return totals
-
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta_S`` over a capacity grid (clipped at zero)."""
-        caps = validated_capacities(capacities)
-        return np.maximum(
-            0.0, self.reservation_batch(caps) - self.best_effort_batch(caps)
-        )
-
-    def bandwidth_gap_batch(
-        self,
-        capacities,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> np.ndarray:
-        """``Delta_S`` over a capacity grid via one vectorised inversion."""
-        caps = validated_capacities(capacities)
-        return solve_bandwidth_gaps(
-            self.best_effort_batch,
-            caps,
-            self.reservation_batch(caps),
-            self.best_effort_batch(caps),
-            gap_floor=gap_floor,
-            upper_limit=upper_limit,
-            label="sampling bandwidth gap batch",
-        )
-
-    def sweep(self, capacities, *, include_gaps: bool = True) -> dict:
-        """Figure-series sweep mirroring :meth:`VariableLoadModel.sweep`."""
-        caps = np.asarray(list(capacities), dtype=float)
-        b = self.best_effort_batch(caps)
-        r = self.reservation_batch(caps)
-        out = {
-            "capacity": caps,
-            "best_effort": b,
-            "reservation": r,
-            "performance_gap": np.maximum(0.0, r - b),
-        }
-        if include_gaps:
-            out["bandwidth_gap"] = self.bandwidth_gap_batch(caps)
-        return out

@@ -32,14 +32,15 @@ tail is replaced by an Euler-Maclaurin integral of the smooth pmf
 extension — exact integrand, no model-specific approximation.  A sum
 no plan can certify raises :class:`~repro.errors.OutOfDomainError`.
 
-Each quantity has one implementation, a ``*_batch`` kernel over a
-capacity grid; the scalar entry points are one-element views of it.
+The model supplies ``V_B`` and ``V_R`` as ``*_batch`` kernels over a
+capacity grid; ``delta``, ``Delta``, the scalar entry points and the
+sweep are derived once, by :class:`~repro.models.base.CapacityModel`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,9 +48,10 @@ from repro import obs
 from repro.caching import BoundedCache
 from repro.errors import OutOfDomainError
 from repro.loads.base import LoadDistribution
+from repro.models.base import CapacityModel
 from repro.models.fixed_load import FixedLoadModel, validated_capacities
 from repro.numerics import series
-from repro.numerics.batch import invert_monotone_batch, share_weighted_sums
+from repro.numerics.batch import share_weighted_sums
 from repro.numerics.quadrature import integrate
 from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
@@ -65,11 +67,6 @@ BRUTE_FORCE_CAP = 1 << 22
 #: leave out.
 WINDOW_SHARE = 1e-3
 
-#: Normalised performance gaps below this are treated as exactly zero
-#: when solving for the bandwidth gap (they are below the numerical
-#: noise floor of the truncated sums).
-GAP_FLOOR = 1e-12
-
 #: Evaluation modes chosen by the series planner (:meth:`_plan_batch`):
 #: full dense summation up to a level, dense head + shared polynomial
 #: tail at a level, or the Euler-Maclaurin integral fallback.
@@ -84,45 +81,6 @@ _MODE_EM = 2
 #: plans DENSE at the first level or at its right edge, whichever is
 #: later (see :meth:`VariableLoadModel._plan_batch`).
 _PLAN_MIN_LEVEL = 256
-
-
-def solve_bandwidth_gaps(
-    best_effort_batch,
-    capacities: np.ndarray,
-    targets: np.ndarray,
-    base_values: np.ndarray,
-    *,
-    gap_floor: float = GAP_FLOOR,
-    upper_limit: float = 1e9,
-    label: str = "bandwidth gap batch",
-) -> np.ndarray:
-    """Solve ``B(C + Delta) = target`` over a grid in one vector call.
-
-    Shared by the variable-load, retrying and sampling models: each
-    supplies its own vectorised best-effort curve and its own targets.
-    Elements whose gap is below ``gap_floor`` return exactly 0.0.  An
-    element the solver flags raises the scalar error naming its
-    capacity (:meth:`~repro.numerics.batch.BatchRootResult.checked_root`).
-    """
-    caps = np.asarray(capacities, dtype=float).ravel()
-    gaps = np.zeros(caps.size)
-    idx = np.flatnonzero((targets - base_values) > gap_floor)
-    if idx.size == 0:
-        return gaps
-    sub = caps[idx]
-    result = invert_monotone_batch(
-        best_effort_batch,
-        targets[idx],
-        sub,
-        sub + np.maximum(1.0, sub),
-        increasing=True,
-        upper_limit=upper_limit,
-        label=label,
-    )
-    for j in np.flatnonzero(~result.converged):
-        result.checked_root(j, f"at C={sub[j]}")
-    gaps[idx] = np.maximum(0.0, result.roots - sub)
-    return gaps
 
 
 def _split_cached(cache: BoundedCache, caps: np.ndarray) -> tuple:
@@ -144,7 +102,7 @@ def _split_cached(cache: BoundedCache, caps: np.ndarray) -> tuple:
     return totals, np.asarray(todo, dtype=np.int64)
 
 
-class VariableLoadModel:
+class VariableLoadModel(CapacityModel):
     """Compare architectures under a distribution of offered loads.
 
     Parameters
@@ -409,20 +367,6 @@ class VariableLoadModel:
         at_cap = np.asarray(self._utility(caps / kmax), dtype=float)
         return admitted + kmax * at_cap * sf
 
-    def total_best_effort(self, capacity: float) -> float:
-        """Unnormalised ``V_B(C) = sum_k P(k) k pi(C/k)``.
-
-        A one-element view of :meth:`total_best_effort_batch`.
-        """
-        return float(self.total_best_effort_batch([capacity])[0])
-
-    def total_reservation(self, capacity: float) -> float:
-        """Unnormalised ``V_R(C)`` with admission threshold ``k_max(C)``.
-
-        A one-element view of :meth:`total_reservation_batch`.
-        """
-        return float(self.total_reservation_batch([capacity])[0])
-
     def total_reservation_at_threshold(self, capacity: float, threshold: int) -> float:
         """``V_R(C)`` with an *arbitrary* admission threshold.
 
@@ -528,65 +472,32 @@ class VariableLoadModel:
         return totals
 
     def best_effort_batch(self, capacities) -> np.ndarray:
-        """Normalised ``B`` over a capacity grid."""
+        """Normalised ``B = V_B / k_bar`` over a capacity grid."""
         return self.total_best_effort_batch(capacities) / self._kbar
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """Normalised ``R`` over a capacity grid."""
+        """Normalised ``R = V_R / k_bar`` over a capacity grid."""
         return self.total_reservation_batch(capacities) / self._kbar
 
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (clipped at zero).
+    def _gap_probes(self, capacities) -> np.ndarray:
+        """``B`` at the gap solver's probes, bypassing the LRU.
 
-        Strictly positive in all the paper's cases; clipping only
-        absorbs truncation noise when both sides are ~1.
+        Each probe is evaluated once per solve, so caching it buys
+        nothing and would evict the sweep's reusable entries.
         """
-        caps = validated_capacities(capacities)
-        return np.maximum(
-            0.0, self.reservation_batch(caps) - self.best_effort_batch(caps)
-        )
+        return self.total_best_effort_batch(capacities, cache=False) / self._kbar
 
-    def bandwidth_gap_batch(
-        self,
-        capacities,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> np.ndarray:
-        """``Delta`` over a capacity grid via one vectorised inversion.
-
-        Gaps whose normalised performance difference is below
-        ``gap_floor`` return exactly 0.0 — they are beneath the noise
-        floor of the truncated sums (and the paper describes them as
-        vanishing superexponentially in those regimes).
-        """
-        caps = validated_capacities(capacities)
-        return solve_bandwidth_gaps(
-            lambda probes: self.total_best_effort_batch(probes, cache=False)
-            / self._kbar,
-            caps,
-            self.reservation_batch(caps),
-            self.best_effort_batch(caps),
-            gap_floor=gap_floor,
-            upper_limit=upper_limit,
-            label="bandwidth gap batch",
-        )
+    # The scalar views and gaps of :class:`CapacityModel`, bound in
+    # this class body: perfbench's traced runs wrap them through
+    # ``VariableLoadModel.__dict__``.
+    total_best_effort = CapacityModel.total_best_effort
+    total_reservation = CapacityModel.total_reservation
+    performance_gap = CapacityModel.performance_gap
+    bandwidth_gap = CapacityModel.bandwidth_gap
 
     # ------------------------------------------------------------------
     # the paper's reported quantities
     # ------------------------------------------------------------------
-
-    def best_effort(self, capacity: float) -> float:
-        """Normalised best-effort utility ``B(C) = V_B(C)/k_bar``."""
-        return self.total_best_effort(capacity) / self._kbar
-
-    def reservation(self, capacity: float) -> float:
-        """Normalised reservation utility ``R(C) = V_R(C)/k_bar``."""
-        return self.total_reservation(capacity) / self._kbar
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = R(C) - B(C)``: a one-element :meth:`performance_gap_batch`."""
-        return float(self.performance_gap_batch([capacity])[0])
 
     def overload_probability(self, capacity: float) -> float:
         """Probability the offered load exceeds the admission threshold."""
@@ -607,23 +518,6 @@ class VariableLoadModel:
         # sum_{k>kmax} P(k) k = mean_tail(kmax+1); sum_{k>kmax} P(k) = sf(kmax)
         blocked = self._load.mean_tail(kmax + 1) - kmax * self._load.sf(kmax)
         return max(0.0, blocked) / self._kbar
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)``.
-
-        A one-element view of :meth:`bandwidth_gap_batch`.
-        """
-        return float(
-            self.bandwidth_gap_batch(
-                [capacity], gap_floor=gap_floor, upper_limit=upper_limit
-            )[0]
-        )
 
     def capacity_for_best_effort(
         self, target: float, *, upper_limit: float = 1e9
@@ -661,40 +555,3 @@ class VariableLoadModel:
             upper_limit=upper_limit,
             label=f"capacity for R = {target}",
         )
-
-    # ------------------------------------------------------------------
-    # sweeps
-    # ------------------------------------------------------------------
-
-    def sweep(
-        self,
-        capacities,
-        *,
-        include_gaps: bool = True,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> dict:
-        """Evaluate the figure-panel series over a capacity grid.
-
-        Returns a dict of numpy arrays keyed ``capacity``, ``best_effort``,
-        ``reservation``, ``performance_gap`` and (optionally)
-        ``bandwidth_gap`` — one point per requested capacity.  The whole
-        grid is computed through the batch entry points (one vectorised
-        pass per series); ``progress`` callbacks fire once per point
-        after the corresponding series values exist.
-        """
-        caps = np.asarray(list(capacities), dtype=float)
-        n = len(caps)
-        b = self.best_effort_batch(caps)
-        r = self.reservation_batch(caps)
-        out = {
-            "capacity": caps,
-            "best_effort": b,
-            "reservation": r,
-            "performance_gap": np.maximum(0.0, r - b),
-        }
-        if include_gaps:
-            out["bandwidth_gap"] = self.bandwidth_gap_batch(caps)
-        if progress is not None:
-            for i in range(n):
-                progress(i + 1, n)
-        return out

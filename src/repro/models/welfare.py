@@ -129,9 +129,10 @@ class WelfareModel:
     ----------
     model:
         Supplies ``V_B`` and ``V_R``: a
-        :class:`~repro.models.VariableLoadModel`, or an extension model
-        with ``mean_load`` and per-flow ``best_effort_batch`` /
-        ``reservation_batch`` (sampling, retrying, risk-averse).
+        :class:`~repro.models.VariableLoadModel`, or another
+        :class:`~repro.models.base.CapacityModel` with per-flow
+        ``best_effort_batch`` / ``reservation_batch`` (sampling,
+        retrying, risk-averse).
     capacities:
         Capacity table to search instead of the default one.  Extension
         models evaluate only there, so their optima are exact up to the

@@ -24,11 +24,12 @@ hit/miss counters, and a journal event per fallback.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.caching import BoundedCache
 from repro.emulator.bank import (
     LOADS,
     QUANTITIES,
@@ -37,7 +38,7 @@ from repro.emulator.bank import (
     default_bank,
     replace_axis,
 )
-from repro.errors import OutOfDomainError, ReproError
+from repro.errors import ReproError
 from repro.experiments.params import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.registry import Experiment
 from repro.runner.cache import ResultCache, decode_result
@@ -51,6 +52,10 @@ UTILITIES: Tuple[str, ...] = ("rigid", "adaptive")
 #: and *refuses* (HTTP 400) outside its validity envelope rather than
 #: extrapolating.
 ENGINE_HINTS: Tuple[str, ...] = ("meanfield",)
+
+#: Entries the per-``kbar`` lock and mean-field tables keep.  Both are
+#: keyed by a client-chosen value, so both are LRU-bounded.
+TABLE_BOUND = 256
 
 
 class QueryError(ReproError):
@@ -112,9 +117,10 @@ class EmulatorService:
         self.config = DEFAULT_CONFIG if config is None else config
         self.bank = bank if bank is not None else default_bank(self.config)
         self.cache = cache
-        self._locks: Dict[str, threading.Lock] = {}
+        # both tables are read and written only under _locks_guard
+        self._locks = BoundedCache(TABLE_BOUND)
         self._locks_guard = threading.Lock()
-        self._meanfield_sims: Dict[str, object] = {}
+        self._meanfield_sims = BoundedCache(TABLE_BOUND)
 
     # ------------------------------------------------------------------
     # public queries
@@ -368,7 +374,8 @@ class EmulatorService:
 
         key = f"{load}/{population:g}"
         with self._lock_for(f"meanfield/{key}"):
-            sim = self._meanfield_sims.get(key)
+            with self._locks_guard:
+                sim = self._meanfield_sims.get(key)
             if sim is None:
                 config = (
                     dataclasses.replace(self.config, kbar=population)
@@ -378,14 +385,21 @@ class EmulatorService:
                 sim = MeanFieldSimulator(
                     BirthDeathProcess(config.load(load)), Link(population)
                 )
-                self._meanfield_sims[key] = sim
+                with self._locks_guard:
+                    self._meanfield_sims.put(key, sim)
         return sim
 
     def _lock_for(self, key: str) -> threading.Lock:
+        """The lock serialising cold work on ``key``.
+
+        An evicted lock is only re-created: a thread still holding it
+        finishes its work, at worst alongside one new holder.
+        """
         with self._locks_guard:
             lock = self._locks.get(key)
             if lock is None:
-                lock = self._locks[key] = threading.Lock()
+                lock = threading.Lock()
+                self._locks.put(key, lock)
             return lock
 
     def _exact_via_cache(

@@ -44,7 +44,7 @@ from scipy import optimize, stats
 
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.models import FixedLoadModel
-from repro.models.variable_load import GAP_FLOOR
+from repro.models.base import CapacityModel
 
 #: Half-width of the summed census, in standard deviations.
 HALFWIDTH = 40.0
@@ -96,12 +96,12 @@ def performance_gap(nu: float, utility, capacities) -> np.ndarray:
 
 
 def bandwidth_gap(nu: float, utility, capacities) -> np.ndarray:
-    """``Delta(C)`` per capacity: 0 where ``R - B <= GAP_FLOOR``."""
+    """``Delta(C)`` per capacity: 0 where ``R - B <= CapacityModel.GAP_FLOOR``."""
     out = []
     for c in np.ravel(capacities):
         c = float(c)
         target = float(reservation(nu, utility, [c])[0])
-        if target - float(best_effort(nu, utility, [c])[0]) <= GAP_FLOOR:
+        if target - float(best_effort(nu, utility, [c])[0]) <= CapacityModel.GAP_FLOOR:
             out.append(0.0)
             continue
         gap = lambda x: float(best_effort(nu, utility, [x])[0]) - target  # noqa: E731

@@ -13,6 +13,7 @@ from repro.utility import (
     RigidUtility,
 )
 from tests.conftest import SMALL_MEAN
+from tests.models.test_contract import CONTRACT_MODELS
 
 
 def brute_force_best_effort(load, utility, capacity, terms=100_000):
@@ -202,19 +203,6 @@ class TestSweep:
             assert out["reservation"][i] == pytest.approx(m.reservation(c))
             assert out["bandwidth_gap"][i] == pytest.approx(m.bandwidth_gap(c))
 
-    def test_sweep_without_gaps(self, geometric_load, adaptive):
-        out = VariableLoadModel(geometric_load, adaptive).sweep(
-            [5.0, 10.0], include_gaps=False
-        )
-        assert "bandwidth_gap" not in out
-
-    def test_progress_callback_called(self, geometric_load, adaptive):
-        seen = []
-        VariableLoadModel(geometric_load, adaptive).sweep(
-            [5.0, 10.0], include_gaps=False, progress=lambda i, n: seen.append((i, n))
-        )
-        assert seen == [(1, 2), (2, 2)]
-
 
 class TestMarginals:
     """``V_B'(C) = sum_k P(k) pi'(C/k)``, the slope the welfare kernel's
@@ -343,6 +331,7 @@ _MODELS = {
         AlgebraicLoad.from_mean(3.0, SMALL_MEAN), AdaptiveUtility()
     ),
     "sampling": lambda: SamplingModel(PoissonLoad(SMALL_MEAN), AdaptiveUtility(), 3),
+    **{name: make for name, (make, _) in CONTRACT_MODELS.items()},
 }
 
 

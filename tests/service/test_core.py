@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import sys
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.emulator import DOMAINS, exact_values, fit_bank
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.runner.cache import ResultCache
 from repro.service import EmulatorService, QueryError
+from repro.service import core as service_core
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden" / "figures.json"
 
@@ -222,14 +224,72 @@ class TestMeanFieldEngine:
         assert reply["values"][0] == pytest.approx(exact, abs=2e-3)
 
     def test_simulator_is_memoised_per_load_and_population(self, service):
+        sims = service._meanfield_sims
+        key = f"poisson/{DEFAULT_CONFIG.kbar:g}"
         service.batch("delta", "poisson", "adaptive", [100.0], engine="meanfield")
-        first = dict(service._meanfield_sims)
+        first, count = sims.get(key), len(sims)
+        assert first is not None
         service.batch("delta", "poisson", "rigid", [120.0], engine="meanfield")
-        assert dict(service._meanfield_sims) == first
+        assert sims.get(key) is first and len(sims) == count
         service.batch(
             "delta", "poisson", "adaptive", [55.0], kbar=50.0, engine="meanfield"
         )
-        assert len(service._meanfield_sims) == len(first) + 1
+        assert len(sims) == count + 1
+        assert sims.get(key) is first
+
+    def test_per_kbar_tables_stay_bounded(self, bank, tmp_path, monkeypatch):
+        # every distinct client kbar keys one lock and one simulator;
+        # past the bound the oldest go, and a rebuilt one answers alike
+        monkeypatch.setattr(service_core, "TABLE_BOUND", 2)
+        service = EmulatorService(bank=bank, cache=ResultCache(tmp_path / "cache"))
+        query = ("delta", "poisson", "adaptive", [55.0])
+        first = service.batch(*query, kbar=50.0, engine="meanfield")["values"]
+        for kbar in (60.0, 70.0, 80.0, 90.0):
+            service.batch(*query, kbar=kbar, engine="meanfield")
+            assert len(service._meanfield_sims) <= 2
+            assert len(service._locks) <= 2
+        assert len(service._meanfield_sims) == len(service._locks) == 2
+        assert f"poisson/{50.0:g}" not in service._meanfield_sims
+        again = service.batch(*query, kbar=50.0, engine="meanfield")["values"]
+        assert again == first
+
+    def test_bounded_tables_under_concurrent_clients(self, bank, tmp_path, monkeypatch):
+        # more threads than cores race more distinct kbar values than the
+        # tables hold: every query answers, equal queries agree, and
+        # neither table passes its bound
+        monkeypatch.setattr(service_core, "TABLE_BOUND", 3)
+        service = EmulatorService(bank=bank, cache=ResultCache(tmp_path / "cache"))
+        kbars = [50.0 + 5.0 * i for i in range(6)]
+        answers = {kbar: [] for kbar in kbars}
+        errors = []
+
+        def client(kbar):
+            try:
+                reply = service.batch(
+                    "delta", "poisson", "adaptive", [55.0], kbar=kbar, engine="meanfield"
+                )
+                answers[kbar].append(reply["values"])
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(kbar,)) for kbar in kbars for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for replies in answers.values():
+            assert len(replies) == 3 and replies[1] == replies[0] == replies[2]
+        assert len(service._meanfield_sims) <= 3
+        assert len(service._locks) <= 3
 
     def test_non_delta_quantities_are_refused(self, service):
         with pytest.raises(QueryError, match="delta"):
