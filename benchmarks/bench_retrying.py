@@ -10,10 +10,8 @@ cheaper bandwidth can make reservations more attractive.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.models import RetryingModel, WelfareModel
-from repro.utility import AdaptiveUtility
 from repro.experiments.checkpoints import retrying_checkpoints
-from repro.experiments.figures import retrying_series
+from repro.experiments.figures import retrying_gamma, retrying_series
 from repro.experiments.report import render_checkpoints, render_series
 
 
@@ -52,21 +50,11 @@ def test_s52_retry_gamma_non_monotone(benchmark, config, record):
 
     "the price ratio curve gamma(p), which in all previous cases was
     monotonically increasing, now decreases for very small p" — checked
-    at paper scale with the welfare kernel on a capacity table.
+    at paper scale with the welfare kernel on a capacity table
+    (checkpoint T5.7 and the ``retrying_gamma`` golden pin hold the
+    same curve).
     """
-    load = config.load("algebraic")
-
-    def run():
-        retry = RetryingModel(load, AdaptiveUtility(config.kappa), alpha=config.alpha)
-        welfare = WelfareModel(
-            retry,
-            capacities=np.geomspace(2.2 * config.kbar, 80.0 * config.kbar, 110),
-        )
-        lo, hi = welfare.price_range()
-        prices = np.geomspace(lo * 1.3, hi * 0.7, 10)
-        return welfare.ratio_curve(prices)
-
-    curve = run_once(benchmark, run)
+    curve = run_once(benchmark, retrying_gamma, config)
     rows = [
         f"p={p:9.5f}  gamma={g:8.4f}"
         for p, g in zip(curve["price"], curve["gamma"])

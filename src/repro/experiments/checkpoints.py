@@ -26,6 +26,7 @@ from repro.continuum import (
     rigid_algebraic_ratio,
     sampling_rigid_ratio,
 )
+from repro.experiments.figures import retrying_gamma
 from repro.experiments.params import DEFAULT_CONFIG, PaperConfig
 from repro.models import (
     RetryingModel,
@@ -480,6 +481,26 @@ def retrying_checkpoints(config: Optional[PaperConfig] = None) -> List[Checkpoin
             "divergent",
             min(retrying_rigid_ratio(2.1, cfg.alpha), 1e300),
             divergent,
+        )
+    )
+
+    # the welfare reversal: gamma(p) peaks inside the price range and
+    # falls toward small p (prices ascend, so index 0 is the cheapest)
+    gamma = retrying_gamma(cfg)["gamma"]
+    peak = int(np.argmax(gamma))
+    rows.append(
+        Checkpoint(
+            "T5.7",
+            "alg/adaptive retry: gamma(p) peaks inside the price range, "
+            "falls toward small p",
+            "non-monotone",
+            float(gamma[peak]),
+            bool(
+                np.all(np.isfinite(gamma))
+                and 0 < peak < gamma.size - 1
+                and gamma[0] < gamma[peak]
+                and gamma[peak] > 1.3
+            ),
         )
     )
     return rows

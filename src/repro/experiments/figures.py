@@ -10,7 +10,8 @@ the data a plotting script would need to redraw it:
   bandwidth gap ``Delta(C)``, and (c,f) the equalizing price ratio
   ``gamma(p)``.
 - :func:`sampling_series` / :func:`retrying_series` — the Section 5
-  extension sweeps quoted in the text.
+  extension sweeps quoted in the text, and :func:`retrying_gamma` —
+  the Section 5.2 welfare reversal.
 
 All output is plain ``{name: ndarray}`` dicts, JSON-serialisable after
 ``.tolist()`` — the benchmark harness prints them as the paper's
@@ -161,3 +162,23 @@ def retrying_series(
             [retry.retries_per_flow(float(c)) for c in base_sweep["capacity"]]
         ),
     }
+
+
+def retrying_gamma(config: Optional[PaperConfig] = None) -> dict:
+    """Section 5.2 welfare reversal: ``gamma(p)`` with retries.
+
+    Algebraic load, adaptive apps, ``alpha`` from the config.  The
+    welfare kernel runs on 110 geometric capacities from 2.2 to 80 mean
+    loads (the retry balance needs ``C`` well above ``k_bar``; 80 k_bar
+    holds the optima of the cheapest prices), over 10 geometric prices
+    inside the table's interior price range.  The paper: "the price
+    ratio curve gamma(p), which in all previous cases was monotonically
+    increasing, now decreases for very small p".
+    """
+    cfg = config or DEFAULT_CONFIG
+    retry = RetryingModel(cfg.load("algebraic"), cfg.utility("adaptive"), alpha=cfg.alpha)
+    welfare = WelfareModel(
+        retry, capacities=np.geomspace(2.2 * cfg.kbar, 80.0 * cfg.kbar, 110)
+    )
+    lo, hi = welfare.price_range()
+    return welfare.ratio_curve(np.geomspace(lo * 1.3, hi * 0.7, 10))

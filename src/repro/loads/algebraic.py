@@ -27,12 +27,51 @@ from repro.loads.base import (
     _MOMENT_TABLE_EPS,
     LoadDistribution,
 )
-from repro.numerics.solvers import find_root
+from repro.numerics.batch import find_roots
 
 
 def _hurwitz(s: float, q: float) -> float:
     """Hurwitz zeta ``sum_{n>=0} (q+n)**-s`` via scipy."""
     return float(special.zeta(s, q))
+
+
+def _calibrated_shifts(z: float, means) -> list:
+    """The shift ``lam`` giving each mean, all from one vector solve.
+
+    The mean is strictly increasing in ``lam`` (more mass pushed to
+    large ``k``), from its ``lam = 0`` floor of
+    ``zeta(z-1, 1)/zeta(z, 1)``, so a bracketed root find is exact.
+    Every residual is the closed form of :attr:`AlgebraicLoad.mean`
+    over one vector Hurwitz-zeta call per iterate; the solve is
+    element-wise, so a shift does not depend on the rest of the grid.
+    """
+    targets = np.asarray(means, dtype=float).ravel()
+    floor = _hurwitz(z - 1.0, 1.0) / _hurwitz(z, 1.0)
+    low = np.flatnonzero(~(targets > floor))
+    if low.size:
+        raise CalibrationError(
+            f"algebraic load with z={z} cannot have mean {targets[low[0]]}; "
+            f"the minimum (lam=0) mean is {floor:.6g}"
+        )
+
+    def residual(lam: np.ndarray, target: np.ndarray) -> np.ndarray:
+        norm = special.zeta(z, lam + 1.0)
+        return (special.zeta(z - 1.0, lam + 1.0) - lam * norm) / norm - target
+
+    # the mean grows roughly linearly in lam, so 4 * mean is a safe cap
+    result = find_roots(
+        residual,
+        0.0,
+        np.maximum(4.0 * targets, 16.0),
+        args=(targets,),
+        expand=True,
+        upper_limit=1e9,
+        label=f"algebraic-load mean calibration (z={z})",
+    )
+    return [
+        result.checked_root(i, f"at mean={m}, expanding up to 1e9")
+        for i, m in enumerate(targets.tolist())
+    ]
 
 
 class AlgebraicLoad(LoadDistribution):
@@ -56,30 +95,10 @@ class AlgebraicLoad(LoadDistribution):
     def from_mean(cls, z: float, mean: float) -> "AlgebraicLoad":
         """Calibrate the shift ``lam`` so the distribution has ``mean``.
 
-        The mean is strictly increasing in ``lam`` (more mass pushed to
-        large ``k``), from its ``lam = 0`` floor of
-        ``zeta(z-1, 1)/zeta(z, 1)``, so a bracketed root find is exact.
+        The one-element view of :func:`_calibrated_shifts`, the solve
+        behind :meth:`rescaled_batch`.
         """
-        floor = _hurwitz(z - 1.0, 1.0) / _hurwitz(z, 1.0)
-        if mean <= floor:
-            raise CalibrationError(
-                f"algebraic load with z={z} cannot have mean {mean}; "
-                f"the minimum (lam=0) mean is {floor:.6g}"
-            )
-
-        def residual(lam: float) -> float:
-            return cls(z, lam).mean - mean
-
-        # the mean grows roughly linearly in lam, so mean*z is a safe cap
-        lam = find_root(
-            residual,
-            0.0,
-            max(4.0 * mean, 16.0),
-            expand=True,
-            upper_limit=1e9,
-            label=f"algebraic-load mean calibration (z={z}, mean={mean})",
-        )
-        return cls(z, lam)
+        return cls(z, float(_calibrated_shifts(z, [mean])[0]))
 
     @property
     def z(self) -> float:
@@ -224,7 +243,11 @@ class AlgebraicLoad(LoadDistribution):
         return table
 
     def rescaled(self, new_mean: float) -> "AlgebraicLoad":
-        return AlgebraicLoad.from_mean(self._z, new_mean)
+        return self.rescaled_batch([new_mean])[0]
+
+    def rescaled_batch(self, means) -> list:
+        """Every mean's load from one calibration solve (:func:`_calibrated_shifts`)."""
+        return [AlgebraicLoad(self._z, lam) for lam in _calibrated_shifts(self._z, means)]
 
     def __repr__(self) -> str:
         return f"AlgebraicLoad(z={self._z!r}, lam={self._lam!r})"

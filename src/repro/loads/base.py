@@ -7,8 +7,8 @@ pmf: the mean (paper fixes ``k_bar = 100``), the survival function
 (the reservation model's overload mass), the *partial first moment
 tail* ``sum_{k >= n} k P(k)`` (for truncating infinite sums with a hard
 bound), the *mass window* where every census sum runs, and the ability
-to rescale to a different mean within the same family (the retry fixed
-point inflates the offered load).
+to rescale to a different mean within the same family (the retry
+balance inflates the offered load).
 """
 
 from __future__ import annotations
@@ -74,6 +74,16 @@ class LoadDistribution(abc.ABC):
         ``P_L`` parametrised by its average ``L``: retries inflate the
         average while the family stays fixed.
         """
+
+    def rescaled_batch(self, means) -> list:
+        """:meth:`rescaled` at every mean of a grid, one load per mean.
+
+        The retry balance rescales the family for every open capacity
+        at once.  The default loops over :meth:`rescaled`; a family
+        whose calibration is a root solve overrides it with one
+        vectorised solve.
+        """
+        return [self.rescaled(float(m)) for m in np.asarray(means, dtype=float).ravel()]
 
     def cdf(self, k: int) -> float:
         """Cumulative probability ``P(K <= k)``."""

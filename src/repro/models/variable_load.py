@@ -83,6 +83,18 @@ _MODE_EM = 2
 _PLAN_MIN_LEVEL = 256
 
 
+def blocked_flows(load: LoadDistribution, threshold: int) -> float:
+    """``sum_{k > m} P(k) (k - m)``: flows refused at admission threshold ``m``.
+
+    ``sum_{k>m} k P(k)`` is ``mean_tail(m + 1)`` and ``sum_{k>m} P(k)``
+    is ``sf(m)``; a threshold below 1 refuses every flow.  Clipped at
+    zero, so truncation noise never reads as negative blocking.
+    """
+    if threshold < 1:
+        return load.mean
+    return max(0.0, load.mean_tail(threshold + 1) - threshold * load.sf(threshold))
+
+
 def _split_cached(cache: BoundedCache, caps: np.ndarray) -> tuple:
     """``(totals, todo)``: cached totals filled in, the rest to compute.
 
@@ -510,14 +522,10 @@ class VariableLoadModel(CapacityModel):
         """Expected fraction of flows denied a reservation.
 
         ``theta(C) = sum_{k>k_max} P(k) (k - k_max) / k_bar`` — the
-        flow-weighted blocking rate, used by the retrying extension.
+        flow-weighted blocking rate (:func:`blocked_flows` over
+        ``k_bar``), the quantity the retrying extension balances.
         """
-        kmax = self.k_max(capacity)
-        if kmax < 1:
-            return 1.0
-        # sum_{k>kmax} P(k) k = mean_tail(kmax+1); sum_{k>kmax} P(k) = sf(kmax)
-        blocked = self._load.mean_tail(kmax + 1) - kmax * self._load.sf(kmax)
-        return max(0.0, blocked) / self._kbar
+        return blocked_flows(self._load, self.k_max(capacity)) / self._kbar
 
     def capacity_for_best_effort(
         self, target: float, *, upper_limit: float = 1e9

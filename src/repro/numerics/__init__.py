@@ -9,8 +9,7 @@ those definitions need:
 
 - :func:`find_root` / :func:`invert_monotone` — bracketed root finding
   with automatic bracket expansion, one problem at a time,
-- :func:`integrate` — quadrature over finite or semi-infinite intervals,
-- :func:`fixed_point` — damped fixed-point iteration (retry model).
+- :func:`integrate` — quadrature over finite or semi-infinite intervals.
 
 Whole-grid sweeps go through the batch forms in
 :mod:`repro.numerics.batch` — :func:`find_roots`,
@@ -32,7 +31,6 @@ from repro.numerics.batch import (
     share_weighted_sums,
 )
 from repro.numerics.quadrature import integrate
-from repro.numerics.series import fixed_point
 from repro.numerics.solvers import find_root, invert_monotone
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "expand_brackets_upward",
     "find_root",
     "find_roots",
-    "fixed_point",
     "integrate",
     "invert_monotone",
     "invert_monotone_batch",

@@ -1,4 +1,4 @@
-"""Shared series tails and fixed-point iteration.
+"""Shared series tails.
 
 The discrete variable-load model sums ``P(k) * k * pi(C/k)`` over the
 load's mass window.  For Poisson and geometric loads the terms die
@@ -21,12 +21,10 @@ point (and per Chandrupatla iteration inside root-level sweeps).
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from repro.caching import BoundedCache
-from repro.errors import ConvergenceError
 
 #: Degree of the shared Maclaurin/moment-tail machinery.  96 terms of
 #: the adaptive utility's series reach machine precision for arguments
@@ -104,34 +102,3 @@ def power_series_tail(
     )  # row j holds caps**(j+1)
     out = weights[0] + powers.T @ weights[1:]
     return out.reshape(caps.shape)
-
-
-def fixed_point(
-    func: Callable[[float], float],
-    x0: float,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    damping: float = 1.0,
-    label: str = "fixed point",
-) -> float:
-    """Solve ``x = func(x)`` by damped iteration.
-
-    Used by the retrying model to find the self-consistent offered load
-    ``L~ = L * (1 + D(L~))``.  ``damping`` in ``(0, 1]`` mixes the new
-    iterate with the old one; the retry map is a contraction at sane
-    blocking rates, so the default undamped iteration converges fast,
-    but heavy blocking benefits from damping < 1.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"{label}: damping must be in (0, 1], got {damping!r}")
-    x = x0
-    for _ in range(max_iter):
-        x_next = func(x)
-        x_next = damping * x_next + (1.0 - damping) * x
-        if abs(x_next - x) <= tol * max(1.0, abs(x_next)):
-            return x_next
-        x = x_next
-    raise ConvergenceError(
-        f"{label}: no convergence after {max_iter} iterations (last x={x!r})"
-    )

@@ -13,7 +13,8 @@ Endpoints (all JSON):
 - ``GET  /v1/surfaces``                  bank metadata (bounds, domains)
 - ``GET  /v1/point?quantity=&load=&utility=&x=[&kbar=]``
 - ``POST /v1/point``                     same fields as JSON body
-- ``POST /v1/batch``                     ``{"x": [...], ...}`` grids
+- ``POST /v1/batch``                     ``{"x": [...], ...}`` grids of at
+  most :data:`MAX_BATCH_POINTS` points (longer grids answer 413)
 - ``GET  /v1/metrics``                   obs snapshot (when enabled)
 
 Per-endpoint request counters and latency histograms are recorded
@@ -40,6 +41,11 @@ MAX_BODY_BYTES = 8 << 20
 
 #: Largest accepted request-line + headers block.
 MAX_HEADER_BYTES = 64 << 10
+
+#: Most grid points one ``/v1/batch`` request may ask for; a longer
+#: grid is refused with 413 before any of its points is converted or
+#: evaluated.
+MAX_BATCH_POINTS = 4096
 
 #: Exact fallbacks run here so the event loop never blocks on a solver.
 DEFAULT_EXECUTOR_WORKERS = 4
@@ -241,6 +247,8 @@ class ServiceServer:
             if body:
                 params.update(body)
             return 200, await self._answer(endpoint, params)
+        except _HttpError as exc:
+            return exc.status, {"error": exc.message}
         except QueryError as exc:
             return 400, {"error": str(exc)}
         except OutOfDomainError as exc:
@@ -292,6 +300,10 @@ class ServiceServer:
         xs = params.get("x")
         if not isinstance(xs, (list, tuple)):
             raise QueryError("batch requires x as a JSON array")
+        if len(xs) > MAX_BATCH_POINTS:
+            raise _HttpError(
+                413, f"batch grid has {len(xs)} points; the limit is {MAX_BATCH_POINTS}"
+            )
         grid = [float(v) for v in xs]
         surface = self.service.bank.lookup(quantity, load, utility)
         if (
@@ -418,6 +430,7 @@ __all__ = [
     "ServiceServer",
     "BackgroundServer",
     "serve",
+    "MAX_BATCH_POINTS",
     "MAX_BODY_BYTES",
     "DEFAULT_EXECUTOR_WORKERS",
 ]

@@ -746,6 +746,10 @@ class EnsembleSimulator:
         m_cap = self._admission.admitted_cap(capacity) if retry_rate == 0.0 else None
         track_admitted = m_cap is None
         general_births = cleared or (batch_slot is not None)
+        # census-only unit steps read their rates from per-run tables
+        # indexed by census (see _rate_tables); rebuilt at block refills
+        tabled = not (track_admitted or general_births or process.is_stateful())
+        birth_tab = total_tab = inv_tab = np.empty(0)
 
         # era bookkeeping: step-major blocks, one column per active row
         eras: List[tuple] = []
@@ -782,16 +786,31 @@ class EnsembleSimulator:
                     streams.refill()
                     exp_blk = streams.exp
                     uni_blk = streams.uni
+                    if tabled:
+                        # unit steps move the census by at most one per
+                        # step, so it stays within census.max() + block
+                        # until the next refill
+                        reach = int(census.max()) + streams.block
+                        if reach >= total_tab.size:
+                            birth_tab, total_tab, inv_tab = _rate_tables(
+                                process, 2 * reach
+                            )
                 pointer = streams.ptr
                 streams.ptr = pointer + 1
 
-                birth = process.arrival_rates(census)
-                death = process.departure_rates(census)
-                if retry_rate > 0.0:
-                    total = birth + death + retry_rate * (census - admitted)
+                if tabled:
+                    birth = birth_tab[census]
+                    total = total_tab[census]
+                    inverse = inv_tab[census]
                 else:
-                    total = birth + death
-                t_new = t + exp_blk[:, pointer] * (1.0 / total)
+                    birth = process.arrival_rates(census)
+                    death = process.departure_rates(census)
+                    if retry_rate > 0.0:
+                        total = birth + death + retry_rate * (census - admitted)
+                    else:
+                        total = birth + death
+                    inverse = 1.0 / total
+                t_new = t + exp_blk[:, pointer] * inverse
 
                 live = t_new < horizon  # False also for inf and NaN
                 if not live.all():
@@ -817,7 +836,8 @@ class EnsembleSimulator:
                     admitted = admitted[live]
                     if np.ndim(birth) > 0:
                         birth = birth[live]
-                    death = death[live]
+                    if retry_rate > 0.0:
+                        death = death[live]
                     total = total[live]
                     t_buf = np.empty((cap, rows.size))
                     n_buf = np.empty((cap, rows.size), dtype=np.int64)
@@ -959,6 +979,23 @@ class EnsembleSimulator:
             engine="vectorized",
             lost_calls_cleared=cleared,
         )
+
+
+def _rate_tables(process: DemandProcess, top: int) -> Tuple[np.ndarray, ...]:
+    """``(birth, total, 1/total)`` at every census ``0..top``.
+
+    The process's own ``arrival_rates``/``departure_rates`` over
+    ``arange(top + 1)``, combined by the same elementwise operations a
+    step applies to their per-step values, so a gather from these
+    tables equals the per-step rate calls bit for bit.
+    """
+    ks = np.arange(top + 1, dtype=np.int64)
+    birth = np.broadcast_to(
+        np.asarray(process.arrival_rates(ks), dtype=float), ks.shape
+    ).copy()
+    total = birth + process.departure_rates(ks)
+    with np.errstate(divide="ignore"):
+        return birth, total, 1.0 / total
 
 
 def _merge_results(parts: Sequence[EnsembleResult]) -> EnsembleResult:

@@ -21,8 +21,14 @@ kappa = 0.62086, z = 3) at ~10 canonical grid points each:
   ``(S(z-1))^{1/(z-2)}`` ratios;
 - ``retrying_T5`` — Section 5.2 retry curves behind checkpoints
   T5.1–T5.6 (alg/adaptive, alpha from the config; capacities start at
-  1.3 k̄ because the retry fixed point needs C ≳ 1.2 k̄) plus the
-  closed-form ``((z-1)/alpha)^{1/(z-2)}`` ratios;
+  1.3 k̄ because the retry balance needs C ≳ 1.2 k̄) plus the
+  closed-form ``((z-1)/alpha)^{1/(z-2)}`` ratios (CI re-derives
+  ``reservation`` and ``delta`` with ``retry_reference.py``, which
+  shares no model, load or solver code, and fails past 1e-7);
+- ``retrying_gamma`` — the Section 5.2 welfare reversal behind
+  checkpoint T5.7: γ(p) of the retrying model on its capacity table
+  (``repro.experiments.figures.retrying_gamma``), rising to an
+  interior peak and falling toward small p;
 - ``poisson_large_kbar`` — B, R, δ and Δ for a Poisson load at
   k̄ = 1e7 and C/k̄ ∈ {0.5, 0.95, 1, 2}, rigid and adaptive: computed by
   ``census_reference.py``'s dense window sums (no planner, no mass
@@ -51,6 +57,7 @@ from repro.continuum import (
     retrying_rigid_ratio,
     sampling_rigid_ratio,
 )
+from repro.experiments.figures import retrying_gamma
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.models import (
     RetryingModel,
@@ -74,8 +81,8 @@ CONTINUUM_PRICES = list(np.geomspace(1e-5, 0.2, 10))
 
 FIGURES = {"figure2": "poisson", "figure3": "exponential", "figure4": "algebraic"}
 
-#: Capacity grid for the retry curves: the fixed point is only defined
-#: for C comfortably above the intrinsic mean (C >= ~1.2 k_bar).
+#: Capacity grid for the retry curves: the retry balance is only
+#: defined for C comfortably above the intrinsic mean (C >= ~1.2 k_bar).
 RETRY_CAPACITIES = [130.0, 150.0, 200.0, 250.0, 300.0, 400.0]
 
 #: Capacity grid for the shared-table pins (heavy-tailed algebraic
@@ -150,6 +157,14 @@ def main() -> int:
         "delta": [retry.performance_gap(c) for c in RETRY_CAPACITIES],
         "rigid_ratio": retrying_rigid_ratio(cfg.z, cfg.alpha),
         "rigid_ratio_z2p1": retrying_rigid_ratio(2.1, cfg.alpha),
+    }
+
+    reversal = retrying_gamma(cfg)
+    payload["retrying_gamma"] = {
+        "load": "algebraic",
+        "alpha": cfg.alpha,
+        "price": reversal["price"].tolist(),
+        "gamma": reversal["gamma"].tolist(),
     }
 
     payload[census_reference.SECTION] = census_reference.pins()

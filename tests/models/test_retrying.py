@@ -1,8 +1,10 @@
 """Tests for the Section 5.2 retrying extension."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.experiments.params import DEFAULT_CONFIG
 from repro.loads import GeometricLoad
 from repro.models import RetryingModel, VariableLoadModel
 from repro.utility import AdaptiveUtility
@@ -38,6 +40,34 @@ class TestOfferedLoadFixedPoint:
         m = RetryingModel(geometric_load, rigid, alpha=0.1)
         c = 2.0 * geometric_load.mean
         assert m.offered_mean(c) == m.offered_mean(c)
+
+
+class TestBalance:
+    """The offered load is one monotone root per capacity of
+    ``L~ (1 - theta(L~)) = E_{L~}[min(K, k_max)] = L``."""
+
+    @pytest.mark.parametrize("family", ["poisson", "exponential", "algebraic"])
+    def test_residual_at_machine_precision(self, family):
+        cfg = DEFAULT_CONFIG
+        model = RetryingModel(cfg.load(family), cfg.utility("adaptive"), alpha=cfg.alpha)
+        for factor in (1.3, 2.0, 4.0, 10.0):
+            capacity = factor * cfg.kbar
+            carried = model.offered_mean(capacity) * (
+                1.0 - model.blocking_probability(capacity)
+            )
+            assert abs(carried - cfg.kbar) <= 1e-12 * cfg.kbar, (family, factor)
+
+    def test_grid_with_one_diverging_capacity_names_it(self):
+        cfg = DEFAULT_CONFIG
+        model = RetryingModel(cfg.load("algebraic"), cfg.utility("adaptive"))
+        with pytest.raises(ModelError, match=r"blocking .* at C=5\.0 .*diverges"):
+            model.reservation_batch([200.0, 5.0, 400.0])
+
+    def test_grid_solve_equals_one_point_solves(self, algebraic_load, adaptive):
+        caps = [m * algebraic_load.mean for m in (1.5, 2.0, 3.0, 6.0)]
+        grid = RetryingModel(algebraic_load, adaptive).reservation_batch(caps)
+        single = [RetryingModel(algebraic_load, adaptive).reservation(c) for c in caps]
+        np.testing.assert_array_equal(grid, single)
 
 
 class TestRetryUtility:

@@ -1,52 +1,15 @@
-"""Tests for fixed-point iteration and the shared moment-tail table /
-polynomial-tail machinery."""
-
-import math
+"""Tests for the shared moment-tail table / polynomial-tail machinery."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError
 from repro.loads import AlgebraicLoad, GeometricLoad
 from repro.numerics.series import (
     TAIL_DEGREE,
-    fixed_point,
     power_series_tail,
     shared_moment_tail_table,
 )
 from repro.utility import AdaptiveUtility
-
-
-class TestFixedPoint:
-    def test_cosine_fixed_point(self):
-        x = fixed_point(math.cos, 1.0)
-        assert math.cos(x) == pytest.approx(x, abs=1e-9)
-
-    def test_damping_stabilises_oscillation(self):
-        # x -> 3.2 x (1 - x) (logistic, oscillatory); damping converges
-        # to the unstable fixed point x* = 1 - 1/3.2
-        f = lambda x: 3.2 * x * (1.0 - x)  # noqa: E731
-        x = fixed_point(f, 0.5, damping=0.3, tol=1e-10)
-        assert x == pytest.approx(1.0 - 1.0 / 3.2, abs=1e-8)
-
-    def test_non_contracting_map_raises(self):
-        with pytest.raises(ConvergenceError):
-            fixed_point(lambda x: x + 1.0, 0.0, max_iter=50)
-
-    def test_invalid_damping_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_point(math.cos, 1.0, damping=0.0)
-        with pytest.raises(ValueError):
-            fixed_point(math.cos, 1.0, damping=1.5)
-
-    def test_retry_style_map(self):
-        # the retrying model's map m -> L/(1 - theta(m)) with a mild
-        # blocking curve has a unique fixed point
-        L = 10.0
-        theta = lambda m: 0.2 * m / (m + 50.0)  # noqa: E731
-        m_star = fixed_point(lambda m: L / (1.0 - theta(m)), L)
-        assert m_star == pytest.approx(L / (1.0 - theta(m_star)), abs=1e-8)
-        assert m_star > L
 
 
 class TestPowerSeriesTail:

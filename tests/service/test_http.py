@@ -27,6 +27,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
+from repro.service.http import MAX_BATCH_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,20 @@ class TestErrorMapping:
         with pytest.raises(ServiceClientError) as exc:
             client.request("POST", "/v1/point", {"quantity": "delta"})
         assert exc.value.status == 400
+
+    def test_oversized_batch_grid_is_413(self, client):
+        # refused on its length alone: the points are never converted,
+        # so a non-numeric entry past the limit cannot turn it into 400;
+        # the connection stays usable for the next request
+        grid = [100.0] * MAX_BATCH_POINTS + ["not a number"]
+        with pytest.raises(ServiceClientError) as exc:
+            client.batch("delta", "poisson", "adaptive", grid)
+        assert exc.value.status == 413
+        assert str(MAX_BATCH_POINTS) in str(exc.value)
+        at_limit = client.batch(
+            "delta", "poisson", "adaptive", [100.0] * MAX_BATCH_POINTS
+        )
+        assert len(at_limit["values"]) == MAX_BATCH_POINTS
 
     def test_non_numeric_x_is_400(self, client):
         with pytest.raises(ServiceClientError) as exc:

@@ -216,3 +216,101 @@ class TestTrajectoryParity:
             np.testing.assert_array_equal(
                 run.trajectory.census, trajectory.census
             )
+
+
+class _CountingPoisson(PoissonProcess):
+    """Poisson demand that counts its vector rate calls."""
+
+    def __init__(self, rate):
+        super().__init__(rate)
+        self.rate_calls = 0
+
+    def arrival_rates(self, census):
+        self.rate_calls += 1
+        return super().arrival_rates(census)
+
+
+class _StatefulCountingPoisson(_CountingPoisson):
+    """The same process declared stateful: it overrides ``advance_to``."""
+
+    def advance_to(self, t):
+        pass
+
+
+class TestRateTables:
+    """Census-only unit steps gather their rates from tables indexed by
+    census; the tables are rebuilt at block refills whenever the census
+    could outrun them.  Each run here must match the scalar twin event
+    for event."""
+
+    @staticmethod
+    def _assert_block_parity(process, *, block, initial_census, horizon, seed):
+        result = EnsembleSimulator(process, Link(CAPACITY), block=block).run(
+            4, horizon, seed=seed, initial_census=initial_census
+        )
+        assert result.engine == "vectorized"
+        scalar = FlowSimulator(process, Link(CAPACITY))
+        for r, child in enumerate(spawn_children(seed, 4)):
+            run = scalar.run(
+                horizon,
+                stream=ReplicationStream(child, block=block),
+                initial_census=initial_census,
+            )
+            trajectory = result.trajectory(r)
+            np.testing.assert_array_equal(run.trajectory.times, trajectory.times)
+            np.testing.assert_array_equal(run.trajectory.census, trajectory.census)
+            np.testing.assert_array_equal(run.trajectory.admitted, trajectory.admitted)
+            assert run.events == result.events[r]
+        return result
+
+    @pytest.mark.parametrize("process", ["bd", "poisson"])
+    def test_small_block_refills_and_grows_the_tables(self, process):
+        # a 3-step block from an empty link: every refill may regrow
+        self._assert_block_parity(
+            _process(process), block=3, initial_census=0, horizon=12.0, seed=11
+        )
+
+    def test_pure_births_meet_the_growth_bound(self):
+        # with (almost) no departures every step is a birth, so the
+        # census reaches census.max() + block exactly at each block's end
+        process = PoissonProcess(5.0, mu=1e-12)
+        result = self._assert_block_parity(
+            process, block=3, initial_census=0, horizon=12.0, seed=17
+        )
+        assert np.all(np.diff(result.census[0, : result.counts[0]]) == 1)
+
+    def test_poisson_far_below_its_mean(self):
+        # the census climbs from 0 to ~60, past the first table's reach
+        process = _CountingPoisson(60.0)
+        result = self._assert_block_parity(
+            process, block=8, initial_census=0, horizon=6.0, seed=5
+        )
+        # the tables were rebuilt a few times, not once per step (the
+        # scalar twin asks the scalar arrival_rate)
+        assert 1 < process.rate_calls < int(result.events.max()) // 8
+
+    def test_birth_death_above_its_census_cap(self):
+        # births are zero past the reflecting cap, so the census drains
+        process = BirthDeathProcess(PoissonLoad(8.0), census_cap=12)
+        self._assert_block_parity(
+            process, block=16, initial_census=40, horizon=8.0, seed=3
+        )
+
+    def test_stateful_process_keeps_the_rate_calls(self):
+        # a stateful process may change its rates between steps, so the
+        # batched loop asks it every step instead of reading a table
+        process = _StatefulCountingPoisson(7.0)
+        simulator = EnsembleSimulator(process, Link(CAPACITY))
+        result = simulator._run_vectorized_inner(
+            spawn_children(9, 3),
+            10.0,
+            warmup=0.0,
+            initial_census=None,
+            max_events=10**6,
+        )
+        assert process.rate_calls >= int(result.events.max())
+        stateless = _CountingPoisson(7.0)
+        twin = EnsembleSimulator(stateless, Link(CAPACITY)).run(3, 10.0, seed=9)
+        assert stateless.rate_calls < int(twin.events.max())
+        np.testing.assert_array_equal(result.times, twin.times)
+        np.testing.assert_array_equal(result.census, twin.census)

@@ -40,12 +40,6 @@ class TestRaisedWhereDocumented:
         with pytest.raises(ModelError):
             NetworkTopology({}, [])
 
-    def test_convergence_error_from_series(self):
-        from repro.numerics import fixed_point
-
-        with pytest.raises(ConvergenceError):
-            fixed_point(lambda x: x + 1.0, 0.0, max_iter=100)
-
     def test_bracket_error_names_the_quantity(self):
         from repro.numerics import find_root
 

@@ -26,6 +26,7 @@ from repro.continuum import (
     retrying_rigid_ratio,
     sampling_rigid_ratio,
 )
+from repro.experiments.figures import retrying_gamma
 from repro.experiments.params import DEFAULT_CONFIG
 from repro.models import (
     RetryingModel,
@@ -257,6 +258,21 @@ def test_retrying_T5_closed_form_ratios(golden):
     assert retrying_rigid_ratio(2.1, entry["alpha"]) == pytest.approx(
         entry["rigid_ratio_z2p1"], rel=RTOL
     )
+
+
+def test_retrying_gamma_reversal(golden):
+    """Pin the Section 5.2 welfare reversal: with retries, gamma(p) rises
+    to an interior peak and then falls toward small p."""
+    entry = golden["retrying_gamma"]
+    curve = retrying_gamma(DEFAULT_CONFIG)
+    prices = entry["price"]
+    _assert_pointwise("retrying_gamma", "price", prices, curve["price"], prices, "grid")
+    _assert_pointwise(
+        "retrying_gamma", "gamma(p)", prices, curve["gamma"], entry["gamma"], "ratio_curve"
+    )
+    gamma = np.asarray(entry["gamma"])
+    peak = int(np.argmax(gamma))
+    assert 0 < peak < gamma.size - 1 and gamma[0] < gamma[peak]
 
 
 @pytest.mark.parametrize("quantity", ["best_effort", "reservation", "gap"])
