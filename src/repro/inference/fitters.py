@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from repro.errors import CalibrationError
 from repro.loads import AlgebraicLoad, GeometricLoad, PoissonLoad
@@ -117,6 +117,10 @@ def fit_algebraic(
         if not np.isfinite(norm) or norm <= 0.0:
             return 1e12
         return float(z * np.sum(np.log(lam + arr)) + n * np.log(norm))
+
+    # the only scipy.optimize caller in the inference layer: loaded at
+    # the first fit, not by every `import repro`
+    from scipy import optimize
 
     theta0 = np.array([np.log(initial[0] - 2.0), np.log(initial[1])])
     result = optimize.minimize(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.loads.base import LoadDistribution
 
@@ -28,7 +28,6 @@ class PoissonLoad(LoadDistribution):
         if nu <= 0.0:
             raise ValueError(f"Poisson rate nu must be > 0, got {nu!r}")
         self._nu = float(nu)
-        self._dist = stats.poisson(self._nu)
 
     @property
     def nu(self) -> float:
@@ -41,17 +40,29 @@ class PoissonLoad(LoadDistribution):
 
     def pmf(self, k: int) -> float:
         self.validate_k(k)
-        return float(self._dist.pmf(k))
+        return float(self.pmf_array(k))
 
     def sf(self, k: int) -> float:
         self.validate_k(k)
-        return float(self._dist.sf(k))
+        return float(self.sf_array(k))
 
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        return self._dist.pmf(np.asarray(ks))
+        """``exp(k ln nu - ln k! - nu)``: ``scipy.stats.poisson``'s formula.
+
+        Zero off the nonnegative integers; a NaN ``k`` stays NaN.
+        """
+        ks = np.asarray(ks, dtype=float)
+        nu = self._nu
+        pmf = np.exp(special.xlogy(ks, nu) - special.gammaln(ks + 1.0) - nu)
+        return np.where((ks < 0.0) | (np.floor(ks) < ks), 0.0, pmf)
 
     def sf_array(self, ks: np.ndarray) -> np.ndarray:
-        return np.asarray(self._dist.sf(np.asarray(ks)), dtype=float)
+        """``pdtrc(floor(k), nu)``: ``scipy.stats.poisson``'s formula.
+
+        One below zero (``pdtrc`` is NaN there); a NaN ``k`` stays NaN.
+        """
+        ks = np.asarray(ks, dtype=float)
+        return np.where(ks < 0.0, 1.0, special.pdtrc(np.floor(ks), self._nu))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
@@ -83,7 +94,7 @@ class PoissonLoad(LoadDistribution):
         if n <= self.support_min:
             return self._nu
         # P(K >= n - 1) = P(K > n - 2) = sf(n - 2)
-        return self._nu * float(self._dist.sf(n - 2))
+        return self._nu * float(self.sf_array(n - 2))
 
     def rescaled(self, new_mean: float) -> "PoissonLoad":
         return PoissonLoad(new_mean)

@@ -20,7 +20,6 @@ import math
 from typing import Dict, Mapping, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import ModelError
 from repro.network.topology import NetworkTopology
@@ -60,6 +59,10 @@ def admit_flows(
             if link in route.links:
                 matrix[i, j] = route.demand
     capacities = np.array([topology.capacities[name] for name in link_names])
+
+    # the only scipy.optimize caller in the network layer: loaded at the
+    # first ILP, not by every `import repro`
+    from scipy import optimize
 
     result = optimize.milp(
         c=-weight_vec,  # milp minimises

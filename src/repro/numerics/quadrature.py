@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Callable
 
-from scipy import integrate as _spi
-
 from repro import obs
 from repro.errors import ConvergenceError
 
@@ -43,6 +41,9 @@ def integrate(
         raise ValueError(f"{label}: need hi >= lo, got [{lo}, {hi}]")
     if hi == lo:
         return 0.0
+    # the only scipy.integrate caller: loaded at the first quadrature,
+    # not by every `import repro`
+    from scipy import integrate as _spi
 
     cuts = [lo]
     if points is not None:

@@ -372,7 +372,8 @@ class EmulatorService:
         from repro.meanfield import MeanFieldSimulator
         from repro.simulation import BirthDeathProcess, Link
 
-        key = f"{load}/{population:g}"
+        # the exact float: kbar what-ifs equal to six digits are distinct
+        key = f"{load}/{population!r}"
         with self._lock_for(f"meanfield/{key}"):
             with self._locks_guard:
                 sim = self._meanfield_sims.get(key)

@@ -2,7 +2,11 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py [SECTION ...]
+
+With no arguments every section is rewritten.  Named sections are
+rewritten (or added) and every other section is kept byte-identical,
+so adding a pin does not re-pin the rest; an unknown name exits 2.
 
 The golden values pin the paper-parameter figures (k_bar = 100,
 kappa = 0.62086, z = 3) at ~10 canonical grid points each:
@@ -15,7 +19,7 @@ kappa = 0.62086, z = 3) at ~10 canonical grid points each:
 - ``algebraic_shared_tables`` — B(C), δ(C) and Δ(C) for the algebraic
   load at capacities straddling the shared zeta-table series levels,
   pinning the memoised polynomial-tail evaluation path end to end;
-- ``continuum_gamma`` — closed-form rigid/exponential γ(p) overlay;
+- ``continuum_rigid_exp`` — closed-form rigid/exponential γ(p) overlay;
 - ``sampling_T4`` — Section 5.1 worst-of-S curves behind checkpoints
   T4.1–T4.5 (exp/adaptive, S from the config) plus the closed-form
   ``(S(z-1))^{1/(z-2)}`` ratios;
@@ -36,7 +40,9 @@ kappa = 0.62086, z = 3) at ~10 canonical grid points each:
 - ``meanfield`` — the fluid-diffusion engine's B̂(C)/R̂(C)/gap over the
   canonical capacities (Poisson census, Gauss–Hermite closure): the
   quadrature is deterministic, so the pins hold the whole fluid solve +
-  diffusion functional chain bit-stable.
+  diffusion functional chain bit-stable;
+- ``traces`` — the seeded replay summaries of
+  ``repro.traces.summary.DEFAULT_REPLAY_SPECS`` (rtol 1e-7).
 
 Model values come through the scalar entry points, which are one-element
 views of the batch kernels; the golden test holds those views and the
@@ -48,6 +54,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -58,7 +66,7 @@ from repro.continuum import (
     sampling_rigid_ratio,
 )
 from repro.experiments.figures import retrying_gamma
-from repro.experiments.params import DEFAULT_CONFIG
+from repro.experiments.params import DEFAULT_CONFIG, PaperConfig
 from repro.models import (
     RetryingModel,
     SamplingModel,
@@ -93,23 +101,11 @@ RETRY_CAPACITIES = [130.0, 150.0, 200.0, 250.0, 300.0, 400.0]
 SHARED_TABLE_CAPACITIES = [20.0, 60.0, 100.0, 160.0, 220.0]
 
 
-def main() -> int:
-    cfg = DEFAULT_CONFIG
-    payload: dict = {
-        "_meta": {
-            "generator": "tests/golden/generate.py",
-            "kbar": cfg.kbar,
-            "kappa": cfg.kappa,
-            "z": cfg.z,
-            "utility": "adaptive",
-            "rtol": 1e-7,
-        }
-    }
-    for figure, load_name in FIGURES.items():
+def _figure(load_name: str) -> Callable[[PaperConfig], dict]:
+    def build(cfg: PaperConfig) -> dict:
         model = VariableLoadModel(cfg.load(load_name), cfg.utility("adaptive"))
-        welfare = WelfareModel(model)
-        curve = welfare.ratio_curve(PRICES)
-        payload[figure] = {
+        curve = WelfareModel(model).ratio_curve(PRICES)
+        return {
             "load": load_name,
             "capacity": CAPACITIES,
             "delta": [model.performance_gap(c) for c in CAPACITIES],
@@ -117,8 +113,13 @@ def main() -> int:
             "price": PRICES,
             "gamma": [None if not np.isfinite(g) else float(g) for g in curve["gamma"]],
         }
+
+    return build
+
+
+def _algebraic_shared_tables(cfg: PaperConfig) -> dict:
     shared = VariableLoadModel(cfg.load("algebraic"), cfg.utility("adaptive"))
-    payload["algebraic_shared_tables"] = {
+    return {
         "load": "algebraic",
         "capacity": SHARED_TABLE_CAPACITIES,
         "best_effort": [shared.best_effort(c) for c in SHARED_TABLE_CAPACITIES],
@@ -126,16 +127,20 @@ def main() -> int:
         "Delta": [shared.bandwidth_gap(c) for c in SHARED_TABLE_CAPACITIES],
     }
 
+
+def _continuum_rigid_exp(cfg: PaperConfig) -> dict:
     cont = RigidExponentialContinuum(1.0)
-    payload["continuum_rigid_exp"] = {
+    return {
         "price": CONTINUUM_PRICES,
         "gamma": [cont.equalizing_ratio(p) for p in CONTINUUM_PRICES],
     }
 
+
+def _sampling_T4(cfg: PaperConfig) -> dict:
     sampled = SamplingModel(
         cfg.load("exponential"), cfg.utility("adaptive"), cfg.samples
     )
-    payload["sampling_T4"] = {
+    return {
         "load": "exponential",
         "samples": cfg.samples,
         "capacity": CAPACITIES,
@@ -145,10 +150,12 @@ def main() -> int:
         "rigid_ratio_z2p1_s3": sampling_rigid_ratio(2.1, 3),
     }
 
+
+def _retrying_T5(cfg: PaperConfig) -> dict:
     retry = RetryingModel(
         cfg.load("algebraic"), cfg.utility("adaptive"), alpha=cfg.alpha
     )
-    payload["retrying_T5"] = {
+    return {
         "load": "algebraic",
         "alpha": cfg.alpha,
         "capacity": RETRY_CAPACITIES,
@@ -159,16 +166,18 @@ def main() -> int:
         "rigid_ratio_z2p1": retrying_rigid_ratio(2.1, cfg.alpha),
     }
 
+
+def _retrying_gamma(cfg: PaperConfig) -> dict:
     reversal = retrying_gamma(cfg)
-    payload["retrying_gamma"] = {
+    return {
         "load": "algebraic",
         "alpha": cfg.alpha,
         "price": reversal["price"].tolist(),
         "gamma": reversal["gamma"].tolist(),
     }
 
-    payload[census_reference.SECTION] = census_reference.pins()
 
+def _meanfield(cfg: PaperConfig) -> dict:
     from repro.meanfield import MeanFieldSimulator
     from repro.simulation import BirthDeathProcess, Link
 
@@ -176,7 +185,7 @@ def main() -> int:
         BirthDeathProcess(cfg.load("poisson")), Link(cfg.kbar)
     )
     adaptive = cfg.utility("adaptive")
-    payload["meanfield"] = {
+    return {
         "load": "poisson",
         "capacity": CAPACITIES,
         "best_effort": [
@@ -187,15 +196,57 @@ def main() -> int:
         ],
         "gap": [float(v) for v in meanfield.gap_batch(adaptive, CAPACITIES)],
     }
+
+
+def _traces(cfg: PaperConfig) -> dict:
     from repro.traces.summary import DEFAULT_REPLAY_SPECS, replay_summary
 
-    payload["traces"] = {
+    return {
         "tolerance": "rtol 1e-7",
         "replays": [replay_summary(dict(spec)) for spec in DEFAULT_REPLAY_SPECS],
     }
 
+
+#: Section name -> builder, in file order.
+SECTIONS: Dict[str, Callable[[PaperConfig], dict]] = {
+    **{figure: _figure(load_name) for figure, load_name in FIGURES.items()},
+    "algebraic_shared_tables": _algebraic_shared_tables,
+    "continuum_rigid_exp": _continuum_rigid_exp,
+    "sampling_T4": _sampling_T4,
+    "retrying_T5": _retrying_T5,
+    "retrying_gamma": _retrying_gamma,
+    census_reference.SECTION: lambda cfg: census_reference.pins(),
+    "meanfield": _meanfield,
+    "traces": _traces,
+}
+
+
+def main() -> int:
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in SECTIONS]
+    if unknown:
+        print(f"unknown sections {unknown}; known: {list(SECTIONS)}", file=sys.stderr)
+        return 2
+    cfg = DEFAULT_CONFIG
+    if names:
+        payload = json.loads(OUT.read_text())
+    else:
+        names = list(SECTIONS)
+        payload = {
+            "_meta": {
+                "generator": "tests/golden/generate.py",
+                "kbar": cfg.kbar,
+                "kappa": cfg.kappa,
+                "z": cfg.z,
+                "utility": "adaptive",
+                "rtol": 1e-7,
+            }
+        }
+    for name in names:
+        payload[name] = SECTIONS[name](cfg)
+
     OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUT}")
+    print(f"wrote {', '.join(names)} to {OUT}")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
-from repro.inference import chi_square_gof, fit_all, hill_estimate
+from repro.inference import chi_square_gof, fit_all, hill_estimate, selection
 from repro.loads import AlgebraicLoad, GeometricLoad, PoissonLoad
 
 
@@ -54,6 +55,32 @@ class TestChiSquareGof:
         )
         stat, p = chi_square_gof(GeometricLoad.from_mean(40.0), samples)
         assert np.isfinite(stat) and 0.0 <= p <= 1.0
+
+    def test_p_value_is_scipy_chi2_sf(self, monkeypatch):
+        # the p-value comes from special.chdtrc; scipy.stats is the oracle,
+        # at the degrees of freedom the pooling chose
+        seen = []
+        chdtrc = special.chdtrc
+
+        def spy(dof, x):
+            seen.append((dof, x))
+            return chdtrc(dof, x)
+
+        monkeypatch.setattr(selection.special, "chdtrc", spy)
+        cases = [
+            (PoissonLoad(15.0), PoissonLoad(15.0), 5_000),
+            (PoissonLoad(15.0), PoissonLoad(16.0), 400),
+            (AlgebraicLoad.from_mean(3.0, 15.0), PoissonLoad(15.0), 5_000),
+            (GeometricLoad.from_mean(40.0), GeometricLoad.from_mean(40.0), 2_000),
+            (GeometricLoad.from_mean(4.0), GeometricLoad.from_mean(3.0), 60),
+        ]
+        # p from 0 (underflow) through 1e-4 to 0.69, dof from 5 to 123
+        for seed, (truth, fitted, size) in enumerate(cases):
+            samples = truth.sample(np.random.default_rng(seed), size)
+            stat, p = chi_square_gof(fitted, samples)
+            dof, x = seen[-1]
+            assert x == stat
+            assert p == float(stats.chi2.sf(stat, dof))
 
 
 class TestHillEstimate:

@@ -90,10 +90,11 @@ class TestLoadContract:
         assert type(load.rescaled(2.0 * load.mean)) is type(load)
 
     def test_invalid_k_rejected(self, load):
-        with pytest.raises(ValueError):
-            load.pmf(-1)
-        with pytest.raises(ValueError):
-            load.sf(-3)
+        for k in (-1, -3, 2.5):
+            with pytest.raises(ValueError):
+                load.pmf(k)
+            with pytest.raises(ValueError):
+                load.sf(k)
 
 
 class TestHypothesisMeans:

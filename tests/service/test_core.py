@@ -225,7 +225,7 @@ class TestMeanFieldEngine:
 
     def test_simulator_is_memoised_per_load_and_population(self, service):
         sims = service._meanfield_sims
-        key = f"poisson/{DEFAULT_CONFIG.kbar:g}"
+        key = f"poisson/{DEFAULT_CONFIG.kbar!r}"
         service.batch("delta", "poisson", "adaptive", [100.0], engine="meanfield")
         first, count = sims.get(key), len(sims)
         assert first is not None
@@ -236,6 +236,18 @@ class TestMeanFieldEngine:
         )
         assert len(sims) == count + 1
         assert sims.get(key) is first
+
+    def test_kbar_equal_to_six_digits_keeps_its_own_simulator(self, bank, service, tmp_path):
+        # 100.0001 and 100.0004 both print as 100 under %g: each gets
+        # its own simulator and answers as a fresh service does
+        query = ("delta", "poisson", "adaptive", [105.0])
+        count = len(service._meanfield_sims)
+        for kbar in (100.0001, 100.0004):
+            reply = service.batch(*query, kbar=kbar, engine="meanfield")
+            fresh = EmulatorService(bank=bank, cache=ResultCache(tmp_path / repr(kbar)))
+            expected = fresh.batch(*query, kbar=kbar, engine="meanfield")
+            assert reply["values"] == expected["values"]
+        assert len(service._meanfield_sims) == count + 2
 
     def test_per_kbar_tables_stay_bounded(self, bank, tmp_path, monkeypatch):
         # every distinct client kbar keys one lock and one simulator;
@@ -249,7 +261,7 @@ class TestMeanFieldEngine:
             assert len(service._meanfield_sims) <= 2
             assert len(service._locks) <= 2
         assert len(service._meanfield_sims) == len(service._locks) == 2
-        assert f"poisson/{50.0:g}" not in service._meanfield_sims
+        assert f"poisson/{50.0!r}" not in service._meanfield_sims
         again = service.batch(*query, kbar=50.0, engine="meanfield")["values"]
         assert again == first
 
