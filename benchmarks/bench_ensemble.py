@@ -1,9 +1,9 @@
-"""Benchmark — vectorized ensemble engine vs sequential scalar runs.
+"""Benchmark — the ensemble engine vs sequential scalar runs.
 
-PR 4's tentpole claim: R replications of the flow simulator execute as
-one numpy-batched computation in ``repro.simulation.ensemble`` at >= 8x
-the aggregate event throughput of R sequential ``FlowSimulator.run``
-calls, without changing a single event.  This benchmark
+The claim: R replications of the flow simulator, run as census walks
+in ``repro.simulation.ensemble``, reach >= 8x the aggregate event
+throughput of R sequential ``FlowSimulator.run`` calls, without
+changing a single event.  This benchmark
 
 * times both paths on the headline configuration (R = 64 Poisson
   replications, census mean 50, capacity 55) and asserts the speedup,

@@ -18,6 +18,8 @@ and the same identities shifted by ``n`` give exact tails.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -35,6 +37,13 @@ def _hurwitz(s: float, q: float) -> float:
     return float(special.zeta(s, q))
 
 
+def _check_power(z: float) -> None:
+    if not 2.0 < z < math.inf:  # NaN fails too
+        raise ValueError(
+            f"power z must be finite and > 2 so the mean is finite, got {z!r}"
+        )
+
+
 def _calibrated_shifts(z: float, means) -> list:
     """The shift ``lam`` giving each mean, all from one vector solve.
 
@@ -45,7 +54,11 @@ def _calibrated_shifts(z: float, means) -> list:
     over one vector Hurwitz-zeta call per iterate; the solve is
     element-wise, so a shift does not depend on the rest of the grid.
     """
+    _check_power(z)
     targets = np.asarray(means, dtype=float).ravel()
+    unbounded = np.flatnonzero(~np.isfinite(targets))
+    if unbounded.size:
+        raise ValueError(f"mean must be finite, got {targets[unbounded[0]]!r}")
     floor = _hurwitz(z - 1.0, 1.0) / _hurwitz(z, 1.0)
     low = np.flatnonzero(~(targets > floor))
     if low.size:
@@ -81,12 +94,9 @@ class AlgebraicLoad(LoadDistribution):
     support_min = 1
 
     def __init__(self, z: float, lam: float):
-        if z <= 2.0:
-            raise ValueError(
-                f"power z must be > 2 so the mean is finite, got {z!r}"
-            )
-        if lam < 0.0:
-            raise ValueError(f"shift lam must be >= 0, got {lam!r}")
+        _check_power(z)
+        if not 0.0 <= lam < math.inf:  # NaN fails too
+            raise ValueError(f"shift lam must be finite and >= 0, got {lam!r}")
         self._z = float(z)
         self._lam = float(lam)
         self._norm = _hurwitz(self._z, self._lam + 1.0)

@@ -59,8 +59,8 @@ class ExponentialLoad(ContinuumLoad):
     support_min = 0.0
 
     def __init__(self, beta: float):
-        if beta <= 0.0:
-            raise ValueError(f"rate beta must be > 0, got {beta!r}")
+        if not 0.0 < beta < math.inf:  # NaN fails too
+            raise ValueError(f"rate beta must be finite and > 0, got {beta!r}")
         self._beta = float(beta)
 
     @property
@@ -101,8 +101,10 @@ class ParetoLoad(ContinuumLoad):
     support_min = 1.0
 
     def __init__(self, z: float):
-        if z <= 2.0:
-            raise ValueError(f"power z must be > 2 so the mean is finite, got {z!r}")
+        if not 2.0 < z < math.inf:  # NaN fails too
+            raise ValueError(
+                f"power z must be finite and > 2 so the mean is finite, got {z!r}"
+            )
         self._z = float(z)
 
     @property

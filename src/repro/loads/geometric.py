@@ -24,16 +24,16 @@ class GeometricLoad(LoadDistribution):
     support_min = 0
 
     def __init__(self, beta: float):
-        if beta <= 0.0:
-            raise ValueError(f"decay rate beta must be > 0, got {beta!r}")
+        if not 0.0 < beta < math.inf:  # NaN fails too
+            raise ValueError(f"decay rate beta must be finite and > 0, got {beta!r}")
         self._beta = float(beta)
         self._q = math.exp(-self._beta)
 
     @classmethod
     def from_mean(cls, mean: float) -> "GeometricLoad":
         """Build from the mean: ``k_bar = q/(1-q)`` so ``q = m/(1+m)``."""
-        if mean <= 0.0:
-            raise ValueError(f"mean must be > 0, got {mean!r}")
+        if not 0.0 < mean < math.inf:
+            raise ValueError(f"mean must be finite and > 0, got {mean!r}")
         q = mean / (1.0 + mean)
         return cls(-math.log(q))
 

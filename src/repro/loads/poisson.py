@@ -25,8 +25,8 @@ class PoissonLoad(LoadDistribution):
     support_min = 0
 
     def __init__(self, nu: float):
-        if nu <= 0.0:
-            raise ValueError(f"Poisson rate nu must be > 0, got {nu!r}")
+        if not 0.0 < nu < math.inf:  # NaN fails too
+            raise ValueError(f"Poisson rate nu must be finite and > 0, got {nu!r}")
         self._nu = float(nu)
 
     @property

@@ -1,6 +1,6 @@
 """Resource profiling: peak-RSS and allocation sampling around hot blocks.
 
-The chunked batch kernels and the ensemble's era buffers were sized by
+The chunked batch kernels and the ensemble's trajectory buffers were sized by
 argument, not by measurement; this module supplies the measurement.
 :func:`profile_block` wraps a region of code and records
 

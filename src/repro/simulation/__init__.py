@@ -14,8 +14,8 @@ away, so it can be validated (and stressed) empirically:
 - measurement: census distributions, flow-average utilities, and
   worst-of-S-samples scoring, all comparable 1:1 with the analytic
   model's ``B(C)``, ``R(C)`` and the Section 5.1 extension.
-- ensembles: :class:`EnsembleSimulator` runs R replications as one
-  vectorized computation with per-replication ``SeedSequence`` streams,
+- ensembles: :class:`EnsembleSimulator` runs R replications as census
+  walks over per-replication ``SeedSequence`` streams, with
   CRN-paired gap estimation (:func:`paired_gap`) and CI-targeted
   adaptive stopping (``run_until``).
 """

@@ -1,38 +1,38 @@
-"""Ensemble Monte Carlo engine: R replications as one vectorized run.
+"""Ensemble Monte Carlo engine: R replications, one census walk each.
 
 The scalar :class:`~repro.simulation.simulator.FlowSimulator` executes
-one Gillespie trajectory with per-event Python bookkeeping; answering a
+one Gillespie trajectory with per-flow Python bookkeeping; answering a
 statistical question ("is the simulated ``delta`` gap within the CI of
 the analytic one?") needs *many* trajectories with controlled error.
-This module runs R independent replications as a single numpy-batched
-computation:
+This module runs R independent replications of the census alone:
 
-- **Vectorized stepping.**  Waiting times, event types and census
-  updates for every active replication are computed as array
-  operations per step.  Because the census-level state ``(N, M)`` is
-  two integers, the full scalar event semantics (threshold admission,
+- **Census walks.**  Because the census-level state ``(N, M)`` is two
+  integers, the full scalar event semantics (threshold admission,
   batch arrivals, departures with promotion, retries,
-  lost-calls-cleared) collapse to closed-form array updates.
+  lost-calls-cleared) collapse to integer updates.  Each replication
+  is walked in turn, one block of its draws at a time: the state is
+  stepped through the block in plain Python ints and floats with the
+  scalar engine's expressions, rates are read from per-census tables
+  built from the process's vector rates, and the block's event times
+  come from one cumulative sum of ``z * (1/total)`` cut at the
+  horizon.  At the 4-64 replications callers run, this beats moving
+  all replications forward together with a round of array operations
+  per event, whose per-call overhead dwarfed the arithmetic.
 - **Census-only stepping.**  Without retries the census dynamics
   ignore admission, and a policy with a closed form
   (:meth:`~repro.simulation.admission.AdmissionPolicy.admitted_cap`:
   ``M = N`` for admit-all or an infinite threshold,
   ``M = min(N, ceil(threshold))`` for a readmitting threshold) needs
-  no ``M`` in the loop: only ``N`` is stepped and ``M`` is derived
-  from it after assembly.  Finite non-readmitting thresholds, retries
-  and custom policies keep tracking ``M`` in the loop.
-- **Compressed active sets.**  Replications that hit their horizon are
-  compacted out, so late steps only pay for the replications still
-  running.
-- **Era recording.**  Trajectories land in preallocated step-major
-  ndarray blocks (grow-by-doubling), replacing the scalar engine's
-  per-event ``list.append``; blocks are assembled into padded
-  ``(R, L)`` arrays at the end.
-- **Exact parity.**  Draws come from the same per-replication
-  :mod:`~repro.simulation.streams` protocol the scalar engine can
-  replay, so an ensemble replication is event-for-event identical to
-  ``FlowSimulator.run(stream=...)`` on the same seed child — the
-  parity oracle ``benchmarks/bench_ensemble.py`` enforces.
+  no ``M`` in the walk: with unit births only ``N`` is stepped and
+  ``M`` is derived from it after assembly.  Finite non-readmitting
+  thresholds, retries, batch births and lost-calls clearing walk
+  ``(N, M)``.
+- **Exact parity.**  Draws come from the same per-replication block
+  source (:meth:`~repro.simulation.streams.ReplicationStream.next_block`)
+  the scalar engine pops its draws from, so an ensemble replication is
+  event-for-event identical to ``FlowSimulator.run(stream=...)`` on
+  the same seed child — the parity oracle ``benchmarks/bench_ensemble.py``
+  enforces.
 - **CRN pairing.**  :func:`paired_gap` scores best-effort and
   reservation arms on the *same* census trajectories, so the simulated
   ``delta(C) = R(C) - B(C)`` is estimated with common random numbers,
@@ -44,7 +44,7 @@ computation:
   grows the ensemble in batches until a Student-t confidence interval
   on any per-replication statistic reaches a requested half-width.
 
-Configurations the vectorized engine cannot express (stateful demand
+Configurations the census walk cannot express (stateful demand
 processes, custom admission policies) fall back to per-replication
 scalar runs over the same streams — identical results, metered under
 ``ensemble.fallback.*``.
@@ -69,16 +69,11 @@ from repro.simulation.simulator import FlowSimulator, Trajectory
 from repro.simulation.stats import AdaptiveEstimate, RunningStat
 from repro.simulation.streams import (
     DEFAULT_BLOCK,
-    BatchedStreams,
     ReplicationStream,
+    event_layout,
     spawn_children,
 )
 from repro.utility.base import UtilityFunction
-
-#: Hard ceiling on an era buffer's step capacity; eras double up to
-#: here, then roll over into fresh blocks of this size.
-_MAX_ERA_STEPS = 1 << 15
-
 
 @dataclass(frozen=True)
 class EnsembleResult:
@@ -283,14 +278,15 @@ def _check_counts(replications: int, jobs: int) -> None:
 
 
 class EnsembleSimulator:
-    """Vectorized R-replication twin of :class:`FlowSimulator`.
+    """R-replication census twin of :class:`FlowSimulator`.
 
     Accepts the same (process, link, admission, retry, clearing)
     configuration; :meth:`run` executes R replications seeded from
     ``SeedSequence.spawn`` children and returns an
-    :class:`EnsembleResult`.  Configurations outside the vectorized
-    engine's reach run scalar per-replication over the identical
-    streams, so results never depend on which engine executed them.
+    :class:`EnsembleResult` (``engine == "vectorized"`` for the census
+    walk).  Configurations outside the walk's reach run scalar
+    per-replication over the identical streams, so results never
+    depend on which engine executed them.
     """
 
     def __init__(
@@ -332,12 +328,12 @@ class EnsembleSimulator:
         return self._admission
 
     def vectorization_fallback(self) -> Optional[str]:
-        """Why the vectorized engine cannot run (None = it can).
+        """Why the census walk cannot run (None = it can).
 
-        The array engine needs vectorized rates from a stateless demand
-        process and threshold-shaped admission (``admits(m, C)`` equal
-        to ``m < threshold(C)``) — true for the built-in policies, not
-        checkable for arbitrary subclasses.
+        The walk reads rate tables built from a stateless demand
+        process's vector rates, and needs threshold-shaped admission
+        (``admits(m, C)`` equal to ``m < threshold(C)``) — true for the
+        built-in policies, not checkable for arbitrary subclasses.
         """
         if self._process.is_stateful():
             return "stateful_process"
@@ -676,326 +672,352 @@ class EnsembleSimulator:
         initial_census: Optional[int],
         max_events: int,
     ) -> EnsembleResult:
-        """Span- and resource-profiled wrapper of the batched loop."""
+        """Walk each replication's census in turn; see the module docstring."""
         from repro.obs import resources
 
-        with obs.span(
-            "ensemble.run_vectorized", replications=len(children)
-        ), resources.profile_block(
-            "ensemble.run_vectorized", replications=len(children)
-        ):
-            return self._run_vectorized_inner(
-                children,
-                horizon,
-                warmup=warmup,
-                initial_census=initial_census,
-                max_events=max_events,
-            )
-
-    def _run_vectorized_inner(
-        self,
-        children: Sequence[np.random.SeedSequence],
-        horizon: float,
-        *,
-        warmup: float,
-        initial_census: Optional[int],
-        max_events: int,
-    ) -> EnsembleResult:
-        """The batched Gillespie loop; see the module docstring."""
-        process = self._process
-        capacity = self._link.capacity
-        thr = float(self._admission.threshold(capacity))
-        retry_rate = self._retry_rate
-        readmit = self._admission.readmit_waiting
-        cleared = self._lost_calls_cleared
         reps = len(children)
-        wall_start = time.perf_counter()
+        with obs.span(
+            "ensemble.run_vectorized", replications=reps
+        ), resources.profile_block("ensemble.run_vectorized", replications=reps):
+            wall_start = time.perf_counter()
+            if initial_census is None:
+                initial_census = self._default_initial_census()
+            walk = _CensusWalk(self, horizon, warmup, max_events, int(initial_census))
+            result = walk.run(children)
+            if obs.enabled():
+                wall = time.perf_counter() - wall_start
+                total_events = int(result.events.sum())
+                obs.counter("ensemble.replications").inc(reps)
+                obs.counter("ensemble.events").inc(total_events)
+                if wall > 0.0:
+                    obs.gauge("ensemble.event_rate").set(total_events / wall)
+            return result
 
-        streams = BatchedStreams(
-            children, process, self._admission, block=self._block
+
+def _admitted_of_batch(threshold: float, admitted: int, size: int) -> int:
+    """How many of ``size`` flows arriving together a threshold admits.
+
+    Arrivals are admitted one at a time while ``M < threshold``, which
+    collapses to ``clip(ceil(threshold - M), 0, size)``.
+    """
+    if math.isinf(threshold):
+        return size
+    return min(max(math.ceil(threshold - admitted), 0), size)
+
+
+class _RateTables:
+    """``birth``, ``total = birth + death`` and ``1/total`` by census.
+
+    Built from the process's own ``arrival_rates``/``departure_rates``
+    over ``arange(size)`` with the elementwise operations a scalar
+    step applies, so a table entry equals the per-event rate calls bit
+    for bit.  The walk steps with ``birth`` and ``total`` as Python
+    lists and gathers ``totals``/``inverse`` by census as arrays.
+    """
+
+    def __init__(self, process: DemandProcess):
+        self._process = process
+        self.size = 0
+
+    def cover(self, census: int) -> None:
+        """Make every census ``0..census`` readable (doubling)."""
+        if census < self.size:
+            return
+        ks = np.arange(2 * census + 1, dtype=np.int64)
+        birth = np.broadcast_to(
+            np.asarray(self._process.arrival_rates(ks), dtype=float), ks.shape
         )
-        uniforms = streams.uniforms_per_event
-        batch_slot = streams.batch_slot
+        self.totals = birth + self._process.departure_rates(ks)
+        with np.errstate(divide="ignore"):
+            self.inverse = 1.0 / self.totals
+        #: whether some census here has a zero (or NaN) total rate
+        self.absorbing = not (self.totals > 0.0).all()
+        self.birth = birth.tolist()
+        self.total = self.totals.tolist()
+        self.size = len(ks)
 
-        if initial_census is None:
-            initial_census = self._default_initial_census()
-        pop0 = int(initial_census)
-        # sequential admission at t = 0 collapses to a closed form:
-        # admits-while-below-threshold accepts ceil(thr) flows at most
-        adm0 = pop0 if math.isinf(thr) else min(pop0, max(0, int(math.ceil(thr))))
-        n0 = adm0 if cleared else pop0
 
-        # compacted per-active-replication state
-        rows = np.arange(reps)
-        t = np.zeros(reps)
-        census = np.full(reps, n0, dtype=np.int64)
-        admitted = np.full(reps, adm0, dtype=np.int64)
+class _CensusWalk:
+    """One replication at a time: the census stepped in plain Python.
 
-        counts = np.ones(reps, dtype=np.int64)  # the t=0 record
-        # lost-calls-cleared is the one mode whose arrival counts are
-        # not recoverable from the census afterwards (cleared flows
-        # never enter N), so only it pays for in-loop counters
-        arrivals_win = np.zeros(reps, dtype=np.int64)
-        admits_win = np.zeros(reps, dtype=np.int64)
-        no_threshold = math.isinf(thr)
+    Each block of a replication's draws is walked event by event with
+    the scalar engine's expressions on Python ints and floats; the
+    block's event times then come from one cumulative sum of
+    ``z * (1/total)`` started at the carried time and cut at the
+    horizon (``add.accumulate`` adds in order, so each time equals the
+    scalar ``t + z * (1/total)`` bit for bit).
+    """
+
+    def __init__(
+        self,
+        simulator: EnsembleSimulator,
+        horizon: float,
+        warmup: float,
+        max_events: int,
+        pop0: int,
+    ):
+        admission = simulator.admission
+        capacity = simulator.link.capacity
+        self.process = simulator._process
+        self.admission = admission
+        self.capacity = capacity
+        self.threshold = float(admission.threshold(capacity))
+        self.readmit = admission.readmit_waiting
+        self.retry_rate = simulator._retry_rate
+        self.cleared = simulator._lost_calls_cleared
+        self.block = simulator._block
+        layout = event_layout(self.process, admission)
+        self.stride = layout["uniforms"]
+        self.batch_slot = layout["batch_slot"]
+        self.horizon = horizon
+        self.warmup = warmup
+        self.max_events = max_events
+        self.pop0 = pop0
+        # the t = 0 population arrives as one batch
+        self.m0 = _admitted_of_batch(self.threshold, 0, pop0)
+        self.n0 = self.m0 if self.cleared else pop0
         # a policy with a closed form keeps M == min(N, m_cap) when no
         # retries feed M back into the rates (clearing is refused with
-        # readmission, and an infinite cap clears nothing), so the loop
-        # steps N alone and M is derived after assembly; everything
-        # else tracks M in the loop
-        m_cap = self._admission.admitted_cap(capacity) if retry_rate == 0.0 else None
-        track_admitted = m_cap is None
-        general_births = cleared or (batch_slot is not None)
-        # census-only unit steps read their rates from per-run tables
-        # indexed by census (see _rate_tables); rebuilt at block refills
-        tabled = not (track_admitted or general_births or process.is_stateful())
-        birth_tab = total_tab = inv_tab = np.empty(0)
+        # readmission, and an infinite cap clears nothing), so a
+        # unit-birth walk steps N alone and M is derived after assembly
+        self.m_cap = (
+            admission.admitted_cap(capacity)
+            if self.retry_rate == 0.0
+            and not self.cleared
+            and self.batch_slot is None
+            else None
+        )
+        self.tables = _RateTables(self.process)
 
-        # era bookkeeping: step-major blocks, one column per active row
-        eras: List[tuple] = []
-        cap = self._block
-        t_buf = np.empty((cap, reps))
-        n_buf = np.empty((cap, reps), dtype=np.int64)
-        m_buf = np.empty((cap, reps), dtype=np.int64)
-        step = 0  # steps recorded in the current era
-        offset = 1  # record count shared by every active row at era start
-        steps_total = 0
+    def run(self, children: Sequence[np.random.SeedSequence]) -> EnsembleResult:
+        """Walk every child's stream, then pad the paths into one result."""
+        paths = []
+        for r, child in enumerate(children):
+            stream = ReplicationStream(child, block=self.block)
+            stream.bind(self.process, self.admission)
+            if self.m_cap is None:
+                paths.append(self.tracked(stream))
+            else:
+                paths.append(self.census_only(stream))
+            obs.emit(
+                "ensemble.replication",
+                replication=r,
+                replications=len(children),
+                events=len(paths[-1][0]),
+            )
+        return self._assemble(paths)
 
-        def close_era() -> None:
-            nonlocal step, offset
-            if step > 0:
-                eras.append((rows, offset, t_buf[:step], n_buf[:step], m_buf[:step]))
-                offset += step
-                step = 0
-                # replication-block progress marker: one event per era,
-                # so a long run's journal shows the live/active-row
-                # decay without paying per-event costs
-                obs.emit(
-                    "ensemble.era",
-                    active=int(rows.size),
-                    replications=reps,
-                    records=int(offset),
-                    steps_total=int(steps_total),
-                )
-
-        exp_blk = streams.exp
-        uni_blk = streams.uni
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while rows.size > 0:
-                if streams.ptr >= streams.block:
-                    streams.refill()
-                    exp_blk = streams.exp
-                    uni_blk = streams.uni
-                    if tabled:
-                        # unit steps move the census by at most one per
-                        # step, so it stays within census.max() + block
-                        # until the next refill
-                        reach = int(census.max()) + streams.block
-                        if reach >= total_tab.size:
-                            birth_tab, total_tab, inv_tab = _rate_tables(
-                                process, 2 * reach
-                            )
-                pointer = streams.ptr
-                streams.ptr = pointer + 1
-
-                if tabled:
-                    birth = birth_tab[census]
-                    total = total_tab[census]
-                    inverse = inv_tab[census]
-                else:
-                    birth = process.arrival_rates(census)
-                    death = process.departure_rates(census)
-                    if retry_rate > 0.0:
-                        total = birth + death + retry_rate * (census - admitted)
-                    else:
-                        total = birth + death
-                    inverse = 1.0 / total
-                t_new = t + exp_blk[:, pointer] * inverse
-
-                live = t_new < horizon  # False also for inf and NaN
-                if not live.all():
-                    finished = ~live
-                    if not np.all(np.asarray(total)[finished] > 0.0):
-                        level = census[finished][
-                            ~(np.asarray(total)[finished] > 0.0)
-                        ][0]
-                        raise ModelError(
-                            f"demand process is absorbed at census {int(level)} "
-                            f"(zero total rate) — check the process parameters"
-                        )
-                    close_era()
-                    counts[rows[finished]] = offset
-                    rows = rows[live]
-                    if rows.size == 0:
-                        break
-                    streams.compact(live)
-                    exp_blk = streams.exp
-                    uni_blk = streams.uni
-                    t = t_new[live]
-                    census = census[live]
-                    admitted = admitted[live]
-                    if np.ndim(birth) > 0:
-                        birth = birth[live]
-                    if retry_rate > 0.0:
-                        death = death[live]
-                    total = total[live]
-                    t_buf = np.empty((cap, rows.size))
-                    n_buf = np.empty((cap, rows.size), dtype=np.int64)
-                    m_buf = np.empty((cap, rows.size), dtype=np.int64)
-                else:
-                    t = t_new
-
-                steps_total += 1
-                if steps_total > max_events:
-                    raise SimulationBudgetError(
-                        events=max_events,
-                        reached_t=float(t.min()),
-                        horizon=horizon,
-                    )
-
-                base = pointer * uniforms
-                draw = uni_blk[:, base] * total
-                is_birth = draw < birth
-                if retry_rate > 0.0:
-                    is_retry = draw >= birth + death
-                    is_death = ~(is_birth | is_retry)
-                else:
-                    is_death = ~is_birth
-
-                if general_births:
-                    # births: sequential threshold admission of a batch
-                    # collapses to clip(ceil(thr - M), 0, batch)
-                    if batch_slot is not None:
-                        batch = process.batches_from_uniform(
-                            uni_blk[:, base + batch_slot]
-                        )
-                    else:
-                        batch = 1
-                    # a readmitting threshold is never cleared and its M
-                    # is untracked, so only tracked runs need n_admit
-                    if no_threshold:
-                        n_admit = batch
-                    elif track_admitted:
-                        n_admit = np.minimum(
-                            np.maximum(np.ceil(thr - admitted), 0.0), batch
-                        ).astype(np.int64)
-                    census = census + np.where(
-                        is_birth, n_admit if cleared else batch, 0
-                    )
-                    if track_admitted:
-                        admitted = admitted + np.where(is_birth, n_admit, 0)
-                elif track_admitted:
-                    # unit batch: one arrival admits iff M < thr
-                    census = census + is_birth
-                    admitted = admitted + (is_birth & (admitted < thr))
-                else:
-                    # census-only step: M is a function of N
-                    census = census + is_birth - is_death
-
-                if track_admitted:
-                    # deaths: the departing flow is uniform over the
-                    # census, admitted iff its index lands below M
-                    pick = np.minimum(
-                        (uni_blk[:, base + 1] * census).astype(np.int64),
-                        census - 1,
-                    )
-                    dep_admitted = is_death & (pick < admitted)
-                    census = census - is_death
-                    admitted = admitted - dep_admitted
-                    if readmit:
-                        admitted = admitted + (
-                            dep_admitted & (census - admitted > 0)
-                        )
-                    if retry_rate > 0.0:
-                        admitted = admitted + (is_retry & (admitted < thr))
-                    m_buf[step] = admitted
-                elif general_births:
-                    census = census - is_death
-
-                if cleared:
-                    in_window = is_birth & (t >= warmup)
-                    arrivals_win[rows] += np.where(in_window, batch, 0)
-                    admits_win[rows] += np.where(in_window, n_admit, 0)
-
-                t_buf[step] = t
-                n_buf[step] = census
-                step += 1
-                if step == cap:
-                    close_era()
-                    cap = min(cap * 2, _MAX_ERA_STEPS)
-                    t_buf = np.empty((cap, rows.size))
-                    n_buf = np.empty((cap, rows.size), dtype=np.int64)
-                    m_buf = np.empty((cap, rows.size), dtype=np.int64)
-
-        # assemble padded (R, L) arrays; every era's columns share one
-        # offset, so each era lands in a single sliced fancy assignment
+    def _assemble(self, paths: list) -> EnsembleResult:
+        reps = len(paths)
+        counts = np.array([1 + len(path[0]) for path in paths], dtype=np.int64)
+        if self.cleared:
+            # cleared flows never enter N, so only the walk saw them
+            arrivals = np.array([path[3] for path in paths], dtype=np.int64)
+            admissions = np.array([path[4] for path in paths], dtype=np.int64)
         length = int(counts.max())
-        times = np.full((reps, length), horizon, dtype=float)
-        census_out = np.zeros((reps, length), dtype=float)
-        admitted_out = np.zeros((reps, length), dtype=float)
+        times = np.full((reps, length), self.horizon, dtype=float)
+        census = np.zeros((reps, length), dtype=float)
+        admitted = np.zeros((reps, length), dtype=float)
         times[:, 0] = 0.0
-        census_out[:, 0] = n0
-        admitted_out[:, 0] = adm0
-        for era_rows, era_off, tb, nb, mb in eras:
-            span = tb.shape[0]
-            times[era_rows, era_off : era_off + span] = tb.T
-            census_out[era_rows, era_off : era_off + span] = nb.T
-            if track_admitted:
-                admitted_out[era_rows, era_off : era_off + span] = mb.T
-        if not track_admitted:
-            admitted_out = np.minimum(census_out, m_cap)
+        census[:, 0] = self.n0
+        admitted[:, 0] = self.m0
+        for r in range(reps):
+            path, paths[r] = paths[r], None  # free each walk once copied
+            end = counts[r]
+            times[r, 1:end] = path[0]
+            census[r, 1:end] = path[1]
+            if self.m_cap is None:
+                admitted[r, 1:end] = path[2]
+        if self.m_cap is not None:
+            admitted = np.minimum(census, self.m_cap)
 
-        if not cleared:
-            # arrivals are exactly the census increments at birth events
-            # (only clearing discards flows before they enter N), so the
-            # window counters fall out of the assembled trajectories
-            d_n = np.diff(census_out, axis=1)
-            d_m = np.diff(admitted_out, axis=1)
-            births = (d_n > 0) & (times[:, 1:] >= warmup)
-            arrivals_win = (d_n * births).sum(axis=1).astype(np.int64)
-            admits_win = (d_m * births).sum(axis=1).astype(np.int64)
-        if warmup == 0.0:
-            arrivals_win = arrivals_win + pop0
-            admits_win = admits_win + adm0
-
-        if obs.enabled():
-            wall = time.perf_counter() - wall_start
-            total_events = int(counts.sum() - reps)
-            obs.counter("ensemble.replications").inc(reps)
-            obs.counter("ensemble.events").inc(total_events)
-            if wall > 0.0:
-                obs.gauge("ensemble.event_rate").set(total_events / wall)
-
+        if not self.cleared:
+            # arrivals are exactly the census increments at birth
+            # events, so the window counters fall out of the paths
+            d_n = np.diff(census, axis=1)
+            d_m = np.diff(admitted, axis=1)
+            births = (d_n > 0) & (times[:, 1:] >= self.warmup)
+            arrivals = (d_n * births).sum(axis=1).astype(np.int64)
+            admissions = (d_m * births).sum(axis=1).astype(np.int64)
+        if self.warmup == 0.0:
+            arrivals = arrivals + self.pop0
+            admissions = admissions + self.m0
         return EnsembleResult(
             times=times,
-            census=census_out,
-            admitted=admitted_out,
+            census=census,
+            admitted=admitted,
             counts=counts,
-            arrivals=arrivals_win,
-            admissions=admits_win,
-            capacity=capacity,
-            warmup=warmup,
-            horizon=horizon,
+            arrivals=arrivals,
+            admissions=admissions,
+            capacity=self.capacity,
+            warmup=self.warmup,
+            horizon=self.horizon,
             engine="vectorized",
-            lost_calls_cleared=cleared,
+            lost_calls_cleared=self.cleared,
         )
 
+    def _times(self, exp: np.ndarray, inverse: np.ndarray, t: float, done: int):
+        """Event times of the walked steps before the horizon.
 
-def _rate_tables(process: DemandProcess, top: int) -> Tuple[np.ndarray, ...]:
-    """``(birth, total, 1/total)`` at every census ``0..top``.
+        ``t`` is the carried time and ``done`` the events already taken,
+        against ``max_events``.
+        """
+        times = exp[: len(inverse)] * inverse
+        if len(times):
+            times[0] += t
+        times = times.cumsum()
+        kept = int(times.searchsorted(self.horizon))
+        if done + kept > self.max_events:
+            raise SimulationBudgetError(
+                events=self.max_events,
+                reached_t=float(times[self.max_events - done]),
+                horizon=self.horizon,
+            )
+        return times[:kept]
 
-    The process's own ``arrival_rates``/``departure_rates`` over
-    ``arange(top + 1)``, combined by the same elementwise operations a
-    step applies to their per-step values, so a gather from these
-    tables equals the per-step rate calls bit for bit.
-    """
-    ks = np.arange(top + 1, dtype=np.int64)
-    birth = np.broadcast_to(
-        np.asarray(process.arrival_rates(ks), dtype=float), ks.shape
-    ).copy()
-    total = birth + process.departure_rates(ks)
-    with np.errstate(divide="ignore"):
-        return birth, total, 1.0 / total
+    @staticmethod
+    def _absorbed(census: int) -> ModelError:
+        return ModelError(
+            f"demand process is absorbed at census {int(census)} "
+            f"(zero total rate) — check the process parameters"
+        )
+
+    def census_only(self, stream: ReplicationStream):
+        """``(times, census)`` of a unit-birth walk of ``N`` alone."""
+        tables, block, stride = self.tables, self.block, self.stride
+        n, t, done = self.n0, 0.0, 0
+        times: List[np.ndarray] = []
+        levels: List[np.ndarray] = []
+        while True:
+            exp, uni = stream.next_block()
+            # a unit step moves the census by at most one
+            tables.cover(n + block)
+            birth, total = tables.birth, tables.total
+            path = [n]
+            step = path.append
+            for u in uni[::stride].tolist():
+                # past a zero-total state the path is garbage the cut
+                # below discards; it stays within n +- block, which the
+                # tables cover (a negative index wraps)
+                if u * total[n] < birth[n]:
+                    n += 1
+                else:
+                    n -= 1
+                step(n)
+            path = np.fromiter(path, dtype=np.int64, count=block + 1)
+            before = path[:-1]
+            steps = block
+            if tables.absorbing:
+                live = tables.totals[before] > 0.0  # False also for NaN
+                if not live.all():
+                    steps = int(live.argmin())
+            stamps = self._times(exp, tables.inverse[before[:steps]], t, done)
+            kept = len(stamps)
+            times.append(stamps)
+            levels.append(path[1 : kept + 1])
+            done += kept
+            if kept < steps:
+                return np.concatenate(times), np.concatenate(levels)
+            if steps < block:
+                raise self._absorbed(path[steps])
+            t = stamps[-1]
+
+    def tracked(self, stream: ReplicationStream):
+        """``(times, census, admitted, arrivals, admissions)`` of a walk
+        that carries ``M`` too.
+
+        For finite thresholds without readmission, retries, batch
+        births and lost-calls clearing.  The last two are the window
+        counters of a cleared run (0 otherwise), counted here since
+        cleared flows never enter ``N``.
+        """
+        tables, block, stride = self.tables, self.block, self.stride
+        threshold, readmit = self.threshold, self.readmit
+        retry, cleared = self.retry_rate, self.cleared
+        n, m, t, done = self.n0, self.m0, 0.0, 0
+        arrived = taken = 0
+        times: List[np.ndarray] = []
+        levels: List[np.ndarray] = []
+        admitted: List[np.ndarray] = []
+        unit = [1] * block
+        while True:
+            exp, uni = stream.next_block()
+            tables.cover(n + block)
+            birth, total = tables.birth, tables.total
+            slots = uni.reshape(block, stride)
+            sizes = (
+                unit
+                if self.batch_slot is None
+                else self.process.batches_from_uniform(
+                    slots[:, self.batch_slot]
+                ).tolist()
+            )
+            totals: List[float] = []
+            ns: List[int] = []
+            ms: List[int] = []
+            births = []
+            for u, v, size in zip(
+                slots[:, 0].tolist(), slots[:, 1].tolist(), sizes
+            ):
+                rate = total[n]
+                tot = rate + retry * (n - m)
+                if not tot > 0.0:
+                    break
+                totals.append(tot)
+                draw = u * tot
+                if draw >= rate:
+                    # a waiting flow retries
+                    if m < threshold:
+                        m += 1
+                elif draw < birth[n]:
+                    if size == 1:
+                        take = 1 if m < threshold else 0
+                    else:
+                        take = _admitted_of_batch(threshold, m, size)
+                    n += take if cleared else size
+                    m += take
+                    if cleared:
+                        births.append((len(ns), size, take))
+                    if n >= tables.size:
+                        # a batch may jump past the tables
+                        tables.cover(n + block)
+                        birth, total = tables.birth, tables.total
+                else:
+                    # the departing flow is uniform over the census,
+                    # admitted iff its index lands below M
+                    pick = int(v * n)
+                    if pick >= n:
+                        pick = n - 1
+                    n -= 1
+                    if pick < m:
+                        m -= 1
+                        if readmit and n > m:
+                            m += 1
+                ns.append(n)
+                ms.append(m)
+            steps = len(totals)
+            stamps = self._times(exp, 1.0 / np.array(totals), t, done)
+            kept = len(stamps)
+            times.append(stamps)
+            levels.append(np.array(ns[:kept], dtype=np.int64))
+            admitted.append(np.array(ms[:kept], dtype=np.int64))
+            for i, size, take in births:
+                if i < kept and stamps[i] >= self.warmup:
+                    arrived += size
+                    taken += take
+            done += kept
+            if kept < steps:
+                break
+            if steps < block:
+                raise self._absorbed(n)
+            t = stamps[-1]
+        return (
+            np.concatenate(times),
+            np.concatenate(levels),
+            np.concatenate(admitted),
+            arrived,
+            taken,
+        )
 
 
 def _merge_results(parts: Sequence[EnsembleResult]) -> EnsembleResult:

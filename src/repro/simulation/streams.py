@@ -1,7 +1,7 @@
 """Replication randomness: draw protocols shared by both engines.
 
 The scalar :class:`~repro.simulation.simulator.FlowSimulator` and the
-batched :mod:`~repro.simulation.ensemble` engine must be able to
+:mod:`~repro.simulation.ensemble` engine must be able to
 consume *exactly the same* random numbers so that an ensemble
 replication is event-for-event identical to a scalar run — that is the
 parity oracle the ensemble's speedup is verified against, and the
@@ -17,8 +17,9 @@ Two draw sources implement one engine-facing protocol:
   a *constant per-event layout*: every event consumes one standard
   exponential plus ``U`` uniforms (classification, pick, optional
   batch size, optional promotion pick), whether or not each slot is
-  used.  The constant layout is what lets the ensemble engine advance
-  one shared block pointer for every replication at once.
+  used.  :meth:`ReplicationStream.next_block` is the one block source:
+  the scalar engine pops its draws from it one event at a time, the
+  ensemble engine walks a whole block of events per call.
 
 Streams are seeded through :class:`numpy.random.SeedSequence` children
 (``SeedSequence(seed).spawn(R)``), so an ensemble is reproducible for
@@ -28,7 +29,7 @@ rebuild exactly its slice of streams from the root seed alone.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -126,9 +127,9 @@ class ReplicationStream:
 
     The underlying generator is consumed in a deterministic block
     order — a block of standard exponentials, then a block of event
-    uniforms, repeating — so the batched ensemble engine can refill
-    one row of its shared buffers with the very same generator calls
-    and read the very same values this stream would serve scalar-side.
+    uniforms, repeating (:meth:`next_block`) — so the ensemble engine,
+    which walks whole blocks, reads the very same values this stream
+    serves the scalar engine one event at a time.
 
     A stream is single-use: it must be bound to one (process,
     admission) configuration before the first draw and feeds exactly
@@ -179,23 +180,34 @@ class ReplicationStream:
         self._promote_slot = layout["promote_slot"]
         self._bound = True
 
-    def waiting_time(self, total: float) -> float:
-        """One standard-exponential draw scaled to the current rate."""
+    def next_block(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``block`` events' draws: ``(exponentials, uniforms)``.
+
+        ``block`` standard exponentials, then ``block * U`` uniforms
+        (event ``i``'s slots are ``uniforms[i*U : (i+1)*U]``), drawn in
+        that order from the generator.
+        """
         if not self._bound:
             raise RuntimeError("ReplicationStream.bind must be called before use")
         self._started = True
+        exp = self._gen.standard_exponential(self._block)
+        return exp, self._gen.random(self._block * self._uniforms_per_event)
+
+    def waiting_time(self, total: float) -> float:
+        """One standard-exponential draw scaled to the current rate."""
         if self._exp_buf is None or self._exp_ptr >= self._exp_buf.size:
-            self._exp_buf = self._gen.standard_exponential(self._block)
-            self._exp_ptr = 0
+            self._exp_buf, self._uni_buf = self.next_block()
+            self._exp_ptr = self._uni_ptr = 0
         z = self._exp_buf[self._exp_ptr]
         self._exp_ptr += 1
         return float(z) * (1.0 / total)
 
     def classify(self, total: float) -> float:
-        """Pop this event's uniform slots; return the type draw."""
-        if self._uni_buf is None or self._uni_ptr >= self._uni_buf.size:
-            self._uni_buf = self._gen.random(self._block * self._uniforms_per_event)
-            self._uni_ptr = 0
+        """Pop this event's uniform slots; return the type draw.
+
+        The slots come from the block :meth:`waiting_time` drew for this
+        event.
+        """
         end = self._uni_ptr + self._uniforms_per_event
         self._event = self._uni_buf[self._uni_ptr : end]
         self._uni_ptr = end
@@ -215,54 +227,3 @@ class ReplicationStream:
         """Uniform index in ``[0, n)`` from this event's promotion slot."""
         u = float(self._event[self._promote_slot])
         return min(int(u * n), n - 1)
-
-
-class BatchedStreams:
-    """The ensemble twin: per-replication blocks, one shared pointer.
-
-    Row ``r`` is refilled with exactly the generator calls
-    :class:`ReplicationStream` would make for seed child ``r`` — a
-    block of standard exponentials, then a block of event uniforms —
-    so ``exp[r, p]`` and ``uni[r, p*U + s]`` are bit-identical to the
-    scalar stream's ``p``-th event draws.  Because every event consumes
-    a fixed number of draws, all active replications share the same
-    block position, and per-step access is a plain column slice (a
-    view, no gather).  Replications that hit their horizon are
-    :meth:`compact`-ed away; surviving rows keep their generators, so
-    late blocks only pay for the replications still running.
-    """
-
-    def __init__(
-        self,
-        children: Sequence[np.random.SeedSequence],
-        process,
-        admission,
-        *,
-        block: int = DEFAULT_BLOCK,
-    ):
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block!r}")
-        layout = event_layout(process, admission)
-        self.uniforms_per_event = layout["uniforms"]
-        self.batch_slot = layout["batch_slot"]
-        self.promote_slot = layout["promote_slot"]
-        self.block = int(block)
-        self._gens = [np.random.default_rng(child) for child in children]
-        n = len(self._gens)
-        self.exp = np.empty((n, self.block))
-        self.uni = np.empty((n, self.block * self.uniforms_per_event))
-        self.ptr = self.block  # force a refill on first use
-
-    def refill(self) -> None:
-        """Refill every live row's blocks (exponentials, then uniforms)."""
-        u_len = self.block * self.uniforms_per_event
-        for r, gen in enumerate(self._gens):
-            self.exp[r] = gen.standard_exponential(self.block)
-            self.uni[r] = gen.random(u_len)
-        self.ptr = 0
-
-    def compact(self, live: np.ndarray) -> None:
-        """Drop finished rows; survivors keep their order and draws."""
-        self._gens = [g for g, keep in zip(self._gens, live) if keep]
-        self.exp = self.exp[live]
-        self.uni = self.uni[live]

@@ -337,9 +337,10 @@ def open_trace_csv(path, *, chunk_flows: int = DEFAULT_CHUNK_FLOWS) -> TraceStre
     """Stream a commented-header CSV trace in bounded chunks.
 
     Reads what :func:`write_trace_csv` writes.  The header (``#`` and
-    blank lines before the first data row) is read eagerly and needs a
-    finite ``# horizon=`` > 0.  Flow rows are read lazily, a block of
-    lines at a time (:func:`_flow_chunks`).  Bad input raises
+    blank lines before the first data row, and that row too when its
+    first field is the ``arrival`` column name) is read eagerly and
+    needs a finite ``# horizon=`` > 0.  Flow rows are read lazily, a
+    block of lines at a time (:func:`_flow_chunks`).  Bad input raises
     :class:`~repro.errors.ModelError` naming the file and line.
     """
     if chunk_flows < 1:
@@ -352,6 +353,10 @@ def open_trace_csv(path, *, chunk_flows: int = DEFAULT_CHUNK_FLOWS) -> TraceStre
         for line_no, line in enumerate(handle, start=1):
             text = _utf8_line(line, line_no, path).strip()
             if text and not text.startswith("#"):
+                # the column-name row ends the header; the row parser
+                # skips it too, so the first block stays loadtxt's
+                if line.rstrip("\r\n").split(",", 1)[0] == "arrival":
+                    header_lines = line_no
                 break
             header_lines = line_no
             key, eq, value = text.lstrip("#").partition("=")

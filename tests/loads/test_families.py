@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import CalibrationError
 from repro.loads import AlgebraicLoad, GeometricLoad, PoissonLoad, standard_loads
+from repro.loads.continuum import ExponentialLoad, ParetoLoad
 
 
 class TestPoissonLoad:
@@ -114,3 +115,28 @@ class TestStandardLoads:
     def test_z_parameter_passed_through(self):
         loads = standard_loads(kbar=50.0, z=2.5)
         assert loads["algebraic"].z == 2.5
+
+
+#: Every load constructor argument, as ``(id, build(value))``.
+LOAD_ARGUMENTS = [
+    ("poisson-nu", PoissonLoad),
+    ("geometric-beta", GeometricLoad),
+    ("geometric-from_mean-mean", GeometricLoad.from_mean),
+    ("algebraic-z", lambda v: AlgebraicLoad(v, 1.0)),
+    ("algebraic-lam", lambda v: AlgebraicLoad(3.0, v)),
+    ("algebraic-from_mean-z", lambda v: AlgebraicLoad.from_mean(v, 10.0)),
+    ("algebraic-from_mean-mean", lambda v: AlgebraicLoad.from_mean(3.0, v)),
+    ("exponential_continuum-beta", ExponentialLoad),
+    ("pareto_continuum-z", ParetoLoad),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build", [b for _, b in LOAD_ARGUMENTS], ids=[i for i, _ in LOAD_ARGUMENTS]
+)
+def test_non_finite_parameters_refused(build, value):
+    # NaN passes every `x <= bound` check, and inf made loads whose pmf
+    # and sf are NaN; both are refused where the load is built
+    with pytest.raises(ValueError, match="finite"):
+        build(value)

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ModelError, SimulationBudgetError
 from repro.loads import PoissonLoad
 from repro.simulation import (
+    AdmissionPolicy,
     AdmitAll,
     BirthDeathProcess,
     EnsembleSimulator,
@@ -27,6 +29,7 @@ from repro.simulation import (
     ThresholdAdmission,
     spawn_children,
 )
+from repro.utility import AdaptiveUtility
 
 CAPACITY = 10.0
 
@@ -230,17 +233,10 @@ class _CountingPoisson(PoissonProcess):
         return super().arrival_rates(census)
 
 
-class _StatefulCountingPoisson(_CountingPoisson):
-    """The same process declared stateful: it overrides ``advance_to``."""
-
-    def advance_to(self, t):
-        pass
-
-
 class TestRateTables:
-    """Census-only unit steps gather their rates from tables indexed by
-    census; the tables are rebuilt at block refills whenever the census
-    could outrun them.  Each run here must match the scalar twin event
+    """The walk reads its rates from tables indexed by census; they are
+    regrown at a block's start whenever the census could outrun them
+    within the block.  Each run here must match the scalar twin event
     for event."""
 
     @staticmethod
@@ -265,7 +261,7 @@ class TestRateTables:
 
     @pytest.mark.parametrize("process", ["bd", "poisson"])
     def test_small_block_refills_and_grows_the_tables(self, process):
-        # a 3-step block from an empty link: every refill may regrow
+        # a 3-step block from an empty link: every block may regrow
         self._assert_block_parity(
             _process(process), block=3, initial_census=0, horizon=12.0, seed=11
         )
@@ -289,6 +285,17 @@ class TestRateTables:
         # scalar twin asks the scalar arrival_rate)
         assert 1 < process.rate_calls < int(result.events.max()) // 8
 
+    def test_batch_arrivals_past_the_tables(self):
+        # a 4-event block's tables reach census 2 (N + 4) from its start;
+        # heavy Pareto batches jump past that mid-block
+        self._assert_block_parity(
+            ParetoBatchProcess(2.0, shape=1.2),
+            block=4,
+            initial_census=0,
+            horizon=10.0,
+            seed=1,
+        )
+
     def test_birth_death_above_its_census_cap(self):
         # births are zero past the reflecting cap, so the census drains
         process = BirthDeathProcess(PoissonLoad(8.0), census_cap=12)
@@ -296,21 +303,162 @@ class TestRateTables:
             process, block=16, initial_census=40, horizon=8.0, seed=3
         )
 
-    def test_stateful_process_keeps_the_rate_calls(self):
-        # a stateful process may change its rates between steps, so the
-        # batched loop asks it every step instead of reading a table
-        process = _StatefulCountingPoisson(7.0)
-        simulator = EnsembleSimulator(process, Link(CAPACITY))
-        result = simulator._run_vectorized_inner(
-            spawn_children(9, 3),
-            10.0,
-            warmup=0.0,
-            initial_census=None,
-            max_events=10**6,
+
+class _EveryOther(AdmissionPolicy):
+    """A custom policy: the ensemble runs it on the scalar fallback."""
+
+    def admits(self, admitted, capacity):
+        return admitted % 2 == 0
+
+
+#: One policy per engine path: the census-only walk, the walk that
+#: carries M, and the scalar fallback.
+ENGINE_POLICIES = {
+    "census_only": AdmitAll,
+    "tracked": lambda: ThresholdAdmission(3),
+    "scalar": _EveryOther,
+}
+
+
+class TestWalkBoundaries:
+    """Where a walk stops: absorption, the event budget, the horizon."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_POLICIES))
+    def test_absorbed_census_raises(self, engine):
+        # no births at all (the reflecting cap sits at 0), so the census
+        # drains from 5 to 0, where the total rate is zero
+        process = BirthDeathProcess(PoissonLoad(8.0), census_cap=0)
+        ensemble = EnsembleSimulator(
+            process, Link(CAPACITY), ENGINE_POLICIES[engine]()
         )
-        assert process.rate_calls >= int(result.events.max())
-        stateless = _CountingPoisson(7.0)
-        twin = EnsembleSimulator(stateless, Link(CAPACITY)).run(3, 10.0, seed=9)
-        assert stateless.rate_calls < int(twin.events.max())
-        np.testing.assert_array_equal(result.times, twin.times)
-        np.testing.assert_array_equal(result.census, twin.census)
+        with pytest.raises(ModelError, match="absorbed at census 0"):
+            ensemble.run(3, 1000.0, seed=4, initial_census=5)
+        # the scalar twin refuses the same path
+        with pytest.raises(ModelError, match="absorbed at census 0"):
+            FlowSimulator(process, Link(CAPACITY)).run(
+                1000.0,
+                stream=ReplicationStream(spawn_children(4, 1)[0]),
+                initial_census=5,
+            )
+
+    def test_absorption_past_the_horizon_is_not_reached(self):
+        # the walk reaches census 0 inside its first block, but every
+        # replication's draining departures land past the horizon
+        process = BirthDeathProcess(PoissonLoad(8.0), census_cap=0)
+        result = EnsembleSimulator(process, Link(CAPACITY)).run(
+            4, 0.3, seed=1, initial_census=3
+        )
+        scalar = FlowSimulator(process, Link(CAPACITY))
+        for r, child in enumerate(spawn_children(1, 4)):
+            run = scalar.run(
+                0.3, stream=ReplicationStream(child), initial_census=3
+            )
+            np.testing.assert_array_equal(
+                run.trajectory.census, result.trajectory(r).census
+            )
+        assert result.census[np.arange(4), result.counts - 1].min() > 0
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_POLICIES))
+    def test_max_events_boundary(self, engine):
+        # a run needing exactly E events (its busiest replication's
+        # count) passes at max_events=E and is refused at E - 1
+        ensemble = EnsembleSimulator(
+            BirthDeathProcess(PoissonLoad(8.0)),
+            Link(CAPACITY),
+            ENGINE_POLICIES[engine](),
+        )
+        first = ensemble.run(3, 20.0, seed=6)
+        assert first.engine == ("scalar" if engine == "scalar" else "vectorized")
+        needed = int(first.events.max())
+        again = ensemble.run(3, 20.0, seed=6, max_events=needed)
+        np.testing.assert_array_equal(again.times, first.times)
+        with pytest.raises(SimulationBudgetError) as excinfo:
+            ensemble.run(3, 20.0, seed=6, max_events=needed - 1)
+        err = excinfo.value
+        assert err.events == needed - 1
+        assert 0.0 < err.reached_t < err.horizon == 20.0
+
+    @pytest.mark.parametrize("engine", ["census_only", "tracked"])
+    def test_replications_without_events_beside_ones_that_step(self, engine):
+        # from an empty link the first waiting time is Exp(1), so at a
+        # horizon of 0.7 about half the replications never step
+        process, horizon, seed = PoissonProcess(1.0), 0.7, 21
+        result = EnsembleSimulator(
+            process, Link(CAPACITY), ENGINE_POLICIES[engine]()
+        ).run(8, horizon, seed=seed, initial_census=0)
+        assert result.engine == "vectorized"
+        assert (result.events == 0).any() and (result.events > 0).any()
+        scalar = FlowSimulator(process, Link(CAPACITY), ENGINE_POLICIES[engine]())
+        for r, child in enumerate(spawn_children(seed, 8)):
+            run = scalar.run(
+                horizon, stream=ReplicationStream(child), initial_census=0
+            )
+            trajectory = result.trajectory(r)
+            np.testing.assert_array_equal(run.trajectory.times, trajectory.times)
+            np.testing.assert_array_equal(run.trajectory.census, trajectory.census)
+            np.testing.assert_array_equal(
+                run.trajectory.admitted, trajectory.admitted
+            )
+            assert result.arrivals[r] == len(run.flows)
+        padded = result.events == 0
+        assert (result.times[padded, 1:] == horizon).all()
+        assert (result.census[padded, 1:] == 0.0).all()
+
+
+class TestLongRunParity:
+    """Parity over tens of default-size blocks, not just the first.
+
+    The property tests above run horizons of at most 30 at a census of
+    about 8, which mostly stay inside one 512-event block."""
+
+    @staticmethod
+    def _assert_rows(result, scalar, children, rows, horizon, warmup):
+        for r in rows:
+            run = scalar.run(
+                horizon, warmup=warmup, stream=ReplicationStream(children[r])
+            )
+            trajectory = result.trajectory(r)
+            np.testing.assert_array_equal(run.trajectory.times, trajectory.times)
+            np.testing.assert_array_equal(run.trajectory.census, trajectory.census)
+            np.testing.assert_array_equal(
+                run.trajectory.admitted, trajectory.admitted
+            )
+            assert run.events == result.events[r]
+
+    def test_s1_children(self):
+        # experiment S1's ensemble: 32 children of seed 2025 to t = 400
+        utility = AdaptiveUtility()
+        process = BirthDeathProcess(PoissonLoad(50.0))
+        policy = ThresholdAdmission.from_utility(utility, readmit_waiting=True)
+        result = EnsembleSimulator(process, Link(55.0), policy).run(
+            32, 400.0, warmup=50.0, seed=2025
+        )
+        assert result.engine == "vectorized"
+        assert int(result.events.min()) > 64 * 512
+        self._assert_rows(
+            result,
+            FlowSimulator(process, Link(55.0), policy),
+            spawn_children(2025, 32),
+            (0, 15, 31),
+            400.0,
+            50.0,
+        )
+
+    def test_threshold_with_retries(self):
+        # M is carried through every event: a finite threshold without
+        # readmission whose waiting flows retry
+        process = BirthDeathProcess(PoissonLoad(50.0))
+        policy = ThresholdAdmission(48)
+        result = EnsembleSimulator(
+            process, Link(55.0), policy, retry_rate=0.2
+        ).run(3, 150.0, warmup=20.0, seed=77)
+        assert int(result.events.min()) > 20 * 512
+        assert (result.admitted < result.census).any()
+        self._assert_rows(
+            result,
+            FlowSimulator(process, Link(55.0), policy, retry_rate=0.2),
+            spawn_children(77, 3),
+            (0, 1, 2),
+            150.0,
+            20.0,
+        )

@@ -16,7 +16,7 @@ from repro.simulation import (
     spawn_children,
     spawn_streams,
 )
-from repro.simulation.streams import BatchedStreams, event_layout
+from repro.simulation.streams import event_layout
 
 
 class TestSpawn:
@@ -137,40 +137,29 @@ class TestGeneratorDraws:
         np.testing.assert_array_equal(r1.trajectory.times, r2.trajectory.times)
 
 
-class TestBatchedStreams:
+class TestBlockSource:
     def test_bitwise_match_with_scalar_streams(self):
-        # row r of the batched buffers must serve the same values the
-        # scalar stream for child r serves, in the same event order
+        # a block from next_block must hold the values the same child's
+        # stream serves the scalar engine, in the same event order, and
+        # come off the generator as exponentials then uniforms
         proc = BirthDeathProcess(PoissonLoad(5.0))
-        children = spawn_children(3, 4)
-        batched = BatchedStreams(children, proc, AdmitAll(), block=16)
-        batched.refill()
-        uniforms = batched.uniforms_per_event
-        for r, child in enumerate(children):
+        for child in spawn_children(3, 4):
+            source = ReplicationStream(child, block=16)
+            source.bind(proc, AdmitAll())
+            exp, uni = source.next_block()
+            uniforms = event_layout(proc, AdmitAll())["uniforms"]
+            assert exp.shape == (16,) and uni.shape == (16 * uniforms,)
+            raw = np.random.default_rng(child)
+            np.testing.assert_array_equal(exp, raw.standard_exponential(16))
+            np.testing.assert_array_equal(uni, raw.random(16 * uniforms))
             stream = ReplicationStream(child, block=16)
             stream.bind(proc, AdmitAll())
             for event in range(16):
-                z = stream.waiting_time(1.0)
-                assert batched.exp[r, event] == z
-                draw = stream.classify(1.0)
-                assert batched.uni[r, event * uniforms] == draw
+                assert stream.waiting_time(1.0) == exp[event]
+                assert stream.classify(1.0) == uni[event * uniforms]
+            # the next event starts the next block on both sides
+            assert stream.waiting_time(1.0) == source.next_block()[0][0]
 
-    def test_compact_keeps_survivor_rows(self):
-        proc = BirthDeathProcess(PoissonLoad(5.0))
-        batched = BatchedStreams(spawn_children(3, 4), proc, AdmitAll(), block=8)
-        batched.refill()
-        exp_before = batched.exp.copy()
-        live = np.array([True, False, True, False])
-        batched.compact(live)
-        np.testing.assert_array_equal(batched.exp, exp_before[live])
-        batched.refill()  # survivors refill from their own generators
-        assert batched.exp.shape == (2, 8)
-
-    def test_invalid_block(self):
-        with pytest.raises(ValueError):
-            BatchedStreams(
-                spawn_children(1, 1),
-                BirthDeathProcess(PoissonLoad(5.0)),
-                AdmitAll(),
-                block=0,
-            )
+    def test_next_block_requires_bind(self):
+        with pytest.raises(RuntimeError, match="bind"):
+            ReplicationStream(1).next_block()

@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.traces import open_trace_csv
+from repro.traces import open_trace_csv, write_trace_csv
 from repro.traces import stream as stream_module
-from repro.traces.stream import _parse_block, _parse_flow_row
+from repro.traces.stream import TraceChunk, TraceStream, _parse_block, _parse_flow_row
 from repro.verify.strategies import trace_chunk_sizes
 
 
@@ -214,3 +214,29 @@ class TestReaderMatchesRowParser:
         arrival, departure = _parse_flow_row(row, 1, "t.csv")
         assert parsed[0].tobytes() == np.array([arrival]).tobytes()
         assert parsed[1].tobytes() == np.array([departure]).tobytes()
+
+
+class TestWrittenTraces:
+    def test_written_file_never_reaches_the_row_parser(self, tmp_path):
+        # write_trace_csv always writes the 'arrival,departure' column
+        # row; the header scan takes it, so every block of a written
+        # file goes to np.loadtxt and none to the csv-module row parser
+        rng = np.random.default_rng(3)
+        arrival = np.sort(rng.uniform(0.0, 50.0, 5000))
+        departure = arrival + rng.exponential(1.0, 5000)
+        stream = TraceStream(
+            [TraceChunk(arrival, departure)], horizon=60.0, metadata={"k": "v"}
+        )
+        path = write_trace_csv(stream, tmp_path / "t.csv")
+        with mock.patch.object(stream_module, "_PARSE_BLOCK_LINES", 1000):
+            with mock.patch.object(
+                stream_module, "_parse_rows", wraps=stream_module._parse_rows
+            ) as spy:
+                reread = open_trace_csv(path, chunk_flows=777)
+                chunks = list(reread)
+        assert spy.call_count == 0
+        assert reread.metadata == {"k": "v"}
+        got = np.concatenate([c.arrival for c in chunks])
+        assert got.tobytes() == arrival.tobytes()
+        got = np.concatenate([c.departure for c in chunks])
+        assert got.tobytes() == departure.tobytes()
