@@ -31,7 +31,7 @@ from repro.traces.workloads import default_workload
 #: census: from mildly under- to comfortably over-provisioned.
 CAPACITY_FACTORS = (1.0, 1.1, 1.25, 1.5)
 
-#: Replay windows for the TR experiments (each window is one synthetic
+#: Replay windows for the TR experiments (each window is scored as one
 #: replication in the CRN pairing).
 TR_WINDOWS = 16
 

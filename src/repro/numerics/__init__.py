@@ -13,18 +13,17 @@ those definitions need:
 
 Whole-grid sweeps go through the batch forms in
 :mod:`repro.numerics.batch` — :func:`find_roots`,
-:func:`invert_monotone_batch`, :func:`share_weighted_sums`,
-:func:`adaptive_quad_batch` — which solve a vector of independent
-scalar problems in a handful of numpy calls and report per-element
-convergence masks instead of raising on the first bad element.  There
-is one root finder: :func:`find_root` and :func:`invert_monotone` are
-one-element views of :func:`find_roots` and
-:func:`invert_monotone_batch` that raise where the batch flags.
+:func:`invert_monotone_batch`, :func:`share_weighted_sums` — which
+solve a vector of independent scalar problems in a handful of numpy
+calls and report per-element convergence masks instead of raising on
+the first bad element.  There is one root finder: :func:`find_root`
+and :func:`invert_monotone` are one-element views of
+:func:`find_roots` and :func:`invert_monotone_batch` that raise where
+the batch flags.
 """
 
 from repro.numerics.batch import (
     BatchRootResult,
-    adaptive_quad_batch,
     expand_brackets_upward,
     find_roots,
     invert_monotone_batch,
@@ -35,7 +34,6 @@ from repro.numerics.solvers import find_root, invert_monotone
 
 __all__ = [
     "BatchRootResult",
-    "adaptive_quad_batch",
     "expand_brackets_upward",
     "find_root",
     "find_roots",

@@ -16,9 +16,13 @@ run the same iteration:
   monotone ``func``,
 - :func:`share_weighted_sums` — the truncated-series kernel behind the
   discrete-model totals ``sum_k w_k * pi(C_i / k)``, chunked so a
-  512 x 4M grid never materialises,
-- :func:`adaptive_quad_batch` — fixed-node Gauss-Legendre quadrature
-  with panel doubling, one node layout shared by every grid row.
+  512 x 4M grid never materialises.
+
+Continuum integrals stay on :func:`repro.numerics.quadrature.integrate`,
+one adaptive QUADPACK call per capacity: the Pareto integrands behave
+like ``u**(z - 2)`` as ``u -> 0``, so a batched rule must be a
+composite one graded toward that end, not a single panel of ever more
+Gauss nodes.
 
 Elements that fail are *flagged in the mask*, never returned silently:
 no sign change, a NaN function value (also marked ``undefined``) or
@@ -28,8 +32,8 @@ warning a one-element solve raises.
 
 With :mod:`repro.obs` enabled each batch call meters
 ``batch.solve.calls`` / ``points`` / ``converged`` / ``failures`` /
-``iterations`` / ``evaluations`` plus ``batch.series.*`` and
-``batch.quadrature.*``; disabled, the cost is one flag check per call.
+``iterations`` / ``evaluations`` plus ``batch.series.*``; disabled,
+the cost is one flag check per call.
 """
 
 from __future__ import annotations
@@ -572,73 +576,3 @@ def share_weighted_sums(
         obs.counter("batch.series.calls").inc()
         obs.counter("batch.series.elements").inc(elements)
     return totals
-
-
-@obs.timed("batch.adaptive_quad")
-def adaptive_quad_batch(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    *,
-    tol: float = 1e-11,
-    base_nodes: int = 24,
-    max_doublings: int = 11,
-    label: str = "batch integral",
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Integrate one parametric family over per-row limits.
-
-    Gauss-Legendre quadrature with global panel doubling: every row of
-    the batch shares one reference node layout mapped into its own
-    ``[lo_i, hi_i]``, the node count doubles until each row's estimate
-    is stable to ``tol``, and rows that converge early simply stop
-    being refined.
-
-    ``integrand`` receives a 2-D array whose row ``i`` holds the nodes
-    for problem ``i`` and must evaluate row-wise independently.
-
-    Returns ``(values, converged, evaluations)``; non-converged rows
-    carry the last estimate and a ``False`` mask entry so the caller
-    can fall back to scalar adaptive quadrature.
-    """
-    lo_v, hi_v = _as_batch(lo, hi)
-    n = lo_v.size
-    if n == 0:
-        return np.zeros(0), np.ones(0, dtype=bool), 0
-
-    values = np.zeros(n)
-    converged = np.zeros(n, dtype=bool)
-    evaluations = 0
-
-    span = hi_v - lo_v
-    converged |= span <= 0.0
-
-    active = np.flatnonzero(~converged)
-    previous = np.full(n, math.nan)
-    nodes = int(base_nodes)
-    for doubling in range(max_doublings + 1):
-        if not active.size:
-            break
-        x_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
-        mid = 0.5 * (lo_v[active] + hi_v[active])
-        half = 0.5 * span[active]
-        xs = mid[:, None] + half[:, None] * x_ref[None, :]
-        ys = np.asarray(integrand(xs), dtype=float)
-        evaluations += ys.size
-        estimate = half * (ys @ w_ref)
-        values[active] = estimate
-        if doubling > 0:
-            err = np.abs(estimate - previous[active])
-            good = err <= np.maximum(tol, 1e-14 * np.abs(estimate))
-            previous[active] = estimate
-            converged[active[good]] = True
-            active = active[~good]
-        else:
-            previous[active] = estimate
-        nodes *= 2
-    if obs.enabled():
-        obs.counter("batch.quadrature.calls").inc()
-        obs.counter("batch.quadrature.evaluations").inc(evaluations)
-        misses = int(np.count_nonzero(~converged))
-        if misses:
-            obs.counter("batch.quadrature.failures").inc(misses)
-    return values, converged, evaluations

@@ -135,97 +135,151 @@ class EnsembleResult:
             horizon=self.horizon,
         )
 
-    def _window_weights(self) -> np.ndarray:
-        """Per-segment time weights clipped to ``[warmup, horizon]``."""
-        ends = np.concatenate(
-            [
-                self.times[:, 1:],
-                np.full((self.replications, 1), self.horizon),
-            ],
-            axis=1,
-        )
-        clipped = np.minimum(ends, self.horizon) - np.maximum(
-            self.times, self.warmup
-        )
-        return np.maximum(0.0, clipped)
+    def _tables(self, *series: np.ndarray) -> List[_LevelTimes]:
+        return _level_tables(self.times, self.horizon, self.warmup, self.horizon, *series)
 
     def mean_census(self) -> np.ndarray:
         """Per-replication time-average census over the window."""
-        w = self._window_weights()
-        mass = w.sum(axis=1)
-        if not (mass > 0.0).all():
-            raise ValueError(
-                "a replication has no trajectory mass in the measurement "
-                f"window [warmup={self.warmup!r}, horizon={self.horizon!r}]"
-            )
-        return (w * self.census).sum(axis=1) / mass
+        return self._tables(self.census)[0].means()
 
     def census_distribution(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pooled time-weighted census pmf across all replications."""
-        w = self._window_weights().ravel()
-        levels = self.census.ravel()
-        keep = w > 0.0
-        w, levels = w[keep], levels[keep]
-        if w.size == 0:
-            raise ValueError("no trajectory mass in the measurement window")
-        values, inverse = np.unique(levels, return_inverse=True)
-        probs = np.bincount(inverse, weights=w, minlength=len(values))
-        return values, probs / probs.sum()
+        values, probs = self._tables(self.census)[0].pmf()
+        return values.astype(self.census.dtype), probs
 
     def utility_estimates(
         self, utility: UtilityFunction
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-replication ``(B_hat, R_hat)`` flow-average utilities.
-
-        Both are flow-time averages — the dynamic counterpart of the
-        paper's ``B(C) = sum Q(k) pi(C/k)`` with ``Q`` the size-biased
-        census: a flow-average is a time average weighted by how many
-        flows experience each instant.  Best-effort gives every one of
-        the ``N`` present flows ``pi(C/N)``; under reservations only
-        the ``M`` admitted flows score (``pi(C/M)`` each) while the
-        ``N - M`` waiting rejected flows contribute zero utility but
-        full flow-time, so ``R_hat`` is total admitted utility over
-        total flow-time.  Lost-calls-cleared is the one mode whose
-        rejected flows leave no flow-time trace (they vanish at
-        arrival), so there the in-window admitted-arrival fraction
-        supplies the rejected-score-zero weighting instead.
-        """
-        w = self._window_weights()
-        be = _size_biased_utility(
-            self.census, w, self.capacity, utility
-        )
+        """Per-replication ``(B_hat, R_hat)``; see :func:`_flow_time_utilities`."""
+        cleared = None
         if self.lost_calls_cleared:
-            frac = np.where(
+            cleared = np.where(
                 self.arrivals > 0,
                 self.admissions / np.maximum(self.arrivals, 1),
                 1.0,
             )
-            return be, frac * _size_biased_utility(
-                self.admitted, w, self.capacity, utility
-            )
-        shares = np.where(
-            self.admitted > 0, self.capacity / np.maximum(self.admitted, 1.0), 0.0
-        )
-        scores = np.where(self.admitted > 0, utility(shares), 0.0)
-        mass = (w * self.census).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = (w * self.admitted * scores).sum(axis=1) / mass
-        return be, np.where(mass > 0.0, res, 0.0)
+        census, admitted = self._tables(self.census, self.admitted)
+        return _flow_time_utilities(census, admitted, self.capacity, utility, cleared)
 
 
-def _size_biased_utility(
-    levels: np.ndarray,
-    weights: np.ndarray,
+@dataclass(frozen=True)
+class _LevelTimes:
+    """``time[r, j]``: how long row ``r`` held level ``lo + j`` in the window.
+
+    A row is a replication, a replay window or one simulator run.  The
+    paper's ``B`` and ``R`` see a census path only through this table
+    (Section 3), so the pmf, the means and the flow-time utilities are
+    all read off it, with ``pi`` evaluated once per level.
+    """
+
+    lo: int
+    time: np.ndarray
+
+    @property
+    def levels(self) -> np.ndarray:
+        return np.arange(self.lo, self.lo + self.time.shape[1], dtype=np.int64)
+
+    def pmf(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Pooled pmf over the levels held a positive time."""
+        pooled = self.time.sum(axis=0)
+        held = pooled > 0.0
+        if not held.any():
+            raise ValueError("no trajectory mass in the measurement window")
+        return self.levels[held], pooled[held] / pooled[held].sum()
+
+    def means(self) -> np.ndarray:
+        """Per-row time-average level."""
+        mass = self.time.sum(axis=1)
+        if not (mass > 0.0).all():
+            raise ValueError("a row has no trajectory mass in the measurement window")
+        return (self.time * self.levels).sum(axis=1) / mass
+
+    def folded(self, cap: float) -> _LevelTimes:
+        """The table of ``min(level, cap)`` for an integral or infinite ``cap``."""
+        if cap >= self.lo + self.time.shape[1] - 1:
+            return self
+        col = max(int(cap) - self.lo, 0)
+        time = self.time[:, : col + 1].copy()
+        time[:, col] = self.time[:, col:].sum(axis=1)
+        return _LevelTimes(min(int(cap), self.lo), time)
+
+    def flow_time(
+        self, capacity: float, utility: UtilityFunction
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row flow-time ``sum T n`` and utility ``sum T n pi(C/n)``."""
+        n = self.levels.astype(float)
+        shares = np.where(n > 0, capacity / np.maximum(n, 1.0), 0.0)
+        scores = np.where(n > 0, utility(shares), 0.0)
+        return (self.time * n).sum(axis=1), (self.time * (n * scores)).sum(axis=1)
+
+
+def _level_tables(
+    times: np.ndarray, end: float, warmup: float, horizon: float, *series: np.ndarray
+) -> List[_LevelTimes]:
+    """Per-row time-at-level tables of each ``series`` over ``[warmup, horizon]``.
+
+    Row ``r`` holds ``series[r, i]`` from ``times[r, i]`` to the next
+    time (the last segment to ``end``).  Differencing the times clipped
+    to the window gives ``max(0, min(stop, horizon) - max(start,
+    warmup))`` bit for bit, and each series is one ``bincount`` of
+    those durations by ``(row, level)`` over the levels held a positive
+    time, so a Poisson census near N spans O(sqrt(N)) columns.  Zero
+    durations (padding, pre-warmup) add nothing where they are clipped.
+    """
+    cut = np.clip(times, warmup, horizon)
+    durations = np.empty_like(cut)
+    np.subtract(cut[:, 1:], cut[:, :-1], out=durations[:, :-1])
+    np.subtract(min(max(end, warmup), horizon), cut[:, -1], out=durations[:, -1])
+    del cut
+    held = durations > 0.0
+    bound = np.iinfo(np.int64)
+    rows = len(times)
+    tables = []
+    for levels in series:
+        index = levels.astype(np.int64)
+        lo = hi = 0
+        if held.any():
+            lo = int(index.min(where=held, initial=bound.max))
+            hi = int(index.max(where=held, initial=bound.min))
+        width = hi - lo + 1
+        index += (np.arange(rows, dtype=np.int64) * width - lo)[:, None]
+        np.clip(index, 0, rows * width - 1, out=index)
+        time = np.bincount(index.ravel(), weights=durations.ravel(), minlength=rows * width)
+        tables.append(_LevelTimes(lo, time.reshape(rows, width)))
+    return tables
+
+
+def _flow_time_utilities(
+    census: _LevelTimes,
+    admitted: _LevelTimes,
     capacity: float,
     utility: UtilityFunction,
-) -> np.ndarray:
-    """``sum(w * n * pi(C/n)) / sum(w * n)`` per replication row."""
-    shares = np.where(levels > 0, capacity / np.maximum(levels, 1.0), 0.0)
-    scores = np.where(levels > 0, utility(shares), 0.0)
-    mass = (weights * levels).sum(axis=1)
+    cleared: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(B_hat, R_hat)`` flow-average utilities from the N and M tables.
+
+    Both are flow-time averages — the dynamic counterpart of the
+    paper's ``B(C) = sum Q(k) pi(C/k)`` with ``Q`` the size-biased
+    census: a flow-average is a time average weighted by how many
+    flows experience each instant.  Best-effort gives every one of
+    the ``N`` present flows ``pi(C/N)``; under reservations only
+    the ``M`` admitted flows score (``pi(C/M)`` each) while the
+    ``N - M`` waiting rejected flows contribute zero utility but
+    full flow-time, so ``R_hat`` is total admitted utility over
+    total flow-time.  Lost-calls-cleared is the one mode whose
+    rejected flows leave no flow-time trace (they vanish at
+    arrival), so there ``cleared``, the in-window admitted-arrival
+    fraction per row, supplies the rejected-score-zero weighting
+    instead.  A row without flow-time scores 0.
+    """
+    census_mass, census_score = census.flow_time(capacity, utility)
+    admitted_mass, admitted_score = admitted.flow_time(capacity, utility)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (weights * levels * scores).sum(axis=1) / mass
-    return np.where(mass > 0.0, out, 0.0)
+        be = np.where(census_mass > 0.0, census_score / census_mass, 0.0)
+        if cleared is None:
+            return be, np.where(census_mass > 0.0, admitted_score / census_mass, 0.0)
+        res = np.where(admitted_mass > 0.0, admitted_score / admitted_mass, 0.0)
+    return be, cleared * res
 
 
 @dataclass(frozen=True)

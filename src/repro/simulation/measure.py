@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.loads.base import LoadDistribution
+from repro.simulation.ensemble import _level_tables
 from repro.simulation.simulator import SimulationResult
 from repro.utility.base import UtilityFunction
 
@@ -27,33 +28,22 @@ def census_distribution(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Time-weighted empirical census pmf after warmup.
 
-    Returns ``(values, probabilities)`` with values the distinct census
-    levels observed.  ``use_admitted`` histograms the admitted count
-    instead of the full census.
+    Returns ``(values, probabilities)`` with values the census levels
+    held a positive time in the window.  ``use_admitted`` histograms
+    the admitted count instead of the full census.  The run is one row
+    of the ensemble's time-at-level table.
     """
-    if not 0.0 <= result.warmup < result.horizon:
-        raise ValueError(
-            "warmup must be in [0, horizon): "
-            f"warmup={result.warmup!r}, horizon={result.horizon!r}"
-        )
     traj = result.trajectory
     series = traj.admitted if use_admitted else traj.census
-    durations = traj.segment_durations()
-    # clip each segment to the measurement window [warmup, horizon]
-    starts = traj.times
-    ends = starts + durations
-    clipped = np.minimum(ends, result.horizon) - np.maximum(starts, result.warmup)
-    weights = np.maximum(0.0, clipped)
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError(
-            "no trajectory mass in the measurement window "
-            f"[warmup={result.warmup!r}, horizon={result.horizon!r}]; "
-            "lengthen the run"
-        )
-    values, inverse = np.unique(series, return_inverse=True)
-    probs = np.bincount(inverse, weights=weights, minlength=len(values)) / total
-    return values, probs
+    (table,) = _level_tables(
+        traj.times[None, :],
+        traj.horizon,
+        result.warmup,
+        result.horizon,
+        series[None, :],
+    )
+    values, probs = table.pmf()
+    return values.astype(series.dtype), probs
 
 
 def empirical_mean_census(result: SimulationResult) -> float:

@@ -14,19 +14,18 @@ constant memory:
    never by the flow count; every positive-duration segment is
    accumulated in global time order, so the result is *byte-identical
    for any chunk size*.
-2. **CRN-paired evaluation** (:meth:`TraceOccupancy.evaluate`).  Each
-   window's histogram is laid out once as a synthetic replication row
-   of a real :class:`~repro.simulation.ensemble.EnsembleResult`, its
-   admitted row given by the paper's reservation rule
+2. **CRN-paired evaluation** (:meth:`TraceOccupancy.evaluate`).  The
+   histogram *is* the ensemble engine's time-at-level table, one row
+   per window, and is scored by the engine's own flow-time kernel.
+   The admitted table folds it at the paper's reservation rule
    ``M = min(N, ceil(k_max))`` — the closed form
    ``ThresholdAdmission.admitted_cap`` states for the readmitting
    policy, the same one the ensemble engine applies.  Best-effort
    (``M = N``) reads the census alone, so both architectures are
    scored on the one trace trajectory, the strongest possible
-   common-random-numbers pairing.  ``utility_estimates`` then produces
-   per-window ``(B_hat, R_hat)`` through the engine's own flow-time
-   averaging and a :class:`~repro.simulation.ensemble.PairedGapResult`
-   carries the Welford/Student-t confidence intervals.
+   common-random-numbers pairing, and a
+   :class:`~repro.simulation.ensemble.PairedGapResult` carries the
+   Welford/Student-t confidence intervals over windows.
 
 Windows double as replications: R disjoint spans of ``[warmup,
 horizon]`` give R weakly dependent estimates whose spread prices the
@@ -35,6 +34,7 @@ CI — the block-resampling view of a single long trajectory.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -44,12 +44,16 @@ import numpy as np
 from repro import obs
 from repro.errors import ModelError
 from repro.simulation.admission import ThresholdAdmission
-from repro.simulation.ensemble import EnsembleResult, PairedGapResult
+from repro.simulation.ensemble import (
+    PairedGapResult,
+    _flow_time_utilities,
+    _LevelTimes,
+)
 from repro.traces.format import FlowTrace
 from repro.traces.stream import DEFAULT_CHUNK_FLOWS, TraceStream, stream_trace
 from repro.utility.base import UtilityFunction
 
-#: Default number of measurement windows (= synthetic replications).
+#: Default number of measurement windows (each scored as one replication).
 DEFAULT_WINDOWS = 16
 
 
@@ -120,72 +124,20 @@ class TraceOccupancy:
         mass = np.flatnonzero(self.occupancy.sum(axis=0) > 0.0)
         return int(mass.max()) if len(mass) else 0
 
+    def _table(self) -> _LevelTimes:
+        """The histogram as the ensemble's time-at-level table, one row per window."""
+        return _LevelTimes(0, self.occupancy)
+
     def census_distribution(self) -> Tuple[np.ndarray, np.ndarray]:
         """Pooled time-weighted census pmf over ``[warmup, horizon]``."""
-        weights = self.occupancy.sum(axis=0)
-        keep = weights > 0.0
-        values = np.flatnonzero(keep)
-        probs = weights[keep]
-        total = probs.sum()
-        if total <= 0.0:
-            raise ModelError("no trajectory mass in the measurement window")
-        return values.astype(np.int64), probs / total
+        try:
+            return self._table().pmf()
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
 
     def mean_census(self) -> float:
         """Time-average census over the measurement window."""
-        weights = self.occupancy.sum(axis=0)
-        total = weights.sum()
-        if total <= 0.0:
-            raise ModelError("no trajectory mass in the measurement window")
-        levels = np.arange(len(weights))
-        return float(np.dot(levels, weights) / total)
-
-    def _ensemble_rows(self, m_cap: float, capacity: float) -> EnsembleResult:
-        """Windows as replication rows of a real :class:`EnsembleResult`.
-
-        Window ``w``'s histogram becomes a synthetic piecewise-constant
-        trajectory spanning ``[edges[w], edges[w+1])`` (levels in
-        ascending order — flow-time averages are order-free), closed by
-        a census-0 record to the horizon so the trailing span carries
-        zero flow-time and drops out of every estimate.  The admitted
-        rows follow the closed form ``M = min(N, m_cap)``.
-        """
-        edges = self.edges
-        windows = self.windows
-        occ = self.occupancy
-        rows_levels = []
-        rows_durs = []
-        for w in range(windows):
-            present = np.flatnonzero(occ[w] > 0.0)
-            rows_levels.append(present)
-            rows_durs.append(occ[w, present])
-        length = max(len(lv) for lv in rows_levels) + 1
-        times = np.full((windows, length), self.horizon, dtype=float)
-        census = np.zeros((windows, length), dtype=float)
-        counts = np.zeros(windows, dtype=np.int64)
-        for w in range(windows):
-            levels = rows_levels[w]
-            durs = rows_durs[w]
-            k = len(levels)
-            starts = edges[w] + np.concatenate([[0.0], np.cumsum(durs[:-1])])
-            times[w, :k] = starts
-            census[w, :k] = levels
-            # close the window at level 0 so the span to the horizon
-            # carries no flow-time
-            times[w, k] = edges[w + 1]
-            counts[w] = k + 1
-        return EnsembleResult(
-            times=times,
-            census=census,
-            admitted=np.minimum(census, m_cap),
-            counts=counts,
-            arrivals=np.zeros(windows, dtype=np.int64),
-            admissions=np.zeros(windows, dtype=np.int64),
-            capacity=capacity,
-            warmup=self.warmup,
-            horizon=self.horizon,
-            engine="trace-replay",
-        )
+        return float(np.dot(*self.census_distribution()))
 
     def evaluate(
         self,
@@ -197,19 +149,23 @@ class TraceOccupancy:
         """CRN-paired best-effort vs reservation verdict at ``capacity``.
 
         Both architectures are scored on the *same* per-window census
-        histograms through :meth:`EnsembleResult.utility_estimates`:
-        best-effort admits everyone (``M = N``, which ``B_hat`` reads
-        off the census alone), and reservations follow the readmitting
-        threshold policy's closed form ``M = min(N, ceil(k_max))``
+        histograms: best-effort admits everyone (``M = N``, which
+        ``B_hat`` reads off the census table alone), and reservations
+        follow the readmitting threshold policy's closed form
+        ``M = min(N, ceil(k_max))``
         (:meth:`ThresholdAdmission.admitted_cap`), the rule the
-        ensemble engine applies to an admission-blind census.
+        ensemble engine applies to an admission-blind census, so the
+        admitted table is the census table folded at that cap.
         """
-        if capacity <= 0.0:
-            raise ModelError(f"capacity must be > 0, got {capacity!r}")
+        if not 0.0 < capacity < math.inf:
+            raise ModelError(f"capacity must be finite and > 0, got {capacity!r}")
         policy = ThresholdAdmission.from_utility(utility, readmit_waiting=True)
         threshold = float(policy.threshold(capacity))
-        rows = self._ensemble_rows(policy.admitted_cap(capacity), capacity)
-        be_values, res_values = rows.utility_estimates(utility)
+        census = self._table()
+        admitted = census.folded(policy.admitted_cap(capacity))
+        be_values, res_values = _flow_time_utilities(
+            census, admitted, capacity, utility
+        )
         paired = PairedGapResult(
             best_effort=be_values,
             reservation=res_values,

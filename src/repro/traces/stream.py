@@ -34,6 +34,9 @@ import json
 import math
 import pathlib
 import re
+import sys
+import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -453,30 +456,86 @@ def write_trace_npz(stream: TraceStream, path) -> pathlib.Path:
     return path
 
 
+#: What reading a segment raises when it is not an npz of float arrays:
+#: junk bytes, a truncated or corrupt zip, a plain ``.npy``, a missing
+#: or non-numeric array.
+_SEGMENT_ERRORS = (
+    OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile, zlib.error
+)
+
+
+def _count(value) -> bool:
+    """A JSON integer >= 0 (``true`` is not a count)."""
+    return type(value) is int and value >= 0
+
+
+def _plain_name(value) -> bool:
+    """A file name inside the directory: no separator, not ``.`` or ``..``."""
+    return (
+        isinstance(value, str)
+        and value not in ("", ".", "..")
+        and not any(c in value for c in "/\\\0")
+    )
+
+
 def open_trace_npz(path) -> TraceStream:
-    """Stream an npz segment directory, one segment in memory at a time."""
+    """Stream an npz segment directory, one segment in memory at a time.
+
+    The index is checked on open and each segment as it is read; a
+    malformed directory raises :class:`~repro.errors.ModelError`.
+    """
     path = pathlib.Path(path)
     index_path = path / SEGMENT_INDEX
     if not index_path.is_file():
         raise ModelError(f"{path} is not a trace segment directory (no index.json)")
+
+    def corrupt(what: str) -> ModelError:
+        return ModelError(f"corrupt trace index {index_path}: {what}")
+
     try:
         index = json.loads(index_path.read_text())
     except ValueError as exc:
-        raise ModelError(f"corrupt trace index {index_path}: {exc}") from None
+        raise corrupt(str(exc)) from None
+    if not isinstance(index, dict):
+        raise corrupt(f"a JSON {type(index).__name__}, not an object")
     if index.get("schema") != SEGMENT_SCHEMA:
         raise ModelError(
             f"{index_path}: schema {index.get('schema')!r} is not "
             f"{SEGMENT_SCHEMA!r}"
         )
+    horizon = index.get("horizon")
+    metadata = index.get("metadata", {})
+    segments = index.get("segments")
+    if type(horizon) not in (int, float) or not 0.0 < horizon <= sys.float_info.max:
+        raise corrupt(f"horizon {horizon!r} is not a finite number > 0")
+    if not _count(index.get("flows")):
+        raise corrupt(f"flows {index.get('flows')!r} is not a count")
+    if not isinstance(metadata, dict):
+        raise corrupt("metadata is not an object")
+    if not isinstance(segments, list) or not all(
+        isinstance(seg, dict) and _plain_name(seg.get("file")) and _count(seg.get("flows"))
+        for seg in segments
+    ):
+        raise corrupt("segments must list {file, flows} entries naming files in it")
 
     def chunks() -> Iterator[TraceChunk]:
-        for seg in index["segments"]:
+        for seg in segments:
             seg_path = path / seg["file"]
             if not seg_path.is_file():
                 raise ModelError(f"trace segment missing: {seg_path}")
-            with np.load(seg_path) as data:
-                chunk = TraceChunk(data["arrival"], data["departure"])
-            if len(chunk) != int(seg["flows"]):
+            try:
+                # np.load leaks the file it opened when the zip is bad
+                with seg_path.open("rb") as handle:
+                    data = np.load(handle)  # an ndarray for a plain .npy
+                    if not isinstance(data, np.lib.npyio.NpzFile):
+                        raise TypeError("not an npz archive")
+                    chunk = TraceChunk(data["arrival"], data["departure"])
+            except _SEGMENT_ERRORS:
+                raise ModelError(
+                    f"corrupt trace segment {seg_path}: not an npz of "
+                    "arrival/departure float arrays"
+                ) from None
+            if len(chunk) != seg["flows"]:
                 raise ModelError(
                     f"trace segment {seg_path} holds {len(chunk)} flows, "
                     f"index says {seg['flows']}"
@@ -485,9 +544,9 @@ def open_trace_npz(path) -> TraceStream:
 
     return TraceStream(
         chunks(),
-        horizon=float(index["horizon"]),
-        metadata={str(k): str(v) for k, v in index.get("metadata", {}).items()},
-        flows=int(index["flows"]),
+        horizon=horizon,
+        metadata={str(k): str(v) for k, v in metadata.items()},
+        flows=index["flows"],
     )
 
 

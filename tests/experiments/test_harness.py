@@ -194,3 +194,19 @@ class TestCliTraceRefusals:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{path} line 3" in err
+
+    @pytest.mark.parametrize("case", ["junk-npz-segment", "nan-capacity"])
+    def test_bad_segment_or_capacity_exits_2_with_one_line(self, tmp_path, capsys, case):
+        from repro.traces import default_workload, write_trace_npz
+
+        path = write_trace_npz(
+            default_workload("poisson", 5.0).stream(20.0, seed=1), tmp_path / "seg"
+        )
+        capacity, named = "nan", "capacity"
+        if case == "junk-npz-segment":
+            (path / "segment-00000.npz").write_bytes(b"junk" * 16)
+            capacity, named = "10", "segment-00000.npz"
+        assert main(["traces", "replay", str(path), "--capacity", capacity]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert named in err

@@ -146,6 +146,12 @@ class TestReplay:
         with pytest.raises(ModelError, match="capacity"):
             occ.evaluate(AdaptiveUtility(), 0.0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf")])
+    def test_capacity_must_be_finite(self, bursty_trace, capacity):
+        occ = sweep_occupancy(stream_trace(bursty_trace), warmup=8.0)
+        with pytest.raises(ModelError, match="capacity"):
+            occ.evaluate(AdaptiveUtility(), capacity)
+
     def test_summary_is_json_ready(self, bursty_trace):
         result = replay_trace(
             bursty_trace, AdaptiveUtility(), 22.0, windows=4, warmup=8.0

@@ -1,5 +1,8 @@
 """Tests for streaming trace ingestion: chunks, census, CSV/npz."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -306,6 +309,101 @@ class TestNpzSegments:
         )
         with pytest.raises(ModelError, match="index says"):
             list(open_trace_npz(path))
+
+
+def _index_edit(change):
+    """Rewrite ``index.json`` through ``change(index) -> new index``."""
+
+    def corrupt(path):
+        index = json.loads((path / "index.json").read_text())
+        (path / "index.json").write_text(json.dumps(change(index)))
+
+    return corrupt
+
+
+def _first_file(name):
+    """Point the first segment entry at ``name(path)``."""
+
+    def change_at(path):
+        def change(index):
+            index["segments"][0]["file"] = name(path)
+            return index
+
+        _index_edit(change)(path)
+
+    return change_at
+
+
+def _outside(path):
+    """A well-formed segment beside, not inside, the directory."""
+    shutil.copy(path / "segment-00000.npz", path.parent / "outside.npz")
+    return path.parent / "outside.npz"
+
+
+def _segment_bytes(edit):
+    def corrupt(path):
+        segment = path / "segment-00000.npz"
+        segment.write_bytes(edit(segment.read_bytes()))
+
+    return corrupt
+
+
+def _plain_npy(path):
+    with open(path / "segment-00000.npz", "wb") as handle:
+        np.save(handle, np.array([0.0, 1.0]))
+
+
+#: Each edit leaves a segment directory that must be refused with
+#: ModelError, on open or while streaming, never an untyped error.
+MALFORMED_SEGMENT_DIRS = {
+    "index-is-a-list": _index_edit(lambda index: []),
+    "no-segments-key": _index_edit(
+        lambda index: {k: v for k, v in index.items() if k != "segments"}
+    ),
+    "horizon-is-a-word": _index_edit(lambda index: {**index, "horizon": "soon"}),
+    "horizon-overflows-float": _index_edit(lambda index: {**index, "horizon": 10**400}),
+    "flows-is-null": _index_edit(lambda index: {**index, "flows": None}),
+    "metadata-is-a-list": _index_edit(lambda index: {**index, "metadata": []}),
+    "segment-entry-is-a-string": _index_edit(
+        lambda index: {**index, "segments": ["segment-00000.npz"]}
+    ),
+    "segment-flows-is-a-string": _index_edit(
+        lambda index: {
+            **index,
+            "segments": [{**index["segments"][0], "flows": "2"}] + index["segments"][1:],
+        }
+    ),
+    "segment-file-is-a-number": _first_file(lambda path: 5),
+    "segment-file-is-absolute": _first_file(lambda path: str(_outside(path).resolve())),
+    "segment-file-climbs-out": _first_file(lambda path: "../" + _outside(path).name),
+    "segment-file-is-dot-dot": _first_file(lambda path: ".."),
+    "segment-file-is-empty": _first_file(lambda path: ""),
+    "segment-is-junk-bytes": _segment_bytes(lambda data: b"junk" * 16),
+    "segment-is-truncated": _segment_bytes(lambda data: data[: len(data) // 2]),
+    "segment-is-empty": _segment_bytes(lambda data: b""),
+    "segment-is-bit-flipped": _segment_bytes(
+        lambda data: data[:60] + bytes(20) + data[80:]
+    ),
+    "segment-lacks-departure": lambda path: np.savez_compressed(
+        path / "segment-00000.npz", arrival=np.array([0.0, 1.0])
+    ),
+    "segment-is-a-plain-npy": _plain_npy,
+    "segment-arrays-are-text": lambda path: np.savez_compressed(
+        path / "segment-00000.npz",
+        arrival=np.array(["a", "b"]),
+        departure=np.array(["c", "d"]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt", list(MALFORMED_SEGMENT_DIRS.values()), ids=list(MALFORMED_SEGMENT_DIRS)
+)
+def test_malformed_segment_directory_is_refused(edge_trace, tmp_path, corrupt):
+    path = write_trace_npz(stream_trace(edge_trace, chunk_flows=2), tmp_path / "seg")
+    corrupt(path)
+    with pytest.raises(ModelError):
+        list(open_trace_npz(path))
 
 
 class TestOpenTraceDispatch:
