@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.traces.format import FlowTrace
-from repro.traces.stream import stream_census_samples, stream_trace
+from repro.traces.stream import _query_times, stream_census_samples, stream_trace
 
 
 def census_trajectory(trace: FlowTrace) -> Tuple[np.ndarray, np.ndarray]:
@@ -44,11 +44,9 @@ def census_trajectory(trace: FlowTrace) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def census_at(trace: FlowTrace, query_times) -> np.ndarray:
-    """Census at arbitrary instants."""
+    """Census at arbitrary instants in ``[0, horizon]`` (NaN is refused)."""
+    q = _query_times(query_times, trace.horizon)
     times, counts = census_trajectory(trace)
-    q = np.asarray(query_times, dtype=float)
-    if np.any(q < 0.0) or np.any(q > trace.horizon):
-        raise ModelError("query times must lie in [0, horizon]")
     idx = np.clip(np.searchsorted(times, q, side="right") - 1, 0, len(counts) - 1)
     return counts[idx]
 

@@ -25,8 +25,9 @@ def _flow_arrays(arrival, departure) -> Tuple[np.ndarray, np.ndarray]:
     d = np.asarray(departure, dtype=float)
     if a.ndim != 1 or a.shape != d.shape:
         raise ModelError("need matching 1-D arrival/departure arrays")
-    # ~(d >= a) also refuses NaN times, which d < a lets through
-    if len(a) and (np.any(a < 0.0) or np.any(~(d >= a))):
+    # a NaN time fails both comparisons, where any(d < a) would let it
+    # through; one ndarray .all() skips np.all's wrappers on tiny chunks
+    if not ((a >= 0.0) & (d >= a)).all():
         raise ModelError("need 0 <= arrival <= departure per flow")
     return a, d
 

@@ -9,7 +9,9 @@ constant memory:
    pass over an arrival-sorted stream folds the exact census
    trajectory into per-window time-in-state histograms
    ``occupancy[window, census_level]`` — the sufficient statistic for
-   every flow-time average the estimators compute.  Pending departures
+   every flow-time average the estimators compute.  Chunks are folded
+   in slabs of at least as many flows as are pending, so chunks
+   smaller than that do not multiply the folds.  Pending departures
    live in one sorted array bounded by the peak census plus a chunk,
    never by the flow count; every positive-duration segment is
    accumulated in global time order, so the result is *byte-identical
@@ -50,7 +52,7 @@ from repro.simulation.ensemble import (
     _LevelTimes,
 )
 from repro.traces.format import FlowTrace
-from repro.traces.stream import DEFAULT_CHUNK_FLOWS, TraceStream, stream_trace
+from repro.traces.stream import DEFAULT_CHUNK_FLOWS, TraceStream, _slabs, stream_trace
 from repro.utility.base import UtilityFunction
 
 #: Default number of measurement windows (each scored as one replication).
@@ -207,8 +209,12 @@ def sweep_occupancy(
     """Fold an arrival-sorted stream into per-window census occupancy.
 
     One pass, exact: the trace's event-driven census trajectory is
-    reconstructed slab by slab (a slab spans up to the current chunk's
-    last arrival), with pending departures kept in one sorted array.
+    reconstructed slab by slab, with pending departures kept in one
+    sorted array.  A slab is the chunks buffered until they hold at
+    least as many flows as are pending, since each fold sorts and
+    merges that many departures anyway; it spans up to its last
+    arrival.  After a fold the pending set is the census at that
+    arrival, so ``max_pending`` is the peak census at fold instants.
     Positive-duration segments are clipped to their window and
     accumulated in global time order, making the result independent of
     the chunking — byte-identical occupancies for any ``chunk_flows``.
@@ -238,6 +244,7 @@ def sweep_occupancy(
     next_edge = 0  # edges[:next_edge] already injected as boundary events
     flows = 0
     events = 0
+    slabs = 0
     max_pending = 0
     wall_start = time.perf_counter()
 
@@ -285,8 +292,7 @@ def sweep_occupancy(
         n_cur = int(levels_after[-1]) if len(levels_after) else n_cur
 
     with obs.span("traces.sweep", windows=windows):
-        for chunk in stream:
-            arrivals = chunk.arrival
+        for arrivals, departures in _slabs(stream, lambda: len(pending)):
             if arrivals[0] < last_arrival or np.any(np.diff(arrivals) < 0.0):
                 raise ModelError(
                     "replay requires an arrival-ordered stream; sort the "
@@ -294,7 +300,8 @@ def sweep_occupancy(
                 )
             last_arrival = float(arrivals[-1])
             flows += len(arrivals)
-            ends_new = np.minimum(chunk.departure, horizon)
+            slabs += 1
+            ends_new = np.minimum(departures, horizon)
             slab_end = last_arrival
             due = pending[pending <= slab_end]
             pending = pending[pending > slab_end]
@@ -317,6 +324,7 @@ def sweep_occupancy(
         wall = time.perf_counter() - wall_start
         obs.counter("traces.replay.flows").inc(flows)
         obs.counter("traces.replay.events").inc(events)
+        obs.counter("traces.replay.slabs").inc(slabs)
         obs.gauge("traces.replay.max_pending").set(max_pending)
         if wall > 0.0:
             obs.gauge("traces.replay.flow_rate").set(flows / wall)

@@ -38,7 +38,7 @@ import sys
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +69,18 @@ class TraceChunk:
         a, d = _flow_arrays(self.arrival, self.departure)
         object.__setattr__(self, "arrival", a)
         object.__setattr__(self, "departure", d)
+
+    @classmethod
+    def _of_valid(cls, arrival: np.ndarray, departure: np.ndarray) -> "TraceChunk":
+        """A chunk of float arrays already checked as flows, not checked again.
+
+        For slices of a :class:`FlowTrace`, which checked its flows once;
+        the check is most of what a one-flow chunk costs.
+        """
+        chunk = object.__new__(cls)
+        object.__setattr__(chunk, "arrival", arrival)
+        object.__setattr__(chunk, "departure", departure)
+        return chunk
 
     def __len__(self) -> int:
         return len(self.arrival)
@@ -127,7 +139,7 @@ def stream_trace(
     def chunks() -> Iterator[TraceChunk]:
         for lo in range(0, len(arrival), chunk_flows):
             hi = lo + chunk_flows
-            yield TraceChunk(arrival[lo:hi], departure[lo:hi])
+            yield TraceChunk._of_valid(arrival[lo:hi], departure[lo:hi])
 
     return TraceStream(
         chunks(),
@@ -156,7 +168,51 @@ def materialize(stream: TraceStream) -> FlowTrace:
     )
 
 
+def _slabs(
+    stream: TraceStream, floor: Callable[[], int]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The stream's flows as ``(arrival, departure)`` slabs of >= ``floor()`` flows.
+
+    A streaming fold costs, per call, work that grows with what it
+    holds across calls (pending departures it merges, query times it
+    searches).  The consumer passes that size as ``floor``, read as
+    each chunk arrives, and chunks are buffered until they reach it, so
+    smaller chunks do not mean more of that work per flow.  A chunk that
+    meets the floor alone is passed on without a copy; the last slab
+    may fall short.  Buffered flows stay below ``floor()`` plus one
+    chunk.
+    """
+    held: List[TraceChunk] = []
+    flows = 0
+    for chunk in stream:
+        held.append(chunk)
+        flows += len(chunk)
+        if flows >= floor():
+            yield _joined(held)
+            held, flows = [], 0
+    if held:
+        yield _joined(held)
+
+
+def _joined(chunks: List[TraceChunk]) -> Tuple[np.ndarray, np.ndarray]:
+    """One slab's arrays: a lone chunk's own, else the concatenation."""
+    if len(chunks) == 1:
+        return chunks[0].arrival, chunks[0].departure
+    return (
+        np.concatenate([chunk.arrival for chunk in chunks]),
+        np.concatenate([chunk.departure for chunk in chunks]),
+    )
+
+
 # -- streaming census ---------------------------------------------------
+
+
+def _query_times(query_times, horizon: float) -> np.ndarray:
+    """Query instants as floats; NaN or outside ``[0, horizon]`` is refused."""
+    q = np.asarray(query_times, dtype=float)
+    if not ((q >= 0.0) & (q <= horizon)).all():
+        raise ModelError("query times must lie in [0, horizon]")
+    return q
 
 
 def stream_census_at(stream: TraceStream, query_times) -> np.ndarray:
@@ -166,17 +222,16 @@ def stream_census_at(stream: TraceStream, query_times) -> np.ndarray:
     horizon) <= t}`` — the same counting the event-sorted
     :func:`~repro.traces.census.census_at` performs, so the integer
     results are byte-identical for any chunking of the same trace.
-    Memory is O(chunk + queries).
+    Chunks are counted in slabs of at least as many flows as there
+    are queries (:func:`_slabs`).  Memory is O(chunk + queries).
     """
-    q = np.asarray(query_times, dtype=float)
-    if np.any(q < 0.0) or np.any(q > stream.horizon):
-        raise ModelError("query times must lie in [0, horizon]")
+    q = _query_times(query_times, stream.horizon)
     order = np.argsort(q, kind="stable")
     sq = q[order]
     counts = np.zeros(len(sq), dtype=np.int64)
-    for chunk in stream:
-        starts = np.sort(chunk.arrival)
-        ends = np.sort(np.minimum(chunk.departure, stream.horizon))
+    for arrival, departure in _slabs(stream, lambda: len(sq)):
+        starts = np.sort(arrival)
+        ends = np.sort(np.minimum(departure, stream.horizon))
         counts += np.searchsorted(starts, sq, side="right")
         counts -= np.searchsorted(ends, sq, side="right")
     out = np.empty(len(sq), dtype=np.int64)
@@ -235,11 +290,6 @@ _ROW_PARSER_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 
 #: Bytes that are not UTF-8, as ``errors="surrogateescape"`` reads them.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
-
-
-def _format_time(value: float) -> str:
-    """Shortest decimal string that round-trips the float64 exactly."""
-    return "inf" if np.isinf(value) else repr(float(value))
 
 
 def _utf8_line(line: str, line_no: int, path) -> str:
@@ -389,21 +439,21 @@ def read_trace(path) -> FlowTrace:
 def write_trace_csv(stream: TraceStream, path) -> pathlib.Path:
     """Write a stream as commented-header CSV, chunk by chunk.
 
-    Times are written with :func:`repr` (shortest round-trip form), so
-    a CSV round-trip preserves every flow bit-for-bit.
+    Times are written with :func:`repr` (shortest round-trip form,
+    ``inf`` for an open flow), so a CSV round-trip preserves every flow
+    bit-for-bit.  Rows end in CRLF, as ``csv.writer`` ends them.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     flows = 0
     with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write(f"# horizon={_format_time(stream.horizon)}\n")
+        handle.write(f"# horizon={stream.horizon!r}\n")
         for key, value in sorted(stream.metadata.items()):
             handle.write(f"# {key}={value}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["arrival", "departure"])
+        handle.write("arrival,departure\r\n")
         for chunk in stream:
-            for a, d in zip(chunk.arrival, chunk.departure):
-                writer.writerow([_format_time(a), _format_time(d)])
+            rows = zip(chunk.arrival.tolist(), chunk.departure.tolist())
+            handle.writelines(f"{a!r},{d!r}\r\n" for a, d in rows)
             flows += len(chunk)
     if obs.enabled():
         obs.counter("traces.write.flows").inc(flows)

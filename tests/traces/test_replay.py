@@ -1,10 +1,12 @@
 """Tests for the streaming occupancy sweep and CRN-paired replay."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import ModelError
 from repro.loads import PoissonLoad
 from repro.models import VariableLoadModel
@@ -16,7 +18,7 @@ from repro.traces import (
     stream_trace,
     sweep_occupancy,
 )
-from repro.traces.stream import TraceChunk, TraceStream
+from repro.traces.stream import DEFAULT_CHUNK_FLOWS, TraceChunk, TraceStream
 from repro.utility import AdaptiveUtility
 
 
@@ -105,6 +107,35 @@ class TestSweepExactness:
         assert pmf.sum() == pytest.approx(1.0)
         assert np.all(pmf > 0.0)
         assert occ.mean_census() == pytest.approx(float(np.dot(values, pmf)))
+
+
+@pytest.fixture(scope="module")
+def verify_trace():
+    """The 9,109-flow bursty trace invariant T3 replays at several chunkings."""
+    from repro.experiments.params import DEFAULT_CONFIG as config
+    from repro.traces import materialize
+    from repro.traces.workloads import BurstyWorkload
+
+    stream = BurstyWorkload(2.0 * config.sim_kbar).stream(120.0, seed=config.sim_seed)
+    return materialize(stream)
+
+
+def _folds(trace, chunk_flows):
+    """Slabs one sweep of ``trace`` folds at ``chunk_flows``."""
+    with obs.session() as (registry, _):
+        sweep_occupancy(stream_trace(trace, chunk_flows=chunk_flows), warmup=12.0)
+        return registry.counter("traces.replay.slabs").value
+
+
+class TestSlabFolds:
+    def test_one_flow_chunks_fold_in_slabs(self, verify_trace):
+        # chunks buffer until they outnumber the pending departures each
+        # fold merges: about flows / mean census folds, not one per flow
+        assert 2 <= _folds(verify_trace, 1) <= len(verify_trace) / 16
+
+    @pytest.mark.parametrize("chunk_flows", [1000, DEFAULT_CHUNK_FLOWS])
+    def test_chunks_above_the_pending_set_fold_one_by_one(self, verify_trace, chunk_flows):
+        assert _folds(verify_trace, chunk_flows) == math.ceil(len(verify_trace) / chunk_flows)
 
 
 class TestReplay:

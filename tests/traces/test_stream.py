@@ -1,5 +1,7 @@
 """Tests for streaming trace ingestion: chunks, census, CSV/npz."""
 
+import csv
+import io
 import json
 import shutil
 
@@ -27,7 +29,7 @@ from repro.traces import (
     write_trace_csv,
     write_trace_npz,
 )
-from repro.traces.stream import SEGMENT_SCHEMA, TraceChunk, TraceStream
+from repro.traces.stream import SEGMENT_SCHEMA, TraceChunk, TraceStream, _slabs
 
 
 @pytest.fixture
@@ -125,6 +127,35 @@ class TestTraceStream:
         assert len(trace) == 0 and trace.horizon == 3.0
 
 
+def _one_flow_chunks(n):
+    return [TraceChunk(np.array([float(i)]), np.array([i + 1.0])) for i in range(n)]
+
+
+class TestSlabs:
+    def test_chunks_meeting_the_floor_pass_uncopied(self):
+        chunks = [TraceChunk(np.arange(3.0) + i, np.arange(3.0) + i + 1) for i in range(4)]
+        slabs = list(_slabs(TraceStream(chunks, horizon=20.0), lambda: 3))
+        assert len(slabs) == len(chunks)
+        for (arrival, departure), chunk in zip(slabs, chunks):
+            assert arrival is chunk.arrival and departure is chunk.departure
+
+    def test_small_chunks_join_until_they_reach_the_floor(self):
+        stream = TraceStream(_one_flow_chunks(8), horizon=20.0)
+        slabs = list(_slabs(stream, lambda: 3))
+        assert [len(arrival) for arrival, _ in slabs] == [3, 3, 2]
+        np.testing.assert_array_equal(np.concatenate([a for a, _ in slabs]), np.arange(8.0))
+        np.testing.assert_array_equal(np.concatenate([d for _, d in slabs]), np.arange(1.0, 9.0))
+
+    def test_floor_is_read_again_after_each_slab(self):
+        # a floor that grows with the slabs already folded, as a
+        # sweep's pending set does
+        sizes = []
+        stream = TraceStream(_one_flow_chunks(10), horizon=20.0)
+        for arrival, _ in _slabs(stream, lambda: len(sizes)):
+            sizes.append(len(arrival))
+        assert sizes == [1, 1, 2, 3, 3]
+
+
 class TestStreamingCensus:
     def test_matches_in_memory_exactly(self, sim_trace):
         ts = np.linspace(0.0, sim_trace.horizon, 101)
@@ -143,6 +174,13 @@ class TestStreamingCensus:
     def test_query_outside_window_rejected(self, edge_trace):
         with pytest.raises(ModelError):
             stream_census_at(stream_trace(edge_trace), [6.0])
+
+    def test_nan_query_rejected(self, sim_trace):
+        # NaN fails both range comparisons, so it is no out-of-range time
+        with pytest.raises(ModelError, match="query times"):
+            census_at(sim_trace, [5.0, np.nan])
+        with pytest.raises(ModelError, match="query times"):
+            stream_census_at(stream_trace(sim_trace), [5.0, np.nan])
 
     def test_samples_replay_the_same_rng(self, sim_trace):
         expected = census_samples(sim_trace, 500, warmup=15.0, seed=42)
@@ -254,6 +292,28 @@ class TestChunkedCsv:
     def test_chunk_flows_must_be_positive(self, tmp_path):
         with pytest.raises(ModelError):
             open_trace_csv(tmp_path / "x.csv", chunk_flows=0)
+
+    def test_writer_bytes_are_a_csv_writer_rendering(self, tmp_path):
+        # subnormal, integral, 17-significant-digit and open-flow times,
+        # written over several chunks
+        trace = FlowTrace(
+            arrival=np.array([0.0, 5e-324, 1e-310, 0.1 + 0.2, 1.2345678901234567, 3.0, 4096.0]),
+            departure=np.array([np.inf, 2.5e-308, 1e-309, 1.0 / 3.0, 9.876543210987654, 3.0, 1e16]),
+            horizon=2500.5,
+            metadata={"site": "pop1"},
+        )
+        path = write_trace_csv(stream_trace(trace, chunk_flows=3), tmp_path / "t.csv")
+        rendering = io.StringIO(newline="")
+        writer = csv.writer(rendering)
+        writer.writerow(["arrival", "departure"])
+        for a, d in zip(trace.arrival, trace.departure):
+            writer.writerow([repr(float(a)), repr(float(d))])
+        header = "# horizon=2500.5\n# site=pop1\n"
+        assert path.read_bytes() == (header + rendering.getvalue()).encode()
+        back = materialize(open_trace_csv(path, chunk_flows=2))
+        assert back.arrival.tobytes() == trace.arrival.tobytes()
+        assert back.departure.tobytes() == trace.departure.tobytes()
+        assert (back.horizon, back.metadata) == (trace.horizon, trace.metadata)
 
 
 class TestNpzSegments:
