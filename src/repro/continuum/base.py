@@ -7,7 +7,9 @@ architecture totals become integrals:
     V_R(C) = int_0^kmax P(k) k pi(C/k) dk + kmax pi(C/kmax) P(K > kmax)
 
 This engine evaluates them by adaptive quadrature for *any* continuum
-load and utility, serving two purposes: it extends the closed-form
+load and utility, a whole capacity grid in one batched call
+(:func:`repro.numerics.quadrature.integrate_rows`), serving two
+purposes: it extends the closed-form
 modules to cases the paper did not work out by hand, and — run against
 those closed forms in the test suite — it certifies every formula we
 transcribed or re-derived from the paper.
@@ -26,7 +28,7 @@ from repro.loads.continuum import ContinuumLoad
 from repro.models.base import CapacityModel
 from repro.models.fixed_load import validated_capacities
 from repro.numerics.batch import find_roots
-from repro.numerics.quadrature import integrate
+from repro.numerics.quadrature import integrate_rows
 from repro.utility.base import UtilityFunction
 
 #: Per-flow bandwidths scanned for the admission optimum ``b*``.  The
@@ -130,99 +132,44 @@ class ContinuumModel(CapacityModel):
 
     # ------------------------------------------------------------------
 
-    def _integrand_points(self, capacity: float, lo: float, hi: float):
-        """Kink locations of ``k -> pi(C/k)`` inside ``(lo, hi)``."""
-        pts = []
-        for b in self._utility.breakpoints():
-            if b > 0.0:
-                x = capacity / b
-                if lo < x < hi:
-                    pts.append(x)
-        if lo < self._load.support_min < hi:
-            pts.append(self._load.support_min)
-        return sorted(pts)
+    def _weighted_utility_integrals(self, caps: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``int_0^hi[i] P(k) k pi(C_i/k) dk`` for every capacity at once.
 
-    def _weighted_utility_integral(self, capacity: float, lo: float, hi: float) -> float:
-        """``int_lo^hi P(k) k pi(C/k) dk`` with kink-aware quadrature."""
+        One batched quadrature, each row split at the kinks ``C_i/b``
+        of ``pi`` and at the support's left end.
+        """
+        kinks = [b for b in self._utility.breakpoints() if b > 0.0]
+        points = [[c / b for b in kinks] + [self._load.support_min] for c in caps.tolist()]
 
-        def f(k: float) -> float:
-            if k <= 0.0:
-                return 0.0
-            return self._load.pdf(k) * k * self._utility.value(capacity / k)
+        def f(k: np.ndarray, row: np.ndarray) -> np.ndarray:
+            return self._load.pdf(k) * k * self._utility(caps[row] / k)
 
-        if math.isinf(hi):
-            # substitute k = cut/u so the tail integral is over (0, 1]
-            cut = max(lo, 1.0)
-            head = 0.0
-            if lo < cut:
-                head = integrate(
-                    f,
-                    lo,
-                    cut,
-                    points=self._integrand_points(capacity, lo, cut),
-                    tol=self._tol,
-                    label=f"continuum V integral head (C={capacity})",
-                )
-
-            def g(u: float) -> float:
-                if u <= 0.0:
-                    return 0.0
-                k = cut / u
-                return f(k) * cut / (u * u)
-
-            u_points = sorted(
-                cut / x
-                for x in self._integrand_points(capacity, cut, math.inf)
-                if x > cut
-            )
-            tail = integrate(
-                g,
-                0.0,
-                1.0,
-                points=u_points,
-                tol=self._tol,
-                label=f"continuum V integral tail (C={capacity})",
-            )
-            return head + tail
-        return integrate(
-            f,
-            lo,
-            hi,
-            points=self._integrand_points(capacity, lo, hi),
-            tol=self._tol,
-            label=f"continuum V integral (C={capacity})",
+        return integrate_rows(
+            f, 0.0, hi, points=points, tol=self._tol, label="continuum V integral"
         )
 
     # ------------------------------------------------------------------
 
     def best_effort_batch(self, capacities) -> np.ndarray:
-        """Normalised ``B`` over a capacity grid: one quadrature per point.
-
-        Adaptive quadrature adapts its panels to each capacity, so
-        there is no shared vector kernel here; the points are metered
-        as ``batch.fallback_scalar``.
-        """
+        """Normalised ``B`` over a capacity grid: one batched quadrature."""
         caps = validated_capacities(capacities)
-        if obs.enabled():
-            obs.counter("batch.fallback_scalar").inc(int(caps.size))
-        totals = [
-            self._weighted_utility_integral(c, 0.0, math.inf) if c > 0.0 else 0.0
-            for c in caps.tolist()
-        ]
-        return np.asarray(totals) / self._kbar
+        totals = np.zeros(caps.size)
+        live = np.flatnonzero(caps > 0.0)
+        if live.size:
+            totals[live] = self._weighted_utility_integrals(
+                caps[live], np.full(live.size, math.inf)
+            )
+        return totals / self._kbar
 
     def reservation_batch(self, capacities) -> np.ndarray:
-        """Normalised ``R`` over a capacity grid: quadrature up to ``k_max``
-        plus the capped-overload term, per point (metered as
-        ``batch.fallback_scalar``)."""
+        """Normalised ``R`` over a capacity grid: one batched quadrature up
+        to each ``k_max`` plus the capped-overload term."""
         caps = validated_capacities(capacities)
-        if obs.enabled():
-            obs.counter("batch.fallback_scalar").inc(int(caps.size))
         totals = np.zeros(caps.size)
-        for i, c in enumerate(caps.tolist()):
-            kmax = self.k_max(c)
-            if kmax <= 0.0:
-                continue
-            admitted = self._weighted_utility_integral(c, 0.0, kmax)
-            totals[i] = admitted + kmax * self._utility.value(c / kmax) * self._load.sf(kmax)
+        kmax = np.array([self.k_max(c) for c in caps.tolist()], dtype=float)
+        live = np.flatnonzero(kmax > 0.0)
+        if live.size:
+            c, m = caps[live], kmax[live]
+            admitted = self._weighted_utility_integrals(c, m)
+            totals[live] = admitted + m * self._utility(c / m) * self._load.sf(m)
         return totals / self._kbar

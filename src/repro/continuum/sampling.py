@@ -24,7 +24,7 @@ import numpy as np
 from repro.loads.continuum import ContinuumLoad
 from repro.models.base import CapacityModel
 from repro.models.fixed_load import validated_capacities
-from repro.numerics.quadrature import integrate
+from repro.numerics.quadrature import integrate_rows
 from repro.utility.base import UtilityFunction
 
 
@@ -71,85 +71,58 @@ class ContinuumSamplingModel(CapacityModel):
 
     # ------------------------------------------------------------------
 
-    def _biased_cdf(self, k: float) -> float:
-        """``F(k)`` of the size-biased census."""
-        if k <= self._load.support_min:
-            return 0.0
+    def _biased_cdf(self, k):
+        """``F(k)`` of the size-biased census (0 below the support)."""
         return self._load.partial_mean(k) / self._kbar
 
-    def _max_density(self, k: float) -> float:
-        """Density of the max of S draws: ``S F^{S-1} q``."""
-        if k <= self._load.support_min:
-            return 0.0
-        q = k * self._load.pdf(k) / self._kbar
-        if self._samples == 1:
-            return q
-        return self._samples * self._biased_cdf(k) ** (self._samples - 1) * q
+    def _weighted_integrals(self, caps: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``int_{k_min}^{hi[i]} pi(C_i/k) d[F^S]`` for every capacity at once.
 
-    def _weighted_integral(self, capacity: float, lo: float, hi: float) -> float:
-        """``int_lo^hi pi(C/k) d[F^S]`` with a 1/u tail substitution."""
+        The density of the max of ``S`` draws is ``S F^{S-1} q`` with
+        ``q(k) = k P(k) / k_bar``; one batched quadrature, each row
+        split at the kinks ``C_i/b`` of ``pi``.
+        """
+        kinks = [b for b in self._utility.breakpoints() if b > 0.0]
+        points = [[c / b for b in kinks] for c in caps.tolist()]
+        samples = self._samples
 
-        def f(k: float) -> float:
-            return self._max_density(k) * self._utility.value(capacity / k)
+        def f(k: np.ndarray, row: np.ndarray) -> np.ndarray:
+            density = k * self._load.pdf(k) / self._kbar
+            if samples > 1:
+                density = samples * self._biased_cdf(k) ** (samples - 1) * density
+            return density * self._utility(caps[row] / k)
 
-        breaks = sorted(
-            capacity / b
-            for b in self._utility.breakpoints()
-            if b > 0.0 and lo < capacity / b < hi
+        return integrate_rows(
+            f, self._load.support_min, hi, points=points, tol=self._tol,
+            label="sampling integral",
         )
-        if not math.isinf(hi):
-            return integrate(
-                f, lo, hi, points=breaks, tol=self._tol, label="sampling integral"
-            )
-        cut = max(lo, 1.0, self._load.support_min + 1.0)
-        head = 0.0
-        if lo < cut:
-            head = integrate(
-                f,
-                lo,
-                cut,
-                points=[x for x in breaks if x < cut],
-                tol=self._tol,
-                label="sampling integral head",
-            )
-
-        def g(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            k = cut / u
-            return f(k) * cut / (u * u)
-
-        u_breaks = sorted(cut / x for x in breaks if x > cut)
-        tail = integrate(
-            g, 0.0, 1.0, points=u_breaks, tol=self._tol, label="sampling integral tail"
-        )
-        return head + tail
 
     # ------------------------------------------------------------------
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """``B_S`` — per-flow expected utility at the worst sample, one
-        quadrature per capacity."""
+        batched quadrature over the grid."""
         caps = validated_capacities(capacities)
-        lo = self._load.support_min
-        values = [
-            self._weighted_integral(c, lo, math.inf) if c > 0.0 else 0.0
-            for c in caps.tolist()
-        ]
-        return np.asarray(values, dtype=float)
+        values = np.zeros(caps.size)
+        live = np.flatnonzero(caps > 0.0)
+        if live.size:
+            values[live] = self._weighted_integrals(caps[live], np.full(live.size, math.inf))
+        return values
 
     def reservation_batch(self, capacities) -> np.ndarray:
         """``R_S`` — admit on first sample, cap subsequent censuses; one
-        quadrature per capacity."""
+        batched quadrature over the grid."""
         caps = validated_capacities(capacities)
         values = np.zeros(caps.size)
-        for i, c in enumerate(caps.tolist()):
-            kmax = self.k_max(c) if c > 0.0 else 0.0
-            if kmax <= self._load.support_min:
-                continue
-            below = self._weighted_integral(c, self._load.support_min, kmax)
-            f_cap = self._biased_cdf(kmax)
+        kmax = np.array(
+            [self.k_max(c) if c > 0.0 else 0.0 for c in caps.tolist()], dtype=float
+        )
+        live = np.flatnonzero(kmax > self._load.support_min)
+        if live.size:
+            c, m = caps[live], kmax[live]
+            below = self._weighted_integrals(c, m)
+            f_cap = self._biased_cdf(m)
             at_cap = f_cap - f_cap**self._samples
-            over = kmax * self._load.sf(kmax) / self._kbar
-            values[i] = below + (at_cap + over) * self._utility.value(c / kmax)
+            over = m * self._load.sf(m) / self._kbar
+            values[live] = below + (at_cap + over) * self._utility(c / m)
         return values

@@ -54,8 +54,8 @@ class ScaledUtility(UtilityFunction):
             raise ValueError(f"bandwidth must be >= 0, got {b!r}")
         return self._base.value(b / self._scale)
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        return self._base(b / self._scale)
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self._base.values_into(np.divide(b, self._scale, out=b), out)
 
     def derivative(self, b: float) -> float:
         if b < 0.0:
@@ -105,11 +105,11 @@ class MixtureUtility(UtilityFunction):
             raise ValueError(f"bandwidth must be >= 0, got {b!r}")
         return sum(w * u.value(b) for w, u in zip(self._weights, self._utilities))
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(b)
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
         for w, u in zip(self._weights, self._utilities):
-            total += w * u(b)
-        return total
+            out += w * u(b)
+        return out
 
     def derivative(self, b: float) -> float:
         if b < 0.0:

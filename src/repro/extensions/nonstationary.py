@@ -79,7 +79,7 @@ class MixtureLoad(LoadDistribution):
             w * load.mean_tail(n) for w, load in zip(self._weights, self._loads)
         )
 
-    def continuous_pmf(self, x: float) -> float:
+    def continuous_pmf(self, x):
         return sum(
             w * load.continuous_pmf(x) for w, load in zip(self._weights, self._loads)
         )

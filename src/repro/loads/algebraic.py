@@ -184,11 +184,11 @@ class AlgebraicLoad(LoadDistribution):
                 hi = mid
         return hi
 
-    def continuous_pmf(self, x: float) -> float:
-        """``A (lam + x)^{-z}`` evaluated at real ``x``."""
-        if x < 1.0:
-            return 0.0
-        return (self._lam + x) ** (-self._z) / self._norm
+    def continuous_pmf(self, x):
+        """``A (lam + x)^{-z}`` evaluated at real ``x`` (scalar or array)."""
+        x = np.asarray(x, dtype=float)
+        smooth = (self._lam + np.maximum(x, 1.0)) ** (-self._z) / self._norm
+        return np.where(x < 1.0, 0.0, smooth)[()]
 
     def mean_tail(self, n: int) -> float:
         """Exact tail first moment via shifted Hurwitz zetas."""

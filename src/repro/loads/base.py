@@ -122,8 +122,8 @@ class LoadDistribution(abc.ABC):
         """
         return 0, math.inf
 
-    def continuous_pmf(self, x: float) -> float:
-        """Smooth extension of the pmf to real ``x``.
+    def continuous_pmf(self, x):
+        """Smooth extension of the pmf to real ``x`` (scalar or array).
 
         Used by the variable-load model's Euler-Maclaurin tail
         correction, which replaces the far tail of ``sum P(k) k f(k)``

@@ -5,13 +5,17 @@ The continuum model replaces the integer flow count by a density
 exponential and algebraic (Pareto) — because they make the integrals
 for ``V_B`` and ``V_R`` closed-form.  Beyond the pdf, the models need
 the *partial first moments* below and above a point, so those are
-provided exactly.
+provided exactly.  ``pdf``, ``sf`` and ``mean_tail`` take a scalar or
+an array (a scalar in, a float out), so the quadrature engine
+evaluates a whole panel batch in one call.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+
+import numpy as np
 
 
 class ContinuumLoad(abc.ABC):
@@ -24,8 +28,8 @@ class ContinuumLoad(abc.ABC):
     support_min: float = 0.0
 
     @abc.abstractmethod
-    def pdf(self, k: float) -> float:
-        """Density at ``k``."""
+    def pdf(self, k):
+        """Density at ``k`` (scalar or array)."""
 
     @property
     @abc.abstractmethod
@@ -33,18 +37,18 @@ class ContinuumLoad(abc.ABC):
         """Average flow count."""
 
     @abc.abstractmethod
-    def sf(self, k: float) -> float:
-        """Survival ``P(K > k)``."""
+    def sf(self, k):
+        """Survival ``P(K > k)`` (scalar or array)."""
 
     @abc.abstractmethod
-    def mean_tail(self, x: float) -> float:
-        """Upper partial first moment ``int_x^inf k P(k) dk``."""
+    def mean_tail(self, x):
+        """Upper partial first moment ``int_x^inf k P(k) dk`` (scalar or array)."""
 
-    def cdf(self, k: float) -> float:
+    def cdf(self, k):
         """Cumulative ``P(K <= k)``."""
         return 1.0 - self.sf(k)
 
-    def partial_mean(self, x: float) -> float:
+    def partial_mean(self, x):
         """Lower partial first moment ``int_0^x k P(k) dk``."""
         return self.mean - self.mean_tail(x)
 
@@ -72,21 +76,18 @@ class ExponentialLoad(ContinuumLoad):
     def mean(self) -> float:
         return 1.0 / self._beta
 
-    def pdf(self, k: float) -> float:
-        if k < 0.0:
-            return 0.0
-        return self._beta * math.exp(-self._beta * k)
+    def pdf(self, k):
+        k = np.asarray(k, dtype=float)
+        return np.where(k < 0.0, 0.0, self._beta * self.sf(k))[()]
 
-    def sf(self, k: float) -> float:
-        if k <= 0.0:
-            return 1.0
-        return math.exp(-self._beta * k)
+    def sf(self, k):
+        # k <= 0 clamps to exp(-0.0) = 1
+        return np.exp(-self._beta * np.maximum(k, 0.0))[()]
 
-    def mean_tail(self, x: float) -> float:
+    def mean_tail(self, x):
         """``int_x^inf beta k e^{-beta k} dk = e^{-beta x} (x + 1/beta)``."""
-        if x <= 0.0:
-            return self.mean
-        return math.exp(-self._beta * x) * (x + 1.0 / self._beta)
+        x = np.maximum(x, 0.0)
+        return (np.exp(-self._beta * x) * (x + 1.0 / self._beta))[()]
 
 
 class ParetoLoad(ContinuumLoad):
@@ -116,18 +117,14 @@ class ParetoLoad(ContinuumLoad):
     def mean(self) -> float:
         return (self._z - 1.0) / (self._z - 2.0)
 
-    def pdf(self, k: float) -> float:
-        if k < 1.0:
-            return 0.0
-        return (self._z - 1.0) * k ** (-self._z)
+    def pdf(self, k):
+        k = np.asarray(k, dtype=float)
+        return np.where(k < 1.0, 0.0, (self._z - 1.0) * np.maximum(k, 1.0) ** (-self._z))[()]
 
-    def sf(self, k: float) -> float:
-        if k <= 1.0:
-            return 1.0
-        return k ** (1.0 - self._z)
+    def sf(self, k):
+        # k <= 1 clamps to 1**(1 - z) = 1
+        return (np.maximum(k, 1.0) ** (1.0 - self._z))[()]
 
-    def mean_tail(self, x: float) -> float:
+    def mean_tail(self, x):
         """``int_x^inf (z-1) k^{1-z} dk = (z-1)/(z-2) * x^{2-z}`` for x >= 1."""
-        if x <= 1.0:
-            return self.mean
-        return self.mean * x ** (2.0 - self._z)
+        return (self.mean * np.maximum(x, 1.0) ** (2.0 - self._z))[()]

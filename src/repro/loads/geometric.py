@@ -74,11 +74,11 @@ class GeometricLoad(LoadDistribution):
         # failures-before-success (>= 0)
         return rng.geometric(1.0 - self._q, size=size) - 1
 
-    def continuous_pmf(self, x: float) -> float:
-        """``(1-q) e^{-beta x}`` evaluated at real ``x``."""
-        if x < 0.0:
-            return 0.0
-        return (1.0 - self._q) * math.exp(-self._beta * x)
+    def continuous_pmf(self, x):
+        """``(1-q) e^{-beta x}`` evaluated at real ``x`` (scalar or array)."""
+        x = np.asarray(x, dtype=float)
+        smooth = (1.0 - self._q) * np.exp(-self._beta * np.maximum(x, 0.0))
+        return np.where(x < 0.0, 0.0, smooth)[()]
 
     def mean_tail(self, n: int) -> float:
         """``sum_{k>=n} k (1-q) q^k = q^n (n + q/(1-q) - n q) / (1-q)``.

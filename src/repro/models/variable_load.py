@@ -52,7 +52,7 @@ from repro.models.base import CapacityModel
 from repro.models.fixed_load import FixedLoadModel, validated_capacities
 from repro.numerics import series
 from repro.numerics.batch import share_weighted_sums
-from repro.numerics.quadrature import integrate
+from repro.numerics.quadrature import integrate_rows
 from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
@@ -267,67 +267,49 @@ class VariableLoadModel(CapacityModel):
             np.maximum(levels, self._k_hi + 1, out=levels, where=levels >= 0)
         return modes, levels
 
-    def _euler_maclaurin_tail(self, n0: int, capacity: float) -> float:
+    def _euler_maclaurin_tails(self, caps: np.ndarray, n0s: np.ndarray) -> np.ndarray:
         """``sum_{k>=n0} P(k) k pi(C/k)`` via integral + EM correction.
 
         ``sum_{k>=n0} f(k) ~ int_{n0}^inf f + f(n0)/2 - f'(n0)/12`` for a
         smooth, decaying ``f``.  The integrand uses the load's smooth
-        pmf extension and the *exact* utility; quadrature is split at
-        the utility's breakpoints mapped into flow counts.
+        pmf extension and the *exact* utility; the integrals of the
+        whole grid are one batched quadrature, each split at the
+        utility's breakpoints mapped into flow counts.  A row whose
+        ``pi(C/n0)`` is 0 has an exactly zero tail: ``pi`` is
+        nondecreasing and every share beyond ``n0`` is smaller.
         """
-        if self._utility.value(capacity / n0) == 0.0:
-            # pi is nondecreasing and every share beyond n0 is smaller
-            # than capacity/n0, so the whole tail is exactly zero: skip
-            # the substitution entirely rather than hand quadrature an
-            # identically-zero integrand whose breakpoints have mapped
-            # outside (0, 1] (degenerate/empty split intervals).
-            return 0.0
+        tails = np.zeros(caps.size)
+        live = np.flatnonzero(np.asarray(self._utility(caps / n0s), dtype=float) != 0.0)
+        if live.size == 0:
+            return tails
+        caps, n0s = caps[live], n0s[live].astype(float)
 
-        def f(x: float) -> float:
-            return self._load.continuous_pmf(x) * x * self._utility.value(capacity / x)
+        def f(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+            return self._load.continuous_pmf(x) * x * self._utility(caps[row] / x)
 
-        # substitute x = n0/u so the semi-infinite integral becomes a
-        # finite one (u in (0, 1]); quad to infinity hits roundoff at
-        # tight tolerances on slowly decaying integrands
-        def g(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            uu = u * u
-            if uu == 0.0:
-                # u below ~1.5e-154 squares to an exact 0.0 (subnormal
-                # underflow); the integrand itself tends to 0 there
-                # because the pmf decays faster than x^2 grows
-                return 0.0
-            x = n0 / u
-            return f(x) * n0 / uu
-
-        points = sorted(
-            {
-                n0 * b / capacity
-                for b in self._utility.breakpoints()
-                if 0.0 < n0 * b / capacity < 1.0
-            }
-        )
-        tail = integrate(
-            g,
-            0.0,
-            1.0,
-            points=points,
+        kinks = [b for b in self._utility.breakpoints() if b > 0.0]
+        integrals = integrate_rows(
+            f,
+            n0s,
+            math.inf,
+            points=[[c / b for b in kinks] for c in caps.tolist()],
             tol=min(1e-11, 0.01 * self._tol),
-            label=f"EM tail (C={capacity}, n0={n0})",
+            label="EM tail",
         )
-        h = max(1e-4 * n0, 1e-3)
-        f_prime = (f(n0 + h) - f(n0 - h)) / (2.0 * h)
-        return tail + 0.5 * f(float(n0)) - f_prime / 12.0
+        rows = np.arange(caps.size)
+        h = np.maximum(1e-4 * n0s, 1e-3)
+        f_prime = (f(n0s + h, rows) - f(n0s - h, rows)) / (2.0 * h)
+        tails[live] = integrals + 0.5 * f(n0s, rows) - f_prime / 12.0
+        return tails
 
     def _em_totals(self, caps: np.ndarray) -> np.ndarray:
         """``V_B`` as a dense head plus the Euler-Maclaurin tail.
 
         The head spans ``[k_lo, n0)``, ``n0 - k_lo`` the first power of
         two above ``32 C`` clamped to ``[2^12, BRUTE_FORCE_CAP]``, and
-        runs as one share-weighted sum per ``n0`` group; the tail past
-        ``n0`` is one quadrature per capacity
-        (:meth:`_euler_maclaurin_tail`).  A load with no smooth pmf
+        runs as one share-weighted sum per ``n0`` group; the tails past
+        ``n0`` are one batched quadrature over the grid
+        (:meth:`_euler_maclaurin_tails`).  A load with no smooth pmf
         extension is refused with :class:`~repro.errors.OutOfDomainError`.
         """
         n0s = np.array(
@@ -343,15 +325,13 @@ class VariableLoadModel(CapacityModel):
             totals[group] = share_weighted_sums(
                 caps[group], self.census_terms(n0), self._utility, k_start=self._k_lo
             )
-        for i, (c, n0) in enumerate(zip(caps.tolist(), n0s.tolist())):
-            try:
-                totals[i] += self._euler_maclaurin_tail(n0, c)
-            except NotImplementedError as exc:
-                raise OutOfDomainError(
-                    f"V_B(C={c}) needs a tail correction but the load "
-                    f"has no smooth pmf extension: {exc}"
-                ) from exc
-        return totals
+        try:
+            return totals + self._euler_maclaurin_tails(caps, n0s)
+        except NotImplementedError as exc:
+            raise OutOfDomainError(
+                f"V_B(C={caps.tolist()}) needs a tail correction but the load "
+                f"has no smooth pmf extension: {exc}"
+            ) from exc
 
     def _reservation_totals(self, caps: np.ndarray, kmax: np.ndarray) -> np.ndarray:
         """``V_R`` at per-capacity admission thresholds ``kmax >= 1``.

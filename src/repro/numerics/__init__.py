@@ -9,7 +9,9 @@ those definitions need:
 
 - :func:`find_root` / :func:`invert_monotone` — bracketed root finding
   with automatic bracket expansion, one problem at a time,
-- :func:`integrate` — quadrature over finite or semi-infinite intervals.
+- :func:`integrate_rows` / :func:`integrate` — batched Gauss–Kronrod
+  quadrature over finite or semi-infinite intervals, and its one-row
+  view.
 
 Whole-grid sweeps go through the batch forms in
 :mod:`repro.numerics.batch` — :func:`find_roots`,
@@ -29,7 +31,7 @@ from repro.numerics.batch import (
     invert_monotone_batch,
     share_weighted_sums,
 )
-from repro.numerics.quadrature import integrate
+from repro.numerics.quadrature import integrate, integrate_rows
 from repro.numerics.solvers import find_root, invert_monotone
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "find_root",
     "find_roots",
     "integrate",
+    "integrate_rows",
     "invert_monotone",
     "invert_monotone_batch",
     "share_weighted_sums",

@@ -16,13 +16,13 @@ run the same iteration:
   monotone ``func``,
 - :func:`share_weighted_sums` — the truncated-series kernel behind the
   discrete-model totals ``sum_k w_k * pi(C_i / k)``, chunked so a
-  512 x 4M grid never materialises.
+  512 x 4M grid never materialises, and evaluated into per-thread
+  workspace buffers reused across chunks and calls.
 
-Continuum integrals stay on :func:`repro.numerics.quadrature.integrate`,
-one adaptive QUADPACK call per capacity: the Pareto integrands behave
-like ``u**(z - 2)`` as ``u -> 0``, so a batched rule must be a
-composite one graded toward that end, not a single panel of ever more
-Gauss nodes.
+Continuum integrals have their own batched kernel,
+:func:`repro.numerics.quadrature.integrate_rows`: one adaptive
+Gauss–Kronrod rule over a whole capacity grid, graded toward ``u = 0``
+where the Pareto integrands behave like ``u**(z - 2)``.
 
 Elements that fail are *flagged in the mask*, never returned silently:
 no sign change, a NaN function value (also marked ``undefined``) or
@@ -39,6 +39,7 @@ the cost is one flag check per call.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -510,6 +511,38 @@ def invert_monotone_batch(
     return result
 
 
+#: Each thread's reusable (shares, values) buffers for
+#: :func:`share_weighted_sums`, ``DEFAULT_CHUNK_ELEMENTS`` each.
+_WORKSPACE = threading.local()
+
+
+def _take_workspace(size: int) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Two float buffers of at least ``size`` elements, and whether they persist.
+
+    A need within ``DEFAULT_CHUNK_ELEMENTS`` takes this thread's buffers
+    (allocated on first use; a nested call finds none and gets fresh
+    ones), so chunks and calls stop faulting in fresh pages; a larger
+    need is allocated for the one call.
+    """
+    if size > DEFAULT_CHUNK_ELEMENTS:
+        return np.empty(size), np.empty(size), False
+    held = getattr(_WORKSPACE, "buffers", None)
+    _WORKSPACE.buffers = None
+    if held is None:
+        held = (np.empty(DEFAULT_CHUNK_ELEMENTS), np.empty(DEFAULT_CHUNK_ELEMENTS))
+    return held[0], held[1], True
+
+
+def _copy_values(value_fn: Callable[[np.ndarray], np.ndarray]):
+    """``values_into`` for a plain callable: its result copied into ``out``."""
+
+    def into(b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, np.asarray(value_fn(b), dtype=float))
+        return out
+
+    return into
+
+
 @obs.timed("batch.share_weighted_sums")
 def share_weighted_sums(
     capacities,
@@ -526,7 +559,9 @@ def share_weighted_sums(
     evaluated as chunked outer products: the ``(capacity, k)`` matrix
     is materialised at most ``chunk_elements`` elements at a time, so a
     heavy-tailed load that truncates at millions of terms never
-    allocates a multi-gigabyte intermediate.
+    allocates a multi-gigabyte intermediate.  Shares and values are
+    written into this thread's workspace (:func:`_take_workspace`),
+    reused across chunks and calls.
 
     Parameters
     ----------
@@ -538,7 +573,8 @@ def share_weighted_sums(
         Typically ``k * P(k)`` over a load's mass window, or
         max-order-statistic increments.
     value_fn:
-        Vectorised ``pi`` evaluation (broadcasts over a 2-D array).
+        A utility (its ``values_into`` writes straight into the
+        workspace) or any vectorised ``pi`` over a 2-D array.
     k_start:
         The flow count of ``weights[0]``.
     kmax:
@@ -558,20 +594,29 @@ def share_weighted_sums(
     kmax_col = None
     if kmax is not None:
         kmax_col = np.asarray(kmax, dtype=float).reshape(-1, 1)
+    values_into = getattr(value_fn, "values_into", None) or _copy_values(value_fn)
 
     chunk = max(1, int(chunk_elements) // max(1, caps.size))
     totals = np.zeros(caps.size)
     elements = 0
     caps_col = caps.reshape(-1, 1)
-    for start in range(first, stop, chunk):
-        end = min(stop, start + chunk)
-        ks = np.arange(k_start + start, k_start + end, dtype=float)
-        shares = caps_col / ks
-        values = np.asarray(value_fn(shares), dtype=float)
-        if kmax_col is not None:
-            values = values * (ks <= kmax_col)
-        totals += values @ weights[start:end]
-        elements += values.size
+    shares_buf, values_buf, persistent = _take_workspace(caps.size * min(chunk, stop - first))
+    try:
+        for start in range(first, stop, chunk):
+            end = min(stop, start + chunk)
+            ks = np.arange(k_start + start, k_start + end, dtype=float)
+            shape = (caps.size, ks.size)
+            shares = shares_buf[: caps.size * ks.size].reshape(shape)
+            values = values_buf[: caps.size * ks.size].reshape(shape)
+            values_into(np.divide(caps_col, ks, out=shares), values)
+            if kmax_col is not None:
+                # the admission mask as 1.0/0.0, in the spent shares
+                values *= np.less_equal(ks, kmax_col, out=shares)
+            totals += values @ weights[start:end]
+            elements += values.size
+    finally:
+        if persistent:
+            _WORKSPACE.buffers = (shares_buf, values_buf)
     if obs.enabled():
         obs.counter("batch.series.calls").inc()
         obs.counter("batch.series.elements").inc(elements)

@@ -23,12 +23,15 @@ def census_trajectory(trace: FlowTrace) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(times, counts)``: ``counts[i]`` flows are present on
     ``[times[i], times[i+1])``; the final segment extends to the
     horizon.  Starts at ``times[0] = 0`` with the count of flows that
-    arrived at (or before) time zero.
+    arrived at (or before) time zero.  Counts are int64, the dtype
+    :func:`~repro.traces.stream.stream_census_at` answers in.
     """
     starts = np.sort(trace.arrival)
     ends = np.sort(np.minimum(trace.departure, trace.horizon))
     times = np.concatenate([starts, ends])
-    deltas = np.concatenate([np.ones(len(starts)), -np.ones(len(ends))])
+    deltas = np.concatenate(
+        [np.ones(len(starts), dtype=np.int64), np.full(len(ends), -1, dtype=np.int64)]
+    )
     order = np.argsort(times, kind="stable")
     times = times[order]
     counts = np.cumsum(deltas[order])
@@ -39,7 +42,7 @@ def census_trajectory(trace: FlowTrace) -> Tuple[np.ndarray, np.ndarray]:
         counts = counts[keep]
     if len(times) == 0 or times[0] > 0.0:
         times = np.concatenate([[0.0], times])
-        counts = np.concatenate([[0.0], counts])
+        counts = np.concatenate([np.zeros(1, dtype=np.int64), counts])
     return times, counts
 
 

@@ -74,8 +74,10 @@ class TraceChunk:
     def _of_valid(cls, arrival: np.ndarray, departure: np.ndarray) -> "TraceChunk":
         """A chunk of float arrays already checked as flows, not checked again.
 
-        For slices of a :class:`FlowTrace`, which checked its flows once;
-        the check is most of what a one-flow chunk costs.
+        For slices of a :class:`FlowTrace`, which checked its flows once,
+        and for the CSV reader's rows, whose parsers check every flow
+        (and also refuse ``arrival = inf``); the check is most of what a
+        one-flow chunk costs.
         """
         chunk = object.__new__(cls)
         object.__setattr__(chunk, "arrival", arrival)
@@ -380,10 +382,10 @@ def _flow_chunks(path: pathlib.Path, header_lines: int, chunk_flows: int) -> Ite
                 a, d = (np.concatenate(column) for column in zip(*pending))
                 cut = held - held % chunk_flows
                 for lo in range(0, cut, chunk_flows):
-                    yield TraceChunk(a[lo : lo + chunk_flows], d[lo : lo + chunk_flows])
+                    yield TraceChunk._of_valid(a[lo : lo + chunk_flows], d[lo : lo + chunk_flows])
                 pending, held = [(a[cut:], d[cut:])], held - cut
     if held:
-        yield TraceChunk(*(np.concatenate(column) for column in zip(*pending)))
+        yield TraceChunk._of_valid(*(np.concatenate(column) for column in zip(*pending)))
 
 
 def open_trace_csv(path, *, chunk_flows: int = DEFAULT_CHUNK_FLOWS) -> TraceStream:

@@ -57,10 +57,13 @@ class AdaptiveUtility(UtilityFunction):
             raise ValueError(f"bandwidth must be >= 0, got {b!r}")
         return 1.0 - math.exp(-b * b / (self._kappa + b))
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        if np.any(b < 0.0):
-            raise ValueError("bandwidth must be >= 0")
-        return 1.0 - np.exp(-b * b / (self._kappa + b))
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # 1 - exp(-b*b / (kappa + b)), operation for operation
+        np.multiply(b, b, out=out)
+        np.negative(out, out=out)
+        np.divide(out, np.add(b, self._kappa, out=b), out=out)
+        np.exp(out, out=out)
+        return np.subtract(1.0, out, out=out)
 
     def derivative(self, b: float) -> float:
         """Exact marginal utility.

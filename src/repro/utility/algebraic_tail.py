@@ -44,11 +44,11 @@ class AlgebraicTailUtility(UtilityFunction):
             return 0.0
         return 1.0 - b ** (-self._tau)
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        if np.any(b < 0.0):
-            raise ValueError("bandwidth must be >= 0")
-        safe = np.maximum(b, 1.0)
-        return np.where(b > 1.0, 1.0 - safe ** (-self._tau), 0.0)
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # b <= 1 (and NaN, which fmax drops) clamps to 1 - 1**-tau = 0
+        np.fmax(b, 1.0, out=out)
+        out **= -self._tau
+        return np.subtract(1.0, out, out=out)
 
     def derivative(self, b: float) -> float:
         if b < 0.0:
@@ -101,10 +101,11 @@ class PowerLowUtility(UtilityFunction):
             return 1.0
         return b**self._r
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        if np.any(b < 0.0):
-            raise ValueError("bandwidth must be >= 0")
-        return np.where(b >= 1.0, 1.0, b**self._r)
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # b >= 1 clamps to 1**r = 1
+        np.minimum(b, 1.0, out=out)
+        out **= self._r
+        return out
 
     def derivative(self, b: float) -> float:
         if b < 0.0:

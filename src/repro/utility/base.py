@@ -100,20 +100,32 @@ class UtilityFunction(abc.ABC):
         """Evaluate at a scalar or an array of bandwidths."""
         if np.isscalar(b):
             return self.value(float(b))
-        return self._values(np.asarray(b, dtype=float))
+        # a copy, since the expression may use its input as scratch
+        b = np.array(b, dtype=float)
+        return self.values_into(b, np.empty_like(b))[()]
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation hook.
+    def values_into(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``pi(b)`` into ``out`` (an array of ``b``'s shape); return it.
+
+        ``b`` is the caller's scratch: the family's expression may
+        overwrite it.  The series kernel passes buffers it reuses, so a
+        sum over millions of shares allocates nothing per chunk.
+        """
+        # fmin.reduce skips NaN exactly as ``b < 0`` does
+        if np.fmin.reduce(b, axis=None, initial=np.inf) < 0.0:
+            raise ValueError("bandwidth must be >= 0")
+        return self._values(b, out)
+
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The family's one vectorised expression, written into ``out``.
 
         The default loops over :meth:`value`; concrete families override
         it with numpy expressions because the discrete-model sums can
         run over millions of bandwidth shares.
         """
-        out = np.empty_like(b)
-        flat_in = b.ravel()
-        flat_out = out.ravel()
-        for i, x in enumerate(flat_in):
-            flat_out[i] = self.value(float(x))
+        out[...] = np.fromiter(
+            (self.value(float(x)) for x in b.flat), dtype=float, count=b.size
+        ).reshape(b.shape)
         return out
 
     def derivative(self, b: float) -> float:

@@ -37,10 +37,9 @@ class ExponentialElasticUtility(UtilityFunction):
             raise ValueError(f"bandwidth must be >= 0, got {b!r}")
         return 1.0 - math.exp(-self._rate * b)
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        if np.any(b < 0.0):
-            raise ValueError("bandwidth must be >= 0")
-        return 1.0 - np.exp(-self._rate * b)
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.exp(np.multiply(b, -self._rate, out=out), out=out)
+        return np.subtract(1.0, out, out=out)
 
     def derivative(self, b: float) -> float:
         if b < 0.0:
@@ -76,10 +75,8 @@ class HyperbolicElasticUtility(UtilityFunction):
             raise ValueError(f"bandwidth must be >= 0, got {b!r}")
         return b / (self._half + b)
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        if np.any(b < 0.0):
-            raise ValueError("bandwidth must be >= 0")
-        return b / (self._half + b)
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.divide(b, np.add(b, self._half, out=out), out=out)
 
     def derivative(self, b: float) -> float:
         if b < 0.0:

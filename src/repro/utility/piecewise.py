@@ -47,11 +47,10 @@ class PiecewiseLinearUtility(UtilityFunction):
             return 1.0
         return (b - a) / (1.0 - a)
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        if np.any(b < 0.0):
-            raise ValueError("bandwidth must be >= 0")
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         a = self._a
-        return np.clip((b - a) / (1.0 - a), 0.0, 1.0)
+        np.divide(np.subtract(b, a, out=out), 1.0 - a, out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def derivative(self, b: float) -> float:
         if b < 0.0:

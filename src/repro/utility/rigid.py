@@ -41,10 +41,8 @@ class RigidUtility(UtilityFunction):
             raise ValueError(f"bandwidth must be >= 0, got {b!r}")
         return 1.0 if b >= self._b_hat else 0.0
 
-    def _values(self, b: np.ndarray) -> np.ndarray:
-        if np.any(b < 0.0):
-            raise ValueError("bandwidth must be >= 0")
-        return (b >= self._b_hat).astype(float)
+    def _values(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.greater_equal(b, self._b_hat, out=out)
 
     def derivative(self, b: float) -> float:
         """Zero everywhere except the (measure-zero) step."""

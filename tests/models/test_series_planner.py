@@ -107,9 +107,9 @@ class TestEulerMaclaurinDegenerateBreakpoints:
         model = VariableLoadModel(_ALG, RigidUtility(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert model._euler_maclaurin_tail(4096, 1.0) == 0.0
-            assert model._euler_maclaurin_tail(4096, 4095.0) == 0.0
+            tails = model._euler_maclaurin_tails(np.array([1.0, 4095.0]), np.array([4096, 4096]))
+            assert np.all(tails == 0.0)
 
     def test_just_above_threshold_is_positive(self):
         model = VariableLoadModel(_ALG, RigidUtility(1.0))
-        assert model._euler_maclaurin_tail(4096, 4200.0) > 0.0
+        assert model._euler_maclaurin_tails(np.array([4200.0]), np.array([4096]))[0] > 0.0

@@ -8,6 +8,7 @@ mask rather than returned as plausible numbers.
 """
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -16,12 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConvergenceError, ConvergenceWarning
+from repro.numerics import batch
 from repro.numerics.batch import (
+    DEFAULT_CHUNK_ELEMENTS,
     find_roots,
     invert_monotone_batch,
     share_weighted_sums,
 )
 from repro.numerics.solvers import find_root
+from repro.utility import (
+    AdaptiveUtility,
+    AlgebraicTailUtility,
+    ExponentialElasticUtility,
+    HyperbolicElasticUtility,
+    PiecewiseLinearUtility,
+    PowerLowUtility,
+    RigidUtility,
+    UtilityFunction,
+)
 
 #: Brackets resolve to xtol + rtol*|x| with xtol = rtol = 1e-12, so a
 #: root can sit a few of those from the exact value.
@@ -201,3 +214,123 @@ class TestShareWeightedSums:
             ]
         )
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+class _Quadratic(UtilityFunction):
+    """A custom utility: no expression of its own, the base class's loop."""
+
+    name = "quadratic-test"
+
+    def value(self, b: float) -> float:
+        if b < 0.0:
+            raise ValueError("negative bandwidth")
+        return min(1.0, b * b)
+
+    def __repr__(self) -> str:
+        return "_Quadratic()"
+
+
+#: Each utility's out-of-place numpy expression, a fresh array per step.
+_OUT_OF_PLACE = {
+    RigidUtility: lambda u, b: (b >= u.b_hat).astype(float),
+    AdaptiveUtility: lambda u, b: 1.0 - np.exp(-b * b / (u.kappa + b)),
+    PiecewiseLinearUtility: lambda u, b: np.clip((b - u.a) / (1.0 - u.a), 0.0, 1.0),
+    ExponentialElasticUtility: lambda u, b: 1.0 - np.exp(-u.rate * b),
+    HyperbolicElasticUtility: lambda u, b: b / (u.half + b),
+    AlgebraicTailUtility: lambda u, b: np.where(
+        b > 1.0, 1.0 - np.maximum(b, 1.0) ** (-u.tau), 0.0
+    ),
+    PowerLowUtility: lambda u, b: np.where(b >= 1.0, 1.0, b**u.r),
+    _Quadratic: lambda u, b: np.vectorize(u.value, otypes=[float])(b),
+}
+
+SERIES_UTILITIES = [
+    RigidUtility(1.0),
+    RigidUtility(0.7),
+    AdaptiveUtility(),
+    PiecewiseLinearUtility(0.0),
+    PiecewiseLinearUtility(0.4),
+    ExponentialElasticUtility(1.5),
+    HyperbolicElasticUtility(0.8),
+    AlgebraicTailUtility(1.0),
+    AlgebraicTailUtility(0.7),
+    PowerLowUtility(2.0),
+    PowerLowUtility(3.5),
+    _Quadratic(),
+]
+
+
+def _out_of_place_sums(caps, weights, utility, k_start, kmax, chunk_elements):
+    """The chunked series with every temporary freshly allocated."""
+    expression = _OUT_OF_PLACE[type(utility)]
+    nonzero = np.flatnonzero(weights)
+    first, stop = int(nonzero[0]), int(nonzero[-1]) + 1
+    chunk = max(1, chunk_elements // caps.size)
+    totals = np.zeros(caps.size)
+    for start in range(first, stop, chunk):
+        end = min(stop, start + chunk)
+        ks = np.arange(k_start + start, k_start + end, dtype=float)
+        values = expression(utility, caps.reshape(-1, 1) / ks)
+        if kmax is not None:
+            values = values * (ks <= kmax.reshape(-1, 1))
+        totals += values @ weights[start:end]
+    return totals
+
+
+class TestShareWeightedSumsWorkspace:
+    """The kernel writes into reused buffers; its sums stay bit for bit."""
+
+    @pytest.mark.parametrize("utility", SERIES_UTILITIES, ids=repr)
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "kmax"])
+    def test_equals_out_of_place_expression(self, utility, masked):
+        rng = np.random.default_rng(7)
+        n = 300 if isinstance(utility, _Quadratic) else 3000
+        weights = rng.random(n)
+        weights[rng.random(n) < 0.2] = 0.0
+        weights[:3] = 0.0
+        caps = rng.uniform(0.5, 300.0, size=7)
+        kmax = rng.integers(1, n, size=caps.size) if masked else None
+        for chunk_elements in (1000, DEFAULT_CHUNK_ELEMENTS):
+            got = share_weighted_sums(
+                caps, weights, utility, k_start=2, kmax=kmax, chunk_elements=chunk_elements
+            )
+            want = _out_of_place_sums(caps, weights, utility, 2, kmax, chunk_elements)
+            assert np.array_equal(got, want)
+
+    def test_threads_each_get_their_serial_answer(self):
+        rng = np.random.default_rng(11)
+        utility = AdaptiveUtility()
+        grids = [
+            (rng.uniform(1.0, 80.0, size=5), rng.random(40000), None),
+            (rng.uniform(1.0, 800.0, size=9), rng.random(25000), rng.integers(1, 25000, 9)),
+        ]
+        serial = [share_weighted_sums(c, w, utility, kmax=m) for c, w, m in grids]
+        start = threading.Barrier(len(grids))
+        answers = [[] for _ in grids]
+
+        def work(i):
+            caps, weights, kmax = grids[i]
+            start.wait()
+            for _ in range(10):
+                answers[i].append(share_weighted_sums(caps, weights, utility, kmax=kmax))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(grids))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for want, got in zip(serial, answers):
+            assert len(got) == 10
+            assert all(np.array_equal(g, want) for g in got)
+
+    def test_more_rows_than_chunk_elements_leave_the_workspace_at_its_bound(self):
+        utility = AdaptiveUtility()
+        weights = np.array([0.5, 0.25, 0.125])
+        share_weighted_sums([1.0], weights, utility)  # this thread now holds its buffers
+        caps = np.linspace(0.5, 50.0, DEFAULT_CHUNK_ELEMENTS + 1)
+        got = share_weighted_sums(caps, weights, utility)
+        want = _out_of_place_sums(caps, weights, utility, 1, None, DEFAULT_CHUNK_ELEMENTS)
+        assert np.array_equal(got, want)
+        held = batch._WORKSPACE.buffers
+        assert len(held) == 2
+        assert all(buf.size == DEFAULT_CHUNK_ELEMENTS for buf in held)

@@ -29,7 +29,13 @@ from repro.traces import (
     write_trace_csv,
     write_trace_npz,
 )
-from repro.traces.stream import SEGMENT_SCHEMA, TraceChunk, TraceStream, _slabs
+from repro.traces.stream import (
+    DEFAULT_CHUNK_FLOWS,
+    SEGMENT_SCHEMA,
+    TraceChunk,
+    TraceStream,
+    _slabs,
+)
 
 
 @pytest.fixture
@@ -164,6 +170,14 @@ class TestStreamingCensus:
             got = stream_census_at(stream_trace(sim_trace, chunk_flows=chunk_flows), ts)
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("chunk_flows", [1, 137, DEFAULT_CHUNK_FLOWS])
+    def test_same_dtype_and_values_as_in_memory(self, sim_trace, chunk_flows):
+        ts = np.linspace(0.0, sim_trace.horizon, 57)
+        expected = census_at(sim_trace, ts)
+        got = stream_census_at(stream_trace(sim_trace, chunk_flows=chunk_flows), ts)
+        assert got.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
     def test_edge_cases_match(self, edge_trace):
         ts = np.array([0.0, 1.0, 2.5, 4.0, 5.0])
         np.testing.assert_array_equal(
@@ -249,6 +263,16 @@ class TestChunkedCsv:
         bad.write_text(f"# horizon=5.0\narrival,departure\n0.0,1.0\n{row}\n")
         with pytest.raises(ModelError, match=r"line 4"):
             list(open_trace_csv(bad))
+
+    @pytest.mark.parametrize("chunk_flows", [1, DEFAULT_CHUNK_FLOWS])
+    @pytest.mark.parametrize("row", ["2.0,1.0", "-1.0,3.0", "inf,inf", "1.0,nan"])
+    def test_bad_row_refused_with_its_line_at_any_chunking(self, tmp_path, row, chunk_flows):
+        # the chunks skip TraceChunk's check, so the parsers' refusal is the only one
+        bad = tmp_path / "bad.csv"
+        rows = "".join(f"{i}.0,{i + 1}.0\n" for i in range(40))
+        bad.write_text(f"# horizon=50.0\narrival,departure\n{rows}{row}\n0.5,1.0\n")
+        with pytest.raises(ModelError, match=r"bad\.csv line 43"):
+            list(open_trace_csv(bad, chunk_flows=chunk_flows))
 
     @pytest.mark.parametrize(
         "lines, bad_line",
