@@ -34,9 +34,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from repro import obs
 from repro.experiments import checkpoints, registry, report
@@ -93,6 +94,16 @@ def _add_simulation_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _refuse(message: str) -> NoReturn:
+    """Exit 2 with ``message`` as the one stderr line: a bad argument."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
 def _simulation_config(config, args):
     """Fold ``--replications``/``--ci`` into the config (cache-addressed).
 
@@ -106,11 +117,11 @@ def _simulation_config(config, args):
     overrides = {}
     if getattr(args, "replications", None) is not None:
         if args.replications < 1:
-            raise SystemExit("--replications must be >= 1")
+            _refuse("--replications must be >= 1")
         overrides["sim_replications"] = args.replications
     if getattr(args, "ci", None) is not None:
-        if args.ci <= 0.0:
-            raise SystemExit("--ci must be > 0")
+        if not _positive(args.ci):
+            _refuse("--ci must be finite and > 0")
         overrides["sim_ci_halfwidth"] = args.ci
     return dataclasses.replace(config, **overrides) if overrides else config
 
@@ -546,11 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", help="also write the fitted bank as JSON"
     )
     em_fit.add_argument(
-        "--include-2d",
-        action="store_true",
-        help="also fit the delta(C, kbar) what-if surfaces (slower)",
-    )
-    em_fit.add_argument(
         "--fast-config",
         action="store_true",
         help="fit under the reduced config (quick look)",
@@ -569,11 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bank",
         metavar="PATH",
         help="bank JSON written by `emulate fit --out` (default: fit fresh)",
-    )
-    em_check.add_argument(
-        "--include-2d",
-        action="store_true",
-        help="include the delta(C, kbar) surfaces when fitting fresh",
     )
     em_check.add_argument(
         "--fast-config",
@@ -606,11 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bank",
         metavar="PATH",
         help="serve a pre-fitted bank JSON instead of fitting at startup",
-    )
-    srv.add_argument(
-        "--include-2d",
-        action="store_true",
-        help="also fit and serve the delta(C, kbar) what-if surfaces",
     )
     srv.add_argument(
         "--fast-config",
@@ -803,6 +799,8 @@ def _cmd_emulate(args) -> int:
     )
     from repro.errors import CertificationError
 
+    if args.emulate_command == "check" and args.probes < 1:
+        _refuse("--probes must be >= 1")
     config = FAST_CONFIG if args.fast_config else DEFAULT_CONFIG
     observing = args.profile or bool(args.trace_json)
     if observing:
@@ -811,7 +809,7 @@ def _cmd_emulate(args) -> int:
 
     if args.emulate_command == "fit":
         try:
-            bank = fit_bank(config, include_2d=args.include_2d)
+            bank = fit_bank(config)
         except CertificationError as exc:
             print(f"certification refused: {exc}", file=sys.stderr)
             return 1
@@ -821,7 +819,7 @@ def _cmd_emulate(args) -> int:
         if args.json:
             print(_json.dumps(bank.to_dict(), indent=2, sort_keys=True))
         else:
-            print(surfaces_summary(bank.all_surfaces()))
+            print(surfaces_summary(bank.surfaces.values()))
         if observing:
             return _finish_observed(args)
         return 0
@@ -830,12 +828,12 @@ def _cmd_emulate(args) -> int:
         if args.bank:
             try:
                 bank = SurfaceBank.load(args.bank)
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError) as exc:
                 print(f"cannot load bank {args.bank}: {exc}", file=sys.stderr)
                 return 2
         else:
             try:
-                bank = fit_bank(config, include_2d=args.include_2d)
+                bank = fit_bank(config)
             except CertificationError as exc:
                 print(f"certification refused: {exc}", file=sys.stderr)
                 return 1
@@ -909,12 +907,12 @@ def _cmd_meanfield(args) -> int:
     config = FAST_CONFIG if args.fast_config else DEFAULT_CONFIG
     overrides = {}
     if args.population is not None:
-        if args.population <= 0.0:
-            raise SystemExit("--population must be > 0")
+        if not _positive(args.population):
+            _refuse("--population must be finite and > 0")
         overrides["kbar"] = args.population
     if args.capacities:
-        if any(c <= 0.0 for c in args.capacities):
-            raise SystemExit("--capacities must be > 0")
+        if not all(_positive(c) for c in args.capacities):
+            _refuse("--capacities must be finite and > 0")
         overrides["capacities"] = tuple(float(c) for c in args.capacities)
     if overrides:
         config = dataclasses.replace(config, **overrides)
@@ -929,29 +927,25 @@ def _cmd_meanfield(args) -> int:
 
         cache = ResultCache(args.cache_dir)
     cache_status = None
-    start = time.perf_counter()
-    entry = None
-    if cache is not None and not args.force:
-        entry = cache.load(exp, config)
-    if entry is not None:
-        from repro.runner import decode_result
 
-        series = decode_result(entry["result_kind"], entry["result"])
-        cache_status = "hit"
-    else:
-        try:
-            with obs.span("meanfield.sweep", load=args.load, utility=args.utility):
-                series = exp.run(config)
-        except OutOfDomainError as exc:
-            # refuse-don't-extrapolate: the envelope verdict is the
-            # answer, and it is never cached
-            print(str(exc), file=sys.stderr)
-            if observing:
-                _finish_observed(args)
-            return 1
-        if cache is not None:
-            cache.store(exp, config, series)
-            cache_status = "miss"
+    def sweep():
+        with obs.span("meanfield.sweep", load=args.load, utility=args.utility):
+            return exp.run(config)
+
+    start = time.perf_counter()
+    try:
+        if cache is None:
+            series = sweep()
+        else:
+            series, hit = cache.read_through(exp, config, sweep, force=args.force)
+            cache_status = "hit" if hit else "miss"
+    except OutOfDomainError as exc:
+        # refuse-don't-extrapolate: the envelope verdict is the
+        # answer, and it is never cached
+        print(str(exc), file=sys.stderr)
+        if observing:
+            _finish_observed(args)
+        return 1
     elapsed = time.perf_counter() - start
     if args.json:
         meta = {
@@ -1125,6 +1119,10 @@ def _cmd_serve(args) -> int:
     from repro.service import DEFAULT_EXECUTOR_WORKERS, EmulatorService
     from repro.service import serve as serve_async
 
+    if args.workers is not None and args.workers < 1:
+        _refuse("--workers must be >= 1")
+    if not 0 <= args.port <= 65535:
+        _refuse("--port must be in 0..65535")
     config = FAST_CONFIG if args.fast_config else DEFAULT_CONFIG
     # metrics are always on for a server: /v1/metrics exposes the
     # counters and per-endpoint latency histograms
@@ -1133,13 +1131,13 @@ def _cmd_serve(args) -> int:
     if args.bank:
         try:
             bank = SurfaceBank.load(args.bank)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot load bank {args.bank}: {exc}", file=sys.stderr)
             return 2
     else:
         print("fitting surfaces...", file=sys.stderr, flush=True)
         try:
-            bank = fit_bank(config, include_2d=args.include_2d)
+            bank = fit_bank(config)
         except CertificationError as exc:
             print(f"certification refused: {exc}", file=sys.stderr)
             return 1
@@ -1155,7 +1153,7 @@ def _cmd_serve(args) -> int:
         file=sys.stderr,
         flush=True,
     )
-    workers = args.workers if args.workers else DEFAULT_EXECUTOR_WORKERS
+    workers = DEFAULT_EXECUTOR_WORKERS if args.workers is None else args.workers
     try:
         asyncio.run(
             serve_async(
@@ -1242,21 +1240,17 @@ def _dispatch(args) -> int:
 
             cache = ResultCache(args.cache_dir)
         cache_status = None
-        start = time.perf_counter()
-        entry = None
-        if cache is not None and not args.force:
-            entry = cache.load(exp, config)
-        if entry is not None:
-            from repro.runner import decode_result
 
-            result = decode_result(entry["result_kind"], entry["result"])
-            cache_status = "hit"
-        else:
+        def compute():
             with obs.span("experiment", id=exp.exp_id):
-                result = exp.run(config)
-            if cache is not None:
-                cache.store(exp, config, result)
-                cache_status = "miss"
+                return exp.run(config)
+
+        start = time.perf_counter()
+        if cache is None:
+            result = compute()
+        else:
+            result, hit = cache.read_through(exp, config, compute, force=args.force)
+            cache_status = "hit" if hit else "miss"
         elapsed = time.perf_counter() - start
         if args.json:
             meta = {

@@ -12,7 +12,6 @@ the result cache to the exact solvers whenever a surface refuses.
 from repro.emulator.bank import (
     DOMAINS,
     FITTED_UTILITY,
-    KBAR_DOMAIN,
     LOADS,
     QUANTITIES,
     SCHEMA,
@@ -25,13 +24,10 @@ from repro.emulator.bank import (
 )
 from repro.emulator.surfaces import (
     ChebyshevSurface,
-    ChebyshevSurface2D,
     ErrorBudget,
     default_budget,
     default_degree,
     fit_surface,
-    fit_surface_2d,
-    surface_from_dict,
     surfaces_summary,
 )
 from repro.errors import CertificationError, EmulatorError, OutOfDomainError
@@ -42,7 +38,6 @@ __all__ = [
     "LOADS",
     "FITTED_UTILITY",
     "DOMAINS",
-    "KBAR_DOMAIN",
     "SurfaceBank",
     "fit_bank",
     "default_bank",
@@ -50,13 +45,10 @@ __all__ = [
     "exact_values",
     "replace_axis",
     "ChebyshevSurface",
-    "ChebyshevSurface2D",
     "ErrorBudget",
     "default_budget",
     "default_degree",
     "fit_surface",
-    "fit_surface_2d",
-    "surface_from_dict",
     "surfaces_summary",
     "EmulatorError",
     "CertificationError",

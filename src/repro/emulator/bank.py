@@ -23,7 +23,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,14 +36,10 @@ from repro.models.welfare import WelfareModel
 from repro.runner.cache import config_digest
 from repro.emulator.surfaces import (
     ChebyshevSurface,
-    ChebyshevSurface2D,
-    ErrorBudget,
     default_budget,
     default_degree,
     default_samples,
     fit_surface,
-    fit_surface_2d,
-    surface_from_dict,
 )
 
 SCHEMA = "repro.emulator/v1"
@@ -75,17 +71,6 @@ DOMAINS: Dict[str, Tuple[float, float]] = {
 #: ``gamma(p)`` varies on a log price axis (the paper plots it that
 #: way); fitting in log p keeps the node density where the curve bends.
 LOG_X = {"delta": False, "Delta": False, "gamma": True}
-
-#: 2-D surface: ``delta`` over (capacity, mean load k_bar) — the
-#: "what if demand grows 20%" question answered without a refit.
-KBAR_DOMAIN: Tuple[float, float] = (60.0, 140.0)
-DEGREES_2D: Tuple[int, int] = (24, 6)
-
-#: The 2-D budget is looser than the 1-D delta budget: the integer
-#: ``k_max`` kinks sweep across the capacity axis as ``kbar`` varies,
-#: so a smooth tensor basis cannot reach the single-section error
-#: floor (observed ~9e-5 at degrees 24x6 vs ~1.4e-5 in 1-D).
-BUDGET_2D = ErrorBudget(atol=5e-4)
 
 
 # ----------------------------------------------------------------------
@@ -168,30 +153,18 @@ class SurfaceBank:
 
     config_digest: str
     surfaces: Dict[str, ChebyshevSurface] = field(default_factory=dict)
-    surfaces_2d: Dict[str, ChebyshevSurface2D] = field(default_factory=dict)
 
-    def add(self, surface: Union[ChebyshevSurface, ChebyshevSurface2D]) -> None:
-        if isinstance(surface, ChebyshevSurface2D):
-            self.surfaces_2d[surface.key] = surface
-        else:
-            self.surfaces[surface.key] = surface
+    def add(self, surface: ChebyshevSurface) -> None:
+        self.surfaces[surface.key] = surface
 
     def lookup(
         self, quantity: str, load: str, utility: str
     ) -> Optional[ChebyshevSurface]:
-        """The 1-D surface for a query triple, or ``None`` (fallback)."""
+        """The surface for a query triple, or ``None`` (fallback)."""
         return self.surfaces.get(f"{quantity}/{load}/{utility}")
 
-    def lookup_2d(
-        self, quantity: str, load: str, utility: str
-    ) -> Optional[ChebyshevSurface2D]:
-        return self.surfaces_2d.get(f"{quantity}2d/{load}/{utility}")
-
     def __len__(self) -> int:
-        return len(self.surfaces) + len(self.surfaces_2d)
-
-    def all_surfaces(self) -> List:
-        return list(self.surfaces.values()) + list(self.surfaces_2d.values())
+        return len(self.surfaces)
 
     # ------------------------------------------------------------------
     # persistence
@@ -201,19 +174,39 @@ class SurfaceBank:
         return {
             "schema": SCHEMA,
             "config_digest": self.config_digest,
-            "surfaces": [s.to_dict() for s in self.all_surfaces()],
+            "surfaces": [s.to_dict() for s in self.surfaces.values()],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SurfaceBank":
+        """Rebuild a saved bank; ``ValueError`` names a refused entry."""
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a bank must be a JSON object, not {type(payload).__name__}"
+            )
         if payload.get("schema") != SCHEMA:
             raise ValueError(
                 f"unsupported bank schema {payload.get('schema')!r}; "
                 f"expected {SCHEMA}"
             )
-        bank = cls(config_digest=str(payload["config_digest"]))
-        for entry in payload["surfaces"]:
-            bank.add(surface_from_dict(entry))
+        digest, entries = payload.get("config_digest"), payload.get("surfaces")
+        if not isinstance(digest, str):
+            raise ValueError(f"config_digest must be a string, not {digest!r}")
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"surfaces must be a list, not {type(entries).__name__}"
+            )
+        bank = cls(config_digest=digest)
+        for index, entry in enumerate(entries):
+            try:
+                bank.add(ChebyshevSurface.from_dict(entry))
+            except ValueError as exc:
+                name = (
+                    "/".join(str(entry.get(k)) for k in ("quantity", "load", "utility"))
+                    if isinstance(entry, dict)
+                    else repr(entry)
+                )
+                raise ValueError(f"surface #{index} ({name}): {exc}") from None
         return bank
 
     def save(self, path) -> pathlib.Path:
@@ -231,15 +224,11 @@ def fit_bank(
     *,
     quantities: Sequence[str] = QUANTITIES,
     loads: Iterable[str] = LOADS,
-    include_2d: bool = False,
 ) -> SurfaceBank:
     """Fit and certify the full bank for one configuration.
 
     Raises :class:`~repro.errors.CertificationError` if any surface
-    misses its budget — a bank is all-certified or not built.  The 2-D
-    ``delta(C, k_bar)`` surfaces are opt-in (``include_2d``): they cost
-    one exact sweep per parameter node/sample and belong to the deep
-    verify suite and the CLI, not the import path.
+    misses its budget — a bank is all-certified or not built.
     """
     cfg = DEFAULT_CONFIG if config is None else config
     bank = SurfaceBank(config_digest=config_digest(cfg))
@@ -272,46 +261,12 @@ def fit_bank(
                     certified_bound=surface.certified_bound,
                     allowance=surface.allowance,
                 )
-    if include_2d and "delta" in quantities:
-        lo, hi = DOMAINS["delta"]
-        for load in loads:
-            with obs.span("emulator.fit", surface=f"delta2d/{load}"):
-                surface2d = fit_surface_2d(
-                    lambda xs, kbar, ld=load: exact_values(
-                        "delta",
-                        dataclasses.replace(cfg, kbar=float(kbar)),
-                        ld,
-                        FITTED_UTILITY,
-                        xs,
-                    ),
-                    quantity="delta",
-                    load=load,
-                    utility=FITTED_UTILITY,
-                    xname="capacity",
-                    pname="kbar",
-                    x_lo=lo,
-                    x_hi=hi,
-                    p_lo=KBAR_DOMAIN[0],
-                    p_hi=KBAR_DOMAIN[1],
-                    degree_x=DEGREES_2D[0],
-                    degree_p=DEGREES_2D[1],
-                    budget=BUDGET_2D,
-                )
-            bank.add(surface2d)
-            if obs.enabled():
-                obs.emit(
-                    "emulator.fit",
-                    surface=surface2d.key,
-                    degree=list(surface2d.degrees),
-                    certified_bound=surface2d.certified_bound,
-                    allowance=surface2d.allowance,
-                )
     return bank
 
 
 @lru_cache(maxsize=8)
 def default_bank(config: Optional[PaperConfig] = None) -> SurfaceBank:
-    """Process-memoised bank for a config (1-D surfaces only).
+    """Process-memoised bank for a config.
 
     The verify invariants and the service both call this; the fit cost
     is paid once per process per config.
@@ -355,29 +310,6 @@ def check_bank(
                 "ok": residual <= 1.0,
             }
         )
-    for surface2d in bank.surfaces_2d.values():
-        frac = (np.arange(probes) + np.sqrt(0.5)) / probes
-        xs = surface2d.x_lo + (surface2d.x_hi - surface2d.x_lo) * frac
-        worst = 0.0
-        for t in (0.17, 0.55, 0.93):
-            p = surface2d.p_lo + (surface2d.p_hi - surface2d.p_lo) * t
-            exact = exact_values(
-                surface2d.quantity,
-                dataclasses.replace(cfg, kbar=float(p)),
-                surface2d.load,
-                surface2d.utility,
-                xs,
-            )
-            worst = max(worst, float(np.max(np.abs(surface2d.evaluate(xs, p) - exact))))
-        residual = worst / surface2d.certified_bound
-        rows.append(
-            {
-                "surface": surface2d.key,
-                "residual": residual,
-                "certified_bound": surface2d.certified_bound,
-                "ok": residual <= 1.0,
-            }
-        )
     return rows
 
 
@@ -387,7 +319,6 @@ __all__ = [
     "LOADS",
     "FITTED_UTILITY",
     "DOMAINS",
-    "KBAR_DOMAIN",
     "SurfaceBank",
     "fit_bank",
     "default_bank",

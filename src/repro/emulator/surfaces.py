@@ -3,7 +3,7 @@
 The quantities the comparison debate actually queries — ``delta(C)``,
 ``Delta(C)`` and ``gamma(p)`` — are smooth (piecewise-smooth in the
 worst case: integer ``k_max`` jumps put small kinks in ``delta``) maps
-from one or two parameters to a scalar.  A low-degree Chebyshev
+from one parameter to a scalar.  A low-degree Chebyshev
 expansion therefore reproduces them to ~1e-4 absolute while costing a
 few microseconds per evaluation, versus ~0.3-100 ms for a full solver
 run — the surrogate move that makes a "millions of queries" service
@@ -23,6 +23,7 @@ the ``EM*`` invariants under the ``EMULATOR`` tolerance policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -41,7 +42,7 @@ SAFETY_FACTOR = 2.0
 #: promise better than roundoff on the exact side).
 BOUND_FLOOR = 1e-12
 
-#: Dense residual samples per polynomial degree (per axis).
+#: Dense residual samples per polynomial degree.
 SAMPLES_PER_DEGREE = 8
 
 
@@ -132,21 +133,56 @@ class ChebyshevSurface:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ChebyshevSurface":
-        if payload.get("kind") != "chebyshev1d":
-            raise ValueError(f"not a chebyshev1d surface: {payload.get('kind')!r}")
+        """Rebuild a saved surface; refuse one that could not be served.
+
+        A bank file is outside input, so every entry is checked here:
+        a malformed entry, a domain that is not ``0 < lo < hi``, empty
+        or non-finite coefficients and a bound that is not finite and
+        positive each raise ``ValueError``.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a surface must be a JSON object, not {type(payload).__name__}"
+            )
+        kind = payload.get("kind")
+        if kind == "chebyshev2d":
+            raise ValueError(
+                "chebyshev2d surfaces are no longer served: kbar what-ifs are "
+                "answered by the exact solver; refit the bank with `emulate fit`"
+            )
+        if kind != "chebyshev1d":
+            raise ValueError(f"not a chebyshev1d surface: {kind!r}")
+
+        def read(key, convert):
+            try:
+                return convert(payload[key])
+            except KeyError:
+                raise ValueError(f"missing field {key!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"malformed field {key!r}: {exc}") from None
+
+        domain = read("domain", lambda v: tuple(float(d) for d in v))
+        if len(domain) != 2 or not 0.0 < domain[0] < domain[1] < math.inf:
+            raise ValueError(f"domain must be [lo, hi] with 0 < lo < hi, got {list(domain)}")
+        coefficients = read("coefficients", lambda v: tuple(float(c) for c in v))
+        if not coefficients or not all(math.isfinite(c) for c in coefficients):
+            raise ValueError("coefficients must be a non-empty list of finite numbers")
+        bound = read("certified_bound", float)
+        if not (math.isfinite(bound) and bound > 0.0):
+            raise ValueError(f"certified_bound must be finite and > 0, got {bound!r}")
         return cls(
-            quantity=str(payload["quantity"]),
-            load=str(payload["load"]),
-            utility=str(payload["utility"]),
-            xname=str(payload["xname"]),
-            lo=float(payload["domain"][0]),
-            hi=float(payload["domain"][1]),
-            log_x=bool(payload["log_x"]),
-            coefficients=tuple(float(c) for c in payload["coefficients"]),
-            certified_bound=float(payload["certified_bound"]),
-            observed_residual=float(payload["observed_residual"]),
-            allowance=float(payload["allowance"]),
-            residual_samples=int(payload["residual_samples"]),
+            quantity=read("quantity", str),
+            load=read("load", str),
+            utility=read("utility", str),
+            xname=read("xname", str),
+            lo=domain[0],
+            hi=domain[1],
+            log_x=read("log_x", bool),
+            coefficients=coefficients,
+            certified_bound=bound,
+            observed_residual=read("observed_residual", float),
+            allowance=read("allowance", float),
+            residual_samples=read("residual_samples", int),
         )
 
     # ------------------------------------------------------------------
@@ -189,8 +225,6 @@ class ChebyshevSurface:
                 f"{self.key}: {x:g} outside the fitted {self.xname} domain "
                 f"[{self.lo:g}, {self.hi:g}]"
             )
-        import math
-
         scale, lo = self._scale
         t = scale * ((math.log(x) if self.log_x else x) - lo) - 1.0
         c = self.coefficients
@@ -200,108 +234,6 @@ class ChebyshevSurface:
         for a in c[:0:-1]:
             b1, b2 = a + t2 * b1 - b2, b1
         return c[0] + t * b1 - b2
-
-
-@dataclass(frozen=True)
-class ChebyshevSurface2D:
-    """A certified tensor-product fit over (x, parameter) — e.g.
-    ``delta(C, kbar)``: one surface answers load-scale what-ifs the
-    1-D surfaces would each need a refit for."""
-
-    quantity: str
-    load: str
-    utility: str
-    xname: str
-    pname: str  #: the second (parameter) axis, e.g. "kbar"
-    x_lo: float
-    x_hi: float
-    p_lo: float
-    p_hi: float
-    log_x: bool
-    coefficients: Tuple[Tuple[float, ...], ...]  #: [deg_x+1][deg_p+1]
-    certified_bound: float
-    observed_residual: float
-    allowance: float
-    residual_samples: int
-
-    @property
-    def key(self) -> str:
-        return f"{self.quantity}2d/{self.load}/{self.utility}"
-
-    @property
-    def degrees(self) -> Tuple[int, int]:
-        return (len(self.coefficients) - 1, len(self.coefficients[0]) - 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "chebyshev2d",
-            "quantity": self.quantity,
-            "load": self.load,
-            "utility": self.utility,
-            "xname": self.xname,
-            "pname": self.pname,
-            "x_domain": [self.x_lo, self.x_hi],
-            "p_domain": [self.p_lo, self.p_hi],
-            "log_x": self.log_x,
-            "coefficients": [list(row) for row in self.coefficients],
-            "certified_bound": self.certified_bound,
-            "observed_residual": self.observed_residual,
-            "allowance": self.allowance,
-            "residual_samples": self.residual_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChebyshevSurface2D":
-        if payload.get("kind") != "chebyshev2d":
-            raise ValueError(f"not a chebyshev2d surface: {payload.get('kind')!r}")
-        return cls(
-            quantity=str(payload["quantity"]),
-            load=str(payload["load"]),
-            utility=str(payload["utility"]),
-            xname=str(payload["xname"]),
-            pname=str(payload["pname"]),
-            x_lo=float(payload["x_domain"][0]),
-            x_hi=float(payload["x_domain"][1]),
-            p_lo=float(payload["p_domain"][0]),
-            p_hi=float(payload["p_domain"][1]),
-            log_x=bool(payload["log_x"]),
-            coefficients=tuple(
-                tuple(float(c) for c in row) for row in payload["coefficients"]
-            ),
-            certified_bound=float(payload["certified_bound"]),
-            observed_residual=float(payload["observed_residual"]),
-            allowance=float(payload["allowance"]),
-            residual_samples=int(payload["residual_samples"]),
-        )
-
-    def contains(self, xs, p: float) -> bool:
-        arr = _as_grid(xs)
-        return bool(
-            np.all((arr >= self.x_lo) & (arr <= self.x_hi))
-            and self.p_lo <= p <= self.p_hi
-        )
-
-    def evaluate(self, xs, p: float) -> np.ndarray:
-        """Values over an x-grid at one parameter setting."""
-        arr = _as_grid(xs)
-        if not self.contains(arr, p):
-            raise OutOfDomainError(
-                f"{self.key}: query outside the fitted domain "
-                f"{self.xname} in [{self.x_lo:g}, {self.x_hi:g}], "
-                f"{self.pname} in [{self.p_lo:g}, {self.p_hi:g}]"
-            )
-        t = np.log(arr) if self.log_x else arr
-        t_lo, t_hi = (
-            (np.log(self.x_lo), np.log(self.x_hi))
-            if self.log_x
-            else (self.x_lo, self.x_hi)
-        )
-        u = 2.0 * (t - t_lo) / (t_hi - t_lo) - 1.0
-        v = 2.0 * (p - self.p_lo) / (self.p_hi - self.p_lo) - 1.0
-        coef = np.asarray(self.coefficients)
-        # collapse the parameter axis first, then evaluate the x-series
-        cx = _cheb.chebval(v, coef.T)
-        return _cheb.chebval(u, cx)
 
 
 # ----------------------------------------------------------------------
@@ -405,118 +337,6 @@ def fit_surface(
     )
 
 
-def fit_surface_2d(
-    exact_batch: Callable[[np.ndarray, float], np.ndarray],
-    *,
-    quantity: str,
-    load: str,
-    utility: str,
-    xname: str,
-    pname: str,
-    x_lo: float,
-    x_hi: float,
-    p_lo: float,
-    p_hi: float,
-    degree_x: int,
-    degree_p: int,
-    budget: ErrorBudget,
-    log_x: bool = False,
-    samples: Optional[Tuple[int, int]] = None,
-) -> ChebyshevSurface2D:
-    """Fit and certify a tensor-product surface over (x, parameter).
-
-    ``exact_batch(xs, p)`` evaluates the exact solver over an x-grid at
-    one parameter setting (one model build per setting); the fit runs
-    one call per parameter node and certification one per dense
-    parameter sample.
-    """
-    if not 0.0 < x_lo < x_hi or not 0.0 < p_lo < p_hi:
-        raise ValueError("need 0 < lo < hi on both axes")
-    x_nodes = _fit_nodes(x_lo, x_hi, degree_x, log_x)
-    p_nodes = _fit_nodes(p_lo, p_hi, degree_p, False)
-    values = np.stack(
-        [np.asarray(exact_batch(x_nodes, float(p)), dtype=float) for p in p_nodes],
-        axis=1,
-    )  # shape (len(x_nodes), len(p_nodes))
-    if not np.all(np.isfinite(values)):
-        raise CertificationError(
-            f"{quantity}2d/{load}/{utility}: exact solver returned "
-            "non-finite values on the fit nodes; shrink the domain"
-        )
-    t_lo, t_hi = (np.log(x_lo), np.log(x_hi)) if log_x else (x_lo, x_hi)
-    t = np.log(x_nodes) if log_x else x_nodes
-    u = 2.0 * (t - t_lo) / (t_hi - t_lo) - 1.0
-    v = 2.0 * (p_nodes - p_lo) / (p_hi - p_lo) - 1.0
-    # tensor-product projection: 1-D fits along x for each parameter
-    # node, then 1-D fits along the parameter axis per x-coefficient
-    cx = _cheb.chebfit(u, values, degree_x)  # (degree_x+1, len(p_nodes))
-    coef = _cheb.chebfit(v, cx.T, degree_p).T  # (degree_x+1, degree_p+1)
-
-    if samples is None:
-        samples = (
-            SAMPLES_PER_DEGREE * degree_x + 1,
-            2 * degree_p + 1,
-        )
-    x_grid = _sample_grid(x_lo, x_hi, samples[0], log_x)
-    p_grid = np.linspace(p_lo, p_hi, samples[1])
-    surface = ChebyshevSurface2D(
-        quantity=quantity,
-        load=load,
-        utility=utility,
-        xname=xname,
-        pname=pname,
-        x_lo=float(x_lo),
-        x_hi=float(x_hi),
-        p_lo=float(p_lo),
-        p_hi=float(p_hi),
-        log_x=log_x,
-        coefficients=tuple(tuple(float(c) for c in row) for row in coef),
-        certified_bound=float("inf"),
-        observed_residual=float("inf"),
-        allowance=0.0,
-        residual_samples=samples[0] * samples[1],
-    )
-    observed = 0.0
-    scale = 0.0
-    for p in p_grid:
-        exact = np.asarray(exact_batch(x_grid, float(p)), dtype=float)
-        # bypass the certified-bound check while measuring it
-        t = np.log(x_grid) if log_x else x_grid
-        u = 2.0 * (t - t_lo) / (t_hi - t_lo) - 1.0
-        vv = 2.0 * (float(p) - p_lo) / (p_hi - p_lo) - 1.0
-        fitted = _cheb.chebval(u, _cheb.chebval(vv, coef.T))
-        observed = max(observed, float(np.max(np.abs(fitted - exact))))
-        scale = max(scale, float(np.max(np.abs(exact))))
-    allowance = budget.atol + budget.rtol * scale
-    bound, observed = _certify(
-        observed,
-        allowance,
-        what=(
-            f"{quantity}2d/{load}/{utility} over "
-            f"[{x_lo:g}, {x_hi:g}] x [{p_lo:g}, {p_hi:g}]"
-        ),
-        samples=samples[0] * samples[1],
-    )
-    return ChebyshevSurface2D(
-        **{
-            **{f.name: getattr(surface, f.name) for f in surface.__dataclass_fields__.values()},
-            "certified_bound": bound,
-            "observed_residual": observed,
-            "allowance": allowance,
-        }
-    )
-
-
-def surface_from_dict(payload: dict):
-    """Deserialise either surface kind by its ``kind`` tag."""
-    kind = payload.get("kind")
-    if kind == "chebyshev1d":
-        return ChebyshevSurface.from_dict(payload)
-    if kind == "chebyshev2d":
-        return ChebyshevSurface2D.from_dict(payload)
-    raise ValueError(f"unknown surface kind {kind!r}")
-
-
 #: Per-quantity default error budgets.  ``delta`` values are O(0.05)
 #: and kink-limited near 1e-5, so a flat absolute budget; ``Delta``
 #: scales with capacity (up to ~16 at k_bar = 100), so mostly
@@ -564,14 +384,9 @@ def surfaces_summary(surfaces: Sequence) -> str:
         f"{'bound':>10s} {'allowance':>10s}"
     ]
     for s in surfaces:
-        if isinstance(s, ChebyshevSurface2D):
-            domain = f"[{s.x_lo:g},{s.x_hi:g}]x[{s.p_lo:g},{s.p_hi:g}]"
-            deg = "x".join(str(d) for d in s.degrees)
-        else:
-            domain = f"[{s.lo:g}, {s.hi:g}]"
-            deg = str(s.degree)
+        domain = f"[{s.lo:g}, {s.hi:g}]"
         lines.append(
-            f"{s.key:34s} {domain:>22s} {deg:>4s} "
+            f"{s.key:34s} {domain:>22s} {s.degree:>4d} "
             f"{s.certified_bound:10.2e} {s.allowance:10.2e}"
         )
     return "\n".join(lines)

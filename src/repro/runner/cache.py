@@ -34,7 +34,7 @@ import hashlib
 import json
 import pathlib
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -273,6 +273,29 @@ class ResultCache:
         _count("runner.cache.writes")
         obs.emit("cache.write", id=exp.exp_id)
         return entry
+
+    def read_through(
+        self,
+        exp: Experiment,
+        config: Optional[PaperConfig],
+        compute: Callable[[], object],
+        *,
+        force: bool = False,
+        kind: Optional[str] = None,
+    ) -> Tuple[object, bool]:
+        """``(result, hit)``: the decoded entry, or ``compute()`` stored.
+
+        ``force`` skips the lookup but still stores the fresh result.
+        With ``kind``, an entry of any other result kind counts as a
+        miss.  When ``compute`` raises, nothing is stored.
+        """
+        if not force:
+            entry = self.load(exp, config)
+            if entry is not None and kind in (None, entry.get("result_kind")):
+                return decode_result(entry["result_kind"], entry["result"]), True
+        result = compute()
+        self.store(exp, config, result)
+        return result, False
 
     def sweep(self) -> List[pathlib.Path]:
         """Remove temp files orphaned by killed writers; return them."""

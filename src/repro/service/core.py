@@ -4,15 +4,17 @@
 the HTTP layer (:mod:`repro.service.http`) wraps.  Every query walks
 the same ladder:
 
-1. **Surface** — if a certified surface covers the query triple and
-   the point is inside its fitted domain, answer from the Chebyshev
-   expansion (microseconds, error ≤ the surface's certified bound).
-2. **Cache** — otherwise evaluate the exact solver *through* the PR-2
+1. **Engine hint** — ``engine="meanfield"`` answers ``delta`` from the
+   fluid-diffusion engine, and nothing else.
+2. **Surface** — at the bank's own mean load (no ``kbar``), a point
+   inside the fitted domain of a certified surface is answered from
+   the Chebyshev expansion (microseconds, error ≤ the surface's
+   certified bound).
+3. **Exact** — every other point (rigid utility, out of domain, any
+   ``kbar`` what-if) is evaluated by the exact solver *through* the
    content-addressed result cache, addressed by the query grid
    (``dataclasses.replace(config, capacities=...)``), so repeated
    misses on the same grid are disk hits.
-3. **Exact** — a cold miss runs the batch solver and stores the
-   result for the next identical query.
 
 Per-triple locks serialise concurrent cold misses (a thundering herd
 of identical queries computes the solver answer once); distinct
@@ -23,6 +25,8 @@ hit/miss counters, and a journal event per fallback.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import threading
 from typing import Optional, Sequence, Tuple
 
@@ -38,10 +42,11 @@ from repro.emulator.bank import (
     default_bank,
     replace_axis,
 )
+from repro.emulator.surfaces import ChebyshevSurface
 from repro.errors import ReproError
 from repro.experiments.params import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.registry import Experiment
-from repro.runner.cache import ResultCache, decode_result
+from repro.runner.cache import ResultCache
 
 #: Utilities the service accepts (rigid is always exact-path).
 UTILITIES: Tuple[str, ...] = ("rigid", "adaptive")
@@ -140,40 +145,32 @@ class EmulatorService:
 
         Inside a fitted domain this is a pure-Python Clenshaw
         evaluation (no numpy, no locks); everything else routes
-        through :meth:`batch`.  An explicit ``engine`` hint bypasses
-        the surface ladder entirely.
+        through :meth:`batch`.
         """
         _validate_triple(quantity, load, utility)
         x = float(x)
-        if not (np.isfinite(x) and x > 0.0):
+        if not (math.isfinite(x) and x > 0.0):
             raise QueryError("query point must be finite and > 0")
-        if kbar is None and engine is None:
-            surface = self.bank.lookup(quantity, load, utility)
-            if surface is not None and surface.lo <= x <= surface.hi:
-                value = surface.eval_scalar(x)
-                if quantity != "gamma" and value < 0.0:
-                    value = 0.0
-                if obs.enabled():
-                    obs.counter("service.points.surface").inc()
-                return {
-                    "quantity": quantity,
-                    "load": load,
-                    "utility": utility,
-                    "x": x,
-                    "value": value,
-                    "source": "surface",
-                    "certified_bound": surface.certified_bound,
-                }
+        surface = self._surface(quantity, load, utility, kbar, engine)
+        if surface is not None and surface.lo <= x <= surface.hi:
+            value = surface.eval_scalar(x)
+            if quantity != "gamma" and value < 0.0:
+                value = 0.0
+            if obs.enabled():
+                obs.counter("service.points.surface").inc()
+            return _reply(
+                quantity, load, utility, x, value, "surface", surface.certified_bound
+            )
         result = self.batch(quantity, load, utility, [x], kbar=kbar, engine=engine)
-        return {
-            "quantity": quantity,
-            "load": load,
-            "utility": utility,
-            "x": x,
-            "value": result["values"][0],
-            "source": result["source"],
-            "certified_bound": result["certified_bound"],
-        }
+        return _reply(
+            quantity,
+            load,
+            utility,
+            x,
+            result["values"][0],
+            result["source"],
+            result["certified_bound"],
+        )
 
     def batch(
         self,
@@ -189,12 +186,13 @@ class EmulatorService:
 
         In-domain points are answered from the surface; out-of-domain
         points (and whole triples no surface certifies, e.g. the rigid
-        utility) fall back to the exact batch solver through the
-        result cache.  The response says how many points took each
-        path and carries the certified bound whenever *any* point came
-        from a surface (``None`` means all-exact).  An explicit
-        ``engine="meanfield"`` hint answers from the fluid-diffusion
-        engine instead (``delta`` only; refusals propagate).
+        utility, or any ``kbar`` what-if) go to the exact batch solver
+        through the result cache.  The response says how many points
+        took each path and carries the certified bound whenever *any*
+        point came from a surface (``None`` means all-exact).  An
+        explicit ``engine="meanfield"`` hint answers from the
+        fluid-diffusion engine instead (``delta`` only; refusals
+        propagate).
         """
         _validate_triple(quantity, load, utility)
         arr = _validate_grid(xs)
@@ -204,10 +202,29 @@ class EmulatorService:
                     f"unknown engine {engine!r}; expected one of "
                     f"{sorted(ENGINE_HINTS)}"
                 )
-            return self._meanfield_batch(quantity, load, utility, arr, kbar)
+            if quantity != "delta":
+                raise QueryError(
+                    f"engine=meanfield serves only quantity 'delta', "
+                    f"not {quantity!r}"
+                )
         if kbar is not None:
-            return self._batch_kbar(quantity, load, utility, arr, float(kbar))
-        surface = self.bank.lookup(quantity, load, utility)
+            kbar = float(kbar)
+            if not (math.isfinite(kbar) and kbar > 0.0):
+                raise QueryError("kbar must be finite and > 0")
+        if engine is not None:
+            values = self._meanfield_values(load, utility, arr, kbar)
+            return _reply(
+                quantity,
+                load,
+                utility,
+                arr.tolist(),
+                values.tolist(),
+                "meanfield",
+                None,
+                {"surface": 0, "exact": 0, "meanfield": int(arr.size)},
+                kbar,
+            )
+        surface = self._surface(quantity, load, utility, kbar, engine)
         values = np.empty_like(arr)
         if surface is None:
             inside = np.zeros(arr.shape, dtype=bool)
@@ -219,24 +236,52 @@ class EmulatorService:
                     fitted = np.maximum(0.0, fitted)
                 values[inside] = fitted
         n_exact = int(np.count_nonzero(~inside))
+        n_surface = int(arr.size) - n_exact
         if n_exact:
-            values[~inside] = self._exact_via_cache(
-                quantity, load, utility, arr[~inside]
+            config = (
+                self.config if kbar is None else dataclasses.replace(self.config, kbar=kbar)
             )
-        if obs.enabled():
-            obs.counter("service.points.surface").inc(arr.size - n_exact)
-        return {
-            "quantity": quantity,
-            "load": load,
-            "utility": utility,
-            "x": arr.tolist(),
-            "values": values.tolist(),
-            "source": self._source_label(arr.size - n_exact, n_exact),
-            "sources": {"surface": int(arr.size - n_exact), "exact": n_exact},
-            "certified_bound": surface.certified_bound
-            if surface is not None and n_exact < arr.size
-            else None,
-        }
+            values[~inside] = self._exact_via_cache(
+                quantity, load, utility, arr[~inside], config
+            )
+        if kbar is None and obs.enabled():
+            obs.counter("service.points.surface").inc(n_surface)
+        if n_exact == 0:
+            source = "surface"
+        elif n_surface == 0:
+            source = "exact"
+        else:
+            source = "mixed"
+        return _reply(
+            quantity,
+            load,
+            utility,
+            arr.tolist(),
+            values.tolist(),
+            source,
+            surface.certified_bound if n_surface else None,
+            {"surface": n_surface, "exact": n_exact},
+            kbar,
+        )
+
+    def covers(
+        self,
+        quantity: str,
+        load: str,
+        utility: str,
+        xs: Sequence[float],
+        *,
+        kbar: Optional[float] = None,
+        engine: Optional[str] = None,
+    ) -> bool:
+        """Whether a surface alone answers this query, no solver run.
+
+        True when the surface rung covers every point, so the query is
+        answered in microseconds; the HTTP layer answers such queries
+        on its event loop and sends every other one to its executor.
+        """
+        surface = self._surface(quantity, load, utility, kbar, engine)
+        return surface is not None and all(surface.lo <= x <= surface.hi for x in xs)
 
     def describe(self) -> dict:
         """Bank metadata for ``GET /v1/surfaces`` (no coefficients)."""
@@ -249,91 +294,41 @@ class EmulatorService:
             "loads": list(LOADS),
             "utilities": list(UTILITIES),
             "engines": list(ENGINE_HINTS),
-            "surfaces": [strip(s.to_dict()) for s in self.bank.all_surfaces()],
+            "surfaces": [strip(s.to_dict()) for s in self.bank.surfaces.values()],
             "cache": self.cache is not None,
         }
 
     # ------------------------------------------------------------------
-    # fallback ladder
+    # the ladder's rungs
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _source_label(n_surface: int, n_exact: int) -> str:
-        if n_exact == 0:
-            return "surface"
-        if n_surface == 0:
-            return "exact"
-        return "mixed"
-
-    def _batch_kbar(
-        self, quantity: str, load: str, utility: str, arr: np.ndarray, kbar: float
-    ) -> dict:
-        """A what-if query at a non-default mean load.
-
-        Served from the 2-D ``delta(C, kbar)`` surface when one is in
-        the bank and covers the query; otherwise exact under a
-        ``kbar``-replaced config (cache-addressed like any fallback).
-        """
-        import dataclasses
-
-        if not (np.isfinite(kbar) and kbar > 0.0):
-            raise QueryError("kbar must be finite and > 0")
-        surface2d = self.bank.lookup_2d(quantity, load, utility)
-        if surface2d is not None and surface2d.contains(arr, kbar):
-            values = surface2d.evaluate(arr, kbar)
-            if quantity != "gamma":
-                values = np.maximum(0.0, values)
-            if obs.enabled():
-                obs.counter("service.points.surface").inc(arr.size)
-            return {
-                "quantity": quantity,
-                "load": load,
-                "utility": utility,
-                "x": arr.tolist(),
-                "kbar": kbar,
-                "values": values.tolist(),
-                "source": "surface",
-                "sources": {"surface": int(arr.size), "exact": 0},
-                "certified_bound": surface2d.certified_bound,
-            }
-        config = dataclasses.replace(self.config, kbar=kbar)
-        values = self._exact_via_cache(quantity, load, utility, arr, config=config)
-        return {
-            "quantity": quantity,
-            "load": load,
-            "utility": utility,
-            "x": arr.tolist(),
-            "kbar": kbar,
-            "values": values.tolist(),
-            "source": "exact",
-            "sources": {"surface": 0, "exact": int(arr.size)},
-            "certified_bound": None,
-        }
-
-    def _meanfield_batch(
+    def _surface(
         self,
         quantity: str,
         load: str,
         utility: str,
-        arr: np.ndarray,
         kbar: Optional[float],
-    ) -> dict:
-        """Answer a batch through the fluid-diffusion engine.
+        engine: Optional[str],
+    ) -> Optional[ChebyshevSurface]:
+        """The surface that may answer a query, or ``None``.
 
-        Explicit opt-in only.  The quantity is restricted to ``delta``
-        (the paired gap is what the engine computes to O(1/N)); every
-        other quantity, and any configuration outside the validity
-        envelope, is refused — the engine never extrapolates, and the
-        HTTP layer maps the :class:`OutOfDomainError` to a 400.
+        Surfaces are fitted at the bank's own mean load, so a ``kbar``
+        what-if or an ``engine`` hint never reaches one.
         """
-        if quantity != "delta":
-            raise QueryError(
-                f"engine=meanfield serves only quantity 'delta', "
-                f"not {quantity!r}"
-            )
-        if kbar is not None and not (np.isfinite(kbar) and kbar > 0.0):
-            raise QueryError("kbar must be finite and > 0")
-        population = float(kbar) if kbar is not None else self.config.kbar
+        if kbar is not None or engine is not None:
+            return None
+        return self.bank.lookup(quantity, load, utility)
+
+    def _meanfield_values(
+        self, load: str, utility: str, arr: np.ndarray, kbar: Optional[float]
+    ) -> np.ndarray:
+        """``delta`` over a grid from the fluid-diffusion engine.
+
+        Any configuration outside the engine's validity envelope is
+        refused with :class:`OutOfDomainError` — the engine never
+        extrapolates, and the HTTP layer maps the refusal to a 400.
+        """
+        population = kbar if kbar is not None else self.config.kbar
         sim = self._meanfield_sim(load, population)
         values = sim.gap_batch(self.config.utility(utility), arr)
         if obs.enabled():
@@ -345,19 +340,7 @@ class EmulatorService:
             population=population,
             points=int(arr.size),
         )
-        response = {
-            "quantity": quantity,
-            "load": load,
-            "utility": utility,
-            "x": arr.tolist(),
-            "values": values.tolist(),
-            "source": "meanfield",
-            "sources": {"surface": 0, "exact": 0, "meanfield": int(arr.size)},
-            "certified_bound": None,
-        }
-        if kbar is not None:
-            response["kbar"] = population
-        return response
+        return values
 
     def _meanfield_sim(self, load: str, population: float):
         """One memoised simulator per ``(load, population)``.
@@ -367,8 +350,6 @@ class EmulatorService:
         serialises concurrent first solves the same way the fallback
         locks serialise cold cache misses.
         """
-        import dataclasses
-
         from repro.meanfield import MeanFieldSimulator
         from repro.simulation import BirthDeathProcess, Link
 
@@ -409,8 +390,7 @@ class EmulatorService:
         load: str,
         utility: str,
         xs: np.ndarray,
-        *,
-        config: Optional[PaperConfig] = None,
+        config: PaperConfig,
     ) -> np.ndarray:
         """Exact values through the content-addressed cache.
 
@@ -427,9 +407,7 @@ class EmulatorService:
             run=lambda cfg: target(cfg, load, utility),
             target=target,
         )
-        cfg = replace_axis(
-            self.config if config is None else config, quantity, xs
-        )
+        cfg = replace_axis(config, quantity, xs)
         if obs.enabled():
             obs.counter("service.fallback.calls").inc()
             obs.counter("service.points.exact").inc(xs.size)
@@ -440,17 +418,46 @@ class EmulatorService:
             utility=utility,
             points=int(xs.size),
         )
-        lock = self._lock_for(f"{exp.exp_id}/{cfg.kbar}")
-        with lock:
-            if self.cache is not None:
-                entry = self.cache.load(exp, cfg)
-                if entry is not None:
-                    series = decode_result(entry["result_kind"], entry["result"])
-                    return np.asarray(series["value"], dtype=float)
-            series = target(cfg, load, utility)
-            if self.cache is not None:
-                self.cache.store(exp, cfg, series)
+        with self._lock_for(f"{exp.exp_id}/{cfg.kbar}"):
+            if self.cache is None:
+                series = target(cfg, load, utility)
+            else:
+                series, _ = self.cache.read_through(
+                    exp, cfg, lambda: target(cfg, load, utility)
+                )
         return np.asarray(series["value"], dtype=float)
+
+
+def _reply(
+    quantity: str,
+    load: str,
+    utility: str,
+    x,
+    value,
+    source: str,
+    certified_bound: Optional[float],
+    sources: Optional[dict] = None,
+    kbar: Optional[float] = None,
+) -> dict:
+    """The shape of every answer the service gives.
+
+    A point answer carries ``value``; a batch answer carries ``values``
+    and its per-path ``sources`` count, plus ``kbar`` for a what-if.
+    """
+    reply = {
+        "quantity": quantity,
+        "load": load,
+        "utility": utility,
+        "x": x,
+        "value" if sources is None else "values": value,
+        "source": source,
+        "certified_bound": certified_bound,
+    }
+    if sources is not None:
+        reply["sources"] = sources
+        if kbar is not None:
+            reply["kbar"] = kbar
+    return reply
 
 
 __all__ = ["ENGINE_HINTS", "EmulatorService", "QueryError", "UTILITIES"]

@@ -2,10 +2,11 @@
 
 A deliberately small HTTP/1.1 server on :func:`asyncio.start_server`
 (no web framework; the package's no-new-runtime-deps rule is load
-bearing).  Surface evaluations answer inline on the event loop — a
-point query is ~2 us of pure Python — while exact fallbacks are pushed
-to a thread pool so one cold solver run cannot stall every other
-connection.
+bearing).  Queries a surface alone answers
+(:meth:`EmulatorService.covers`) run inline on the event loop — a
+point query is ~2 us of pure Python — while every other query is
+pushed to a thread pool so one cold solver run cannot stall every
+other connection.
 
 Endpoints (all JSON):
 
@@ -195,9 +196,14 @@ class ServiceServer:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
+        length_text = headers.get("content-length", "0") or "0"
+        if not length_text.isdigit():
+            raise _HttpError(400, f"malformed Content-Length: {length_text[:32]!r}")
+        # more digits than the limit has is over it (and int() refuses
+        # strings of thousands of digits)
+        if len(length_text) > len(str(MAX_BODY_BYTES)) or int(length_text) > MAX_BODY_BYTES:
             raise _HttpError(413, "body too large")
+        length = int(length_text)
         body: Optional[dict] = None
         if length:
             raw = await reader.readexactly(length)
@@ -282,42 +288,26 @@ class ServiceServer:
             if "x" not in params:
                 raise QueryError("missing required parameter: x")
             x = float(params["x"])
-            surface_only = (
-                kbar_f is None
-                and engine_s is None
-                and (s := self.service.bank.lookup(quantity, load, utility))
-                is not None
-                and s.lo <= x <= s.hi
-            )
-            if surface_only:
-                # certified fast path: answer on the event loop
-                return self.service.point(quantity, load, utility, x)
-            return await self._offload(
-                lambda: self.service.point(
-                    quantity, load, utility, x, kbar=kbar_f, engine=engine_s
+            grid, answer = [x], self.service.point
+        else:
+            xs = params.get("x")
+            if not isinstance(xs, (list, tuple)):
+                raise QueryError("batch requires x as a JSON array")
+            if len(xs) > MAX_BATCH_POINTS:
+                raise _HttpError(
+                    413,
+                    f"batch grid has {len(xs)} points; the limit is {MAX_BATCH_POINTS}",
                 )
-            )
-        xs = params.get("x")
-        if not isinstance(xs, (list, tuple)):
-            raise QueryError("batch requires x as a JSON array")
-        if len(xs) > MAX_BATCH_POINTS:
-            raise _HttpError(
-                413, f"batch grid has {len(xs)} points; the limit is {MAX_BATCH_POINTS}"
-            )
-        grid = [float(v) for v in xs]
-        surface = self.service.bank.lookup(quantity, load, utility)
-        if (
-            kbar_f is None
-            and engine_s is None
-            and surface is not None
-            and all(surface.lo <= v <= surface.hi for v in grid)
-        ):
-            return self.service.batch(quantity, load, utility, grid)
-        return await self._offload(
-            lambda: self.service.batch(
-                quantity, load, utility, grid, kbar=kbar_f, engine=engine_s
-            )
-        )
+            x = grid = [float(v) for v in xs]
+            answer = self.service.batch
+
+        def call():
+            return answer(quantity, load, utility, x, kbar=kbar_f, engine=engine_s)
+
+        if self.service.covers(quantity, load, utility, grid, kbar=kbar_f, engine=engine_s):
+            # certified fast path: answer on the event loop
+            return call()
+        return await self._offload(call)
 
     async def _offload(self, call):
         """Run a possibly-exact query on the fallback thread pool."""

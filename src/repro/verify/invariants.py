@@ -988,7 +988,7 @@ def _s5(config: PaperConfig) -> CheckResult:
 
 @lru_cache(maxsize=4)
 def _emulator_rows(config: PaperConfig) -> Tuple[Tuple[str, float], ...]:
-    """Fresh-probe residuals for every 1-D surface (memoised per config)."""
+    """Fresh-probe residuals for every surface (memoised per config)."""
     from repro.emulator import check_bank, default_bank
 
     return tuple(
@@ -1091,33 +1091,6 @@ def _em4(config: PaperConfig) -> CheckResult:
     if failures:
         return CheckResult(float("inf"), "; ".join(failures))
     return CheckResult(0.0, "refused out-of-domain and uncertifiable as required")
-
-
-@lru_cache(maxsize=2)
-def _emulator_rows_2d(config: PaperConfig) -> Tuple[Tuple[str, float], ...]:
-    from repro.emulator import check_bank, fit_bank
-
-    bank = fit_bank(
-        config, quantities=("delta",), loads=("poisson",), include_2d=True
-    )
-    return tuple(
-        (row["surface"], float(row["residual"]))
-        for row in check_bank(bank, config)
-        if row["surface"].startswith("delta2d/")
-    )
-
-
-@REGISTRY.invariant(
-    "EM5",
-    "the 2-D delta(C, kbar) surface stays within its certified bound",
-    paper_ref="S3.1 delta swept over the mean load (what-if axis)",
-    engines=("batch",),
-    tolerance=EMULATOR,
-    suites=("deep",),
-)
-def _em5(config: PaperConfig) -> CheckResult:
-    residual, where = worst_over_domain(_emulator_rows_2d(config))
-    return CheckResult(residual, f"worst surface {where} (certified-bound units)")
 
 
 # ----------------------------------------------------------------------

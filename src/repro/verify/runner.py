@@ -60,11 +60,10 @@ def cached_suite(
     cached — a partial run must not masquerade as the full suite.
     """
     store = cache if cache is not None else ResultCache()
-    exp = suite_experiment(suite)
-    if not force:
-        entry = store.load(exp, config)
-        if entry is not None and entry.get("result_kind") == "verification":
-            return VerificationReport.from_dict(entry["result"]), True
-    report = run_suite(suite, config)
-    store.store(exp, config, report)
-    return report, False
+    return store.read_through(
+        suite_experiment(suite),
+        config,
+        lambda: run_suite(suite, config),
+        force=force,
+        kind="verification",
+    )

@@ -37,10 +37,9 @@ class TestFitBank:
     def test_unfitted_triples_return_none(self, small_bank):
         assert small_bank.lookup("delta", "exponential", "adaptive") is None
         assert small_bank.lookup("delta", "poisson", "rigid") is None
-        assert small_bank.lookup_2d("delta", "poisson", "adaptive") is None
 
     def test_every_surface_is_certified(self, small_bank):
-        for surf in small_bank.all_surfaces():
+        for surf in small_bank.surfaces.values():
             assert surf.certified_bound <= surf.allowance
             assert surf.observed_residual <= surf.certified_bound
 

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.cli import main
-from repro.emulator import SCHEMA
+from repro.emulator import SCHEMA, SurfaceBank
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +76,66 @@ class TestCheck:
         bad.write_text(json.dumps({"schema": "repro.emulator/v999", "surfaces": []}))
         assert main(["emulate", "check", "--bank", str(bad)]) == 2
         assert "cannot load bank" in capsys.readouterr().err
+
+
+def _bank_with(**fields):
+    """Edit the first surface entry of a saved bank."""
+
+    def edit(payload):
+        first = {**payload["surfaces"][0], **fields}
+        return {**payload, "surfaces": [first, *payload["surfaces"][1:]]}
+
+    return edit
+
+
+RETIRED_2D = {"kind": "chebyshev2d", "quantity": "delta", "load": "poisson", "utility": "adaptive"}
+
+
+class TestBankFileRefusals:
+    """A bank file is outside input: every entry is checked at load, so
+    a bad one is refused by name instead of crashing or being served."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_obs(self):
+        yield
+        obs.disable()
+        obs.reset()
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda payload: [], "a bank must be a JSON object"),
+            (lambda payload: {**payload, "surfaces": None}, "surfaces must be a list"),
+            (lambda payload: {**payload, "surfaces": [5]}, "surface #0 (5)"),
+            (_bank_with(domain=5), "surface #0 (delta/poisson/adaptive): malformed field 'domain'"),
+            (_bank_with(domain=[400.0, 20.0]), "domain must be [lo, hi] with 0 < lo < hi"),
+            (_bank_with(coefficients=[]), "coefficients must be a non-empty list"),
+            (_bank_with(coefficients=[0.1, float("nan")]), "of finite numbers"),
+            (_bank_with(certified_bound=-1), "certified_bound must be finite and > 0"),
+            (
+                lambda payload: {**payload, "surfaces": payload["surfaces"] + [RETIRED_2D]},
+                "kbar what-ifs are answered by the exact solver",
+            ),
+        ],
+        ids=[
+            "top-level-list",
+            "null-surfaces",
+            "entry-not-object",
+            "domain-not-pair",
+            "domain-reversed",
+            "empty-coefficients",
+            "nan-coefficient",
+            "negative-bound",
+            "retired-2d-entry",
+        ],
+    )
+    def test_refused_at_load_with_one_line(self, bank_path, tmp_path, capsys, edit, reason):
+        bad = tmp_path / "bank.json"
+        bad.write_text(json.dumps(edit(json.loads(bank_path.read_text()))))
+        with pytest.raises(ValueError, match="surface|bank") as exc:
+            SurfaceBank.load(bad)
+        assert reason in str(exc.value)
+        for argv in (["emulate", "check", "--bank", str(bad)], ["serve", "--bank", str(bad)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and reason in err, err

@@ -18,8 +18,6 @@ from repro.emulator import (
     ErrorBudget,
     OutOfDomainError,
     fit_surface,
-    fit_surface_2d,
-    surface_from_dict,
     surfaces_summary,
 )
 from repro.emulator.surfaces import BOUND_FLOOR, SAFETY_FACTOR
@@ -170,53 +168,11 @@ class TestSerialisation:
         assert clone.eval_scalar(123.0) == surface.eval_scalar(123.0)
 
     def test_kind_dispatch(self, surface):
-        assert surface_from_dict(surface.to_dict()) == surface
-        with pytest.raises(ValueError, match="unknown surface kind"):
-            surface_from_dict({**surface.to_dict(), "kind": "spline"})
+        with pytest.raises(ValueError, match="not a chebyshev1d surface"):
+            ChebyshevSurface.from_dict({**surface.to_dict(), "kind": "spline"})
 
     def test_summary_renders_every_surface(self, surface):
         text = surfaces_summary([surface])
         assert "delta/poisson/adaptive" in text
         assert "bound" in text
 
-
-class TestSurface2D:
-    @pytest.fixture(scope="class")
-    def surface2d(self):
-        return fit_surface_2d(
-            lambda xs, p: smooth(xs) * (1.0 + p),
-            quantity="delta",
-            load="poisson",
-            utility="adaptive",
-            xname="capacity",
-            pname="kbar",
-            x_lo=20.0,
-            x_hi=400.0,
-            p_lo=0.1,
-            p_hi=0.9,
-            degree_x=12,
-            degree_p=4,
-            budget=ErrorBudget(atol=1e-6),
-        )
-
-    def test_accuracy_across_the_parameter_axis(self, surface2d):
-        xs = np.linspace(25.0, 390.0, 31)
-        for p in (0.1, 0.37, 0.9):
-            np.testing.assert_allclose(
-                surface2d.evaluate(xs, p),
-                smooth(xs) * (1.0 + p),
-                atol=surface2d.certified_bound,
-            )
-
-    def test_out_of_domain_on_either_axis_refuses(self, surface2d):
-        with pytest.raises(OutOfDomainError):
-            surface2d.evaluate([500.0], 0.5)
-        with pytest.raises(OutOfDomainError):
-            surface2d.evaluate([100.0], 0.95)
-
-    def test_round_trip(self, surface2d):
-        clone = surface_from_dict(surface2d.to_dict())
-        assert clone == surface2d
-        np.testing.assert_array_equal(
-            clone.evaluate([100.0], 0.5), surface2d.evaluate([100.0], 0.5)
-        )

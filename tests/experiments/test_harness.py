@@ -150,6 +150,37 @@ class TestCliExport:
         assert "known ids" in capsys.readouterr().err
 
 
+class TestCliArgumentRefusals:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "-1"],
+            ["serve", "--workers", "0"],
+            ["serve", "--port", "70000"],
+            ["emulate", "check", "--probes", "0"],
+            ["emulate", "check", "--probes", "-3"],
+            ["meanfield", "--population", "nan"],
+            ["meanfield", "--population", "inf"],
+            ["meanfield", "--population", "0"],
+            ["meanfield", "--capacities", "nan", "100"],
+            ["run", "S1", "--ci", "nan"],
+            ["run", "S1", "--ci", "0"],
+            ["run", "S1", "--replications", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_before_any_work_with_one_line(self, capsys, argv):
+        # one stderr line: no bank fit, solver run or traceback first
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert err.count("\n") == 1 and err.startswith(flag), err
+
+
 class TestCliAnalyzeTrace:
     def _write_poisson_trace(self, tmp_path):
         import numpy as np

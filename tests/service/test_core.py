@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import sys
 import threading
@@ -321,3 +322,249 @@ class TestMeanFieldEngine:
 
     def test_describe_advertises_the_engine_hint(self, service):
         assert service.describe()["engines"] == ["meanfield"]
+
+
+NAN = float("nan")
+
+
+def _point(quantity, load, utility, x, value, source, bound=None):
+    return {
+        "quantity": quantity,
+        "load": load,
+        "utility": utility,
+        "x": x,
+        "value": value,
+        "source": source,
+        "certified_bound": bound,
+    }
+
+
+def _batch(quantity, load, utility, xs, values, sources, source, bound=None, **extra):
+    return {
+        "quantity": quantity,
+        "load": load,
+        "utility": utility,
+        "x": xs,
+        "values": values,
+        "source": source,
+        "sources": sources,
+        "certified_bound": bound,
+        **extra,
+    }
+
+
+def _error(message):
+    return {"error": message}
+
+
+DELTA_BOUND = 2.8352734073935904e-05
+ONE_EXACT, TWO_EXACT = {"surface": 0, "exact": 1}, {"surface": 0, "exact": 2}
+TWO_MEANFIELD = {"surface": 0, "exact": 0, "meanfield": 2}
+
+#: One row per query class: the call, and the response as parsed JSON
+#: (a 400's body for a refusal).  Values are pinned at rtol 1e-7, so a
+#: query that changes path (a surface answer differs from the exact one
+#: by up to its certified bound) shows here.
+PINNED = [
+    pytest.param(
+        "point", ("delta", "poisson", "adaptive", 120.0), {},
+        _point(
+            "delta", "poisson", "adaptive", 120.0, 9.821902286162587e-06, "surface", DELTA_BOUND
+        ),
+        id="surface-point",
+    ),
+    pytest.param(
+        "batch", ("gamma", "poisson", "adaptive", [0.001, 0.01, 0.3]), {},
+        _batch(
+            "gamma", "poisson", "adaptive", [0.001, 0.01, 0.3],
+            [1.0000000000000624, 1.0000000000000178, 1.0000000000214906],
+            {"surface": 3, "exact": 0}, "surface", 4.68158845023936e-12,
+        ),
+        id="surface-batch",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "rigid", 120.0), {},
+        _point("delta", "poisson", "rigid", 120.0, 0.02720319489402323, "exact"),
+        id="rigid-point",
+    ),
+    pytest.param(
+        "batch", ("Delta", "poisson", "rigid", [80.0, 150.0]), {},
+        _batch(
+            "Delta", "poisson", "rigid", [80.0, 150.0],
+            [29.000000000036778, 9.000000000080234], TWO_EXACT, "exact",
+        ),
+        id="rigid-batch",
+    ),
+    pytest.param(
+        "point", ("gamma", "algebraic", "rigid", 0.28), {},
+        _point("gamma", "algebraic", "rigid", 0.28, NAN, "exact"),
+        id="rigid-gamma-nan",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "adaptive", 800.0), {},
+        _point("delta", "poisson", "adaptive", 800.0, 0.0, "exact"),
+        id="out-of-domain-point",
+    ),
+    pytest.param(
+        "point", ("delta", "exponential", "adaptive", 120.0), {},
+        _point("delta", "exponential", "adaptive", 120.0, 0.017308058512531366, "exact"),
+        id="unfitted-load-point",
+    ),
+    pytest.param(
+        "batch", ("delta", "poisson", "adaptive", [100.0, 800.0]), {},
+        _batch(
+            "delta", "poisson", "adaptive", [100.0, 800.0], [0.0006366276816288825, 0.0],
+            {"surface": 1, "exact": 1}, "mixed", DELTA_BOUND,
+        ),
+        id="mixed-batch",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "adaptive", 90.0), {"kbar": 80.0},
+        _point("delta", "poisson", "adaptive", 90.0, 9.454492938609782e-05, "exact"),
+        id="kbar-delta-point",
+    ),
+    pytest.param(
+        "point", ("Delta", "exponential", "adaptive", 90.0), {"kbar": 120.0},
+        _point("Delta", "exponential", "adaptive", 90.0, 10.029518236837418, "exact"),
+        id="kbar-Delta-point",
+    ),
+    pytest.param(
+        "point", ("gamma", "exponential", "adaptive", 0.05), {"kbar": 80.0},
+        _point("gamma", "exponential", "adaptive", 0.05, 1.0011252191062119, "exact"),
+        id="kbar-gamma-point",
+    ),
+    pytest.param(
+        "batch", ("delta", "poisson", "adaptive", [60.0, 90.0, 800.0]), {"kbar": 80.0},
+        _batch(
+            "delta", "poisson", "adaptive", [60.0, 90.0, 800.0],
+            [0.009549527262350754, 9.454492938631986e-05, 1.1102230246251565e-16],
+            {"surface": 0, "exact": 3}, "exact", kbar=80.0,
+        ),
+        id="kbar-delta-batch",
+    ),
+    pytest.param(
+        "batch", ("Delta", "exponential", "adaptive", [90.0, 150.0]), {"kbar": 120.0},
+        _batch(
+            "Delta", "exponential", "adaptive", [90.0, 150.0],
+            [10.029518236837418, 7.8087996581165555], TWO_EXACT, "exact", kbar=120.0,
+        ),
+        id="kbar-Delta-batch",
+    ),
+    pytest.param(
+        "batch", ("gamma", "exponential", "adaptive", [0.01, 0.05]), {"kbar": 80.0},
+        _batch(
+            "gamma", "exponential", "adaptive", [0.01, 0.05],
+            [1.0000127678625335, 1.0011252191062119], TWO_EXACT, "exact", kbar=80.0,
+        ),
+        id="kbar-gamma-batch",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "adaptive", 110.0), {"engine": "meanfield"},
+        _point("delta", "poisson", "adaptive", 110.0, 9.00289656949882e-05, "meanfield"),
+        id="meanfield-point",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "rigid", 55.0), {"engine": "meanfield", "kbar": 50.0},
+        _point("delta", "poisson", "rigid", 55.0, 0.23698229755267197, "meanfield"),
+        id="meanfield-point-kbar",
+    ),
+    pytest.param(
+        "batch", ("delta", "poisson", "adaptive", [100.0, 120.0]), {"engine": "meanfield"},
+        _batch(
+            "delta", "poisson", "adaptive", [100.0, 120.0],
+            [0.0006246835930906469, 6.51171884202828e-06], TWO_MEANFIELD, "meanfield",
+        ),
+        id="meanfield-batch",
+    ),
+    pytest.param(
+        "batch", ("delta", "poisson", "adaptive", [55.0, 70.0]),
+        {"engine": "meanfield", "kbar": 50.0},
+        _batch(
+            "delta", "poisson", "adaptive", [55.0, 70.0],
+            [0.00031600849224433514, 7.33841436506566e-07], TWO_MEANFIELD, "meanfield",
+            kbar=50.0,
+        ),
+        id="meanfield-batch-kbar",
+    ),
+    pytest.param(
+        "point", ("theta", "poisson", "adaptive", 120.0), {},
+        _error("unknown quantity 'theta'; expected one of ['Delta', 'delta', 'gamma']"),
+        id="unknown-quantity",
+    ),
+    pytest.param(
+        "batch", ("delta", "bimodal", "adaptive", [120.0]), {},
+        _error("unknown load 'bimodal'; expected one of ['algebraic', 'exponential', 'poisson']"),
+        id="unknown-load",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "elastic", 120.0), {},
+        _error("unknown utility 'elastic'; expected one of ['adaptive', 'rigid']"),
+        id="unknown-utility",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "adaptive", 120.0), {"engine": "warp"},
+        _error("unknown engine 'warp'; expected one of ['meanfield']"),
+        id="unknown-engine",
+    ),
+    pytest.param(
+        "batch", ("delta", "poisson", "adaptive", []), {},
+        _error("empty query grid"),
+        id="empty-grid",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "adaptive", -5.0), {},
+        _error("query point must be finite and > 0"),
+        id="bad-point",
+    ),
+    pytest.param(
+        "point", ("delta", "poisson", "adaptive", 120.0), {"kbar": -1.0},
+        _error("kbar must be finite and > 0"),
+        id="bad-kbar-point",
+    ),
+    pytest.param(
+        "batch", ("gamma", "poisson", "adaptive", [0.01]), {"kbar": float("inf")},
+        _error("kbar must be finite and > 0"),
+        id="bad-kbar-batch",
+    ),
+    pytest.param(
+        "batch", ("delta", "poisson", "adaptive", [120.0]), {"engine": "meanfield", "kbar": NAN},
+        _error("kbar must be finite and > 0"),
+        id="bad-kbar-meanfield",
+    ),
+    pytest.param(
+        "point", ("gamma", "poisson", "adaptive", 0.05), {"engine": "meanfield"},
+        _error("engine=meanfield serves only quantity 'delta', not 'gamma'"),
+        id="meanfield-non-delta",
+    ),
+]
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, dict):
+        return (
+            isinstance(got, dict)
+            and got.keys() == want.keys()
+            and all(_same(got[key], want[key]) for key in want)
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(want, float):
+        if math.isnan(want):
+            return isinstance(got, float) and math.isnan(got)
+        return isinstance(got, float) and got == pytest.approx(want, rel=1e-7, abs=1e-12)
+    return type(got) is type(want) and got == want
+
+
+class TestPinnedResponses:
+    @pytest.mark.parametrize("method, args, kwargs, expected", PINNED)
+    def test_response_as_parsed_json(self, service, method, args, kwargs, expected):
+        try:
+            reply = getattr(service, method)(*args, **kwargs)
+        except QueryError as exc:
+            reply = {"error": str(exc)}
+        parsed = json.loads(json.dumps(reply))
+        assert _same(parsed, expected), (parsed, expected)
+        if "error" not in reply:
+            # a second ask, answered through the cache, reads the same
+            again = json.loads(json.dumps(getattr(service, method)(*args, **kwargs)))
+            assert _same(again, expected), (again, expected)

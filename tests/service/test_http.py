@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import socket
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
-from repro.service.http import MAX_BATCH_POINTS
+from repro.service.http import MAX_BATCH_POINTS, ServiceServer
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,81 @@ class TestErrorMapping:
                 "GET", "/v1/point?quantity=delta&load=poisson&utility=adaptive&x=abc"
             )
         assert exc.value.status == 400
+
+
+class TestFraming:
+    @pytest.mark.parametrize(
+        "length",
+        ["abc", "1e3", "-5", "9" * 5000],
+        ids=["word", "exponent", "negative", "5000-digits"],
+    )
+    def test_malformed_content_length_is_refused(self, server, caplog, length):
+        # answered on the same socket, never dropped with a logged
+        # traceback; the server then answers the next client
+        host, port = server.address
+        request = (
+            "POST /v1/point HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(request.encode("ascii"))
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        status = 413 if length.isdigit() else 400
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert "error" in json.loads(body)
+        with ServiceClient(host, port) as client:
+            assert client.health()["ok"] is True
+        assert not [r for r in caplog.records if r.exc_info is not None]
+
+
+class TestInlineRouting:
+    """Queries only a surface answers run on the event loop; every query
+    that may reach a solver, or is refused by the core, runs on the
+    executor."""
+
+    POINT = {"quantity": "delta", "load": "poisson", "utility": "adaptive"}
+
+    @pytest.mark.parametrize(
+        "path, body, offloaded, status",
+        [
+            ("/v1/point", {"x": 120.0}, False, 200),
+            ("/v1/point", {"x": 800.0}, True, 200),
+            ("/v1/point", {"x": 120.0, "utility": "rigid"}, True, 200),
+            ("/v1/point", {"x": 120.0, "kbar": 100.0}, True, 200),
+            ("/v1/point", {"x": 120.0, "engine": "meanfield"}, True, 200),
+            ("/v1/point", {"x": 120.0, "quantity": "theta"}, True, 400),
+            ("/v1/point", {"x": 120.0, "load": "exponential"}, True, 200),
+            ("/v1/batch", {"x": [20.0, 120.0, 400.0]}, False, 200),
+            ("/v1/batch", {"x": [120.0, 800.0]}, True, 200),
+            ("/v1/batch", {"x": [120.0], "kbar": 80.0}, True, 200),
+            ("/v1/batch", {"x": [120.0], "engine": "meanfield"}, True, 200),
+            ("/v1/batch", {"x": []}, False, 400),
+            ("/v1/batch", {"x": [120.0], "quantity": "theta"}, True, 400),
+        ],
+    )
+    def test_solver_bound_queries_go_to_the_executor(
+        self, client, monkeypatch, path, body, offloaded, status
+    ):
+        calls = []
+        offload = ServiceServer._offload
+
+        async def spy(self, call):
+            calls.append(call)
+            return await offload(self, call)
+
+        monkeypatch.setattr(ServiceServer, "_offload", spy)
+        try:
+            client.request("POST", path, {**self.POINT, **body})
+            got = 200
+        except ServiceClientError as exc:
+            got = exc.status
+        assert (bool(calls), got) == (offloaded, status)
 
 
 class TestConcurrency:
