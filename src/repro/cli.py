@@ -787,16 +787,48 @@ def _cmd_obs(args) -> int:
     )  # pragma: no cover
 
 
+def _config_label(digest: str) -> str:
+    """How a refusal names the config behind ``digest``."""
+    from repro.runner import config_digest
+
+    for name, config in (("default", DEFAULT_CONFIG), ("fast", FAST_CONFIG)):
+        if digest == config_digest(config):
+            return f"the {name} config"
+    return f"config {digest[:12]}"
+
+
+def _saved_bank(path, config):
+    """The bank saved at ``path`` if it loads and was fitted for ``config``.
+
+    Otherwise print the one-line reason and return ``None``: ``emulate
+    check --bank`` and ``serve --bank`` then exit 2 rather than probe or
+    serve surfaces fitted for other parameters.
+    """
+    from repro.emulator import SurfaceBank
+    from repro.runner import config_digest
+
+    try:
+        bank = SurfaceBank.load(path)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load bank {path}: {exc}", file=sys.stderr)
+        return None
+    expected = config_digest(config)
+    if bank.config_digest != expected:
+        print(
+            f"bank {path} was fitted for {_config_label(bank.config_digest)}, "
+            f"but this command uses {_config_label(expected)}; "
+            "pass --fast-config exactly when the bank was fitted with it",
+            file=sys.stderr,
+        )
+        return None
+    return bank
+
+
 def _cmd_emulate(args) -> int:
     """The ``emulate fit`` / ``emulate check`` subcommands."""
     import json as _json
 
-    from repro.emulator import (
-        SurfaceBank,
-        check_bank,
-        fit_bank,
-        surfaces_summary,
-    )
+    from repro.emulator import check_bank, fit_bank, surfaces_summary
     from repro.errors import CertificationError
 
     if args.emulate_command == "check" and args.probes < 1:
@@ -826,10 +858,8 @@ def _cmd_emulate(args) -> int:
 
     if args.emulate_command == "check":
         if args.bank:
-            try:
-                bank = SurfaceBank.load(args.bank)
-            except (OSError, ValueError) as exc:
-                print(f"cannot load bank {args.bank}: {exc}", file=sys.stderr)
+            bank = _saved_bank(args.bank, config)
+            if bank is None:
                 return 2
         else:
             try:
@@ -1114,7 +1144,7 @@ def _cmd_serve(args) -> int:
     """The ``serve`` command: run the HTTP service until interrupted."""
     import asyncio
 
-    from repro.emulator import SurfaceBank, fit_bank
+    from repro.emulator import fit_bank
     from repro.errors import CertificationError
     from repro.service import DEFAULT_EXECUTOR_WORKERS, EmulatorService
     from repro.service import serve as serve_async
@@ -1129,10 +1159,8 @@ def _cmd_serve(args) -> int:
     obs.reset()
     obs.enable()
     if args.bank:
-        try:
-            bank = SurfaceBank.load(args.bank)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load bank {args.bank}: {exc}", file=sys.stderr)
+        bank = _saved_bank(args.bank, config)
+        if bank is None:
             return 2
     else:
         print("fitting surfaces...", file=sys.stderr, flush=True)

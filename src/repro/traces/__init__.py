@@ -27,6 +27,7 @@ from repro.traces.format import FlowTrace
 from repro.traces.pipeline import analyze_trace
 from repro.traces.replay import (
     DEFAULT_WINDOWS,
+    MAX_WINDOWS,
     ReplayResult,
     TraceOccupancy,
     replay_stream,
@@ -64,6 +65,7 @@ from repro.traces.workloads import (
 __all__ = [
     "DEFAULT_CHUNK_FLOWS",
     "DEFAULT_WINDOWS",
+    "MAX_WINDOWS",
     "SEGMENT_SCHEMA",
     "WORKLOADS",
     "BatchWorkload",

@@ -58,6 +58,11 @@ from repro.utility.base import UtilityFunction
 #: Default number of measurement windows (each scored as one replication).
 DEFAULT_WINDOWS = 16
 
+#: Most measurement windows a sweep accepts.  The occupancy table has a
+#: row per window as wide as the census range, so a larger count is
+#: refused before anything is allocated.
+MAX_WINDOWS = 1024
+
 
 @dataclass(frozen=True)
 class ReplayResult:
@@ -215,17 +220,25 @@ def sweep_occupancy(
     merges that many departures anyway; it spans up to its last
     arrival.  After a fold the pending set is the census at that
     arrival, so ``max_pending`` is the peak census at fold instants.
-    Positive-duration segments are clipped to their window and
-    accumulated in global time order, making the result independent of
-    the chunking — byte-identical occupancies for any ``chunk_flows``.
+    Window edges are injected as events, so a slab's time-ordered
+    segments split into one contiguous run per window; each run is
+    clipped to ``[warmup, horizon]`` and scattered into its window's
+    row in time order.  Every cell thus adds its durations in global
+    time order, making the result independent of the chunking —
+    byte-identical occupancies for any ``chunk_flows``.
 
-    Raises :class:`~repro.errors.ModelError` if arrivals regress
-    across or within chunks (replay needs time order; sort the trace,
-    or use :func:`~repro.traces.stream.stream_trace`, first).
+    Raises :class:`~repro.errors.ModelError` if ``windows`` is outside
+    ``[2, MAX_WINDOWS]``, or if arrivals regress across or within
+    chunks (replay needs time order; sort the trace, or use
+    :func:`~repro.traces.stream.stream_trace`, first).
     """
     if windows < 2:
         raise ModelError(
             f"need windows >= 2 for a confidence interval, got {windows!r}"
+        )
+    if windows > MAX_WINDOWS:
+        raise ModelError(
+            f"need windows <= {MAX_WINDOWS} (one occupancy row each), got {windows!r}"
         )
     horizon = stream.horizon
     if warmup is None:
@@ -235,6 +248,7 @@ def sweep_occupancy(
             f"warmup must be in [0, horizon), got {warmup!r} vs {horizon!r}"
         )
     edges = np.linspace(warmup, horizon, windows + 1)
+    inner = edges[1:-1]  # a segment starting at or after inner[w] is past window w
 
     occ = np.zeros((windows, 8), dtype=float)
     pending = np.empty(0, dtype=float)  # sorted departure times
@@ -251,45 +265,65 @@ def sweep_occupancy(
     def process_slab(
         arrivals: np.ndarray, ends: np.ndarray, slab_end: float
     ) -> None:
-        """Fold all events up to ``slab_end`` into the occupancy."""
+        """Fold all events up to ``slab_end`` into the occupancy.
+
+        The merged events are in time order and every window edge is
+        one of them, so each window's segments form one contiguous run,
+        scattered into that window's row in time order.
+        """
         nonlocal occ, t_cur, n_cur, next_edge, events
         edge_hi = next_edge
         while edge_hi < len(edges) and edges[edge_hi] <= slab_end:
             edge_hi += 1
         boundaries = edges[next_edge:edge_hi]
         next_edge = edge_hi
-        times = np.concatenate([arrivals, ends, boundaries])
-        deltas = np.concatenate(
-            [
-                np.ones(len(arrivals), dtype=np.int64),
-                -np.ones(len(ends), dtype=np.int64),
-                np.zeros(len(boundaries), dtype=np.int64),
-            ]
-        )
+        n_arr, n_end = len(arrivals), len(ends)
+        n = n_arr + n_end + len(boundaries)
+        events += n_arr + n_end
+        if n == 0:
+            t_cur = slab_end
+            return
+        times = np.empty(n)
+        times[:n_arr] = arrivals
+        times[n_arr : n_arr + n_end] = ends
+        times[n_arr + n_end :] = boundaries
+        deltas = np.zeros(n, dtype=np.int64)
+        deltas[:n_arr] = 1
+        deltas[n_arr : n_arr + n_end] = -1
+        # ties keep arrivals before departures before edges
         order = np.argsort(times, kind="stable")
         times = times[order]
-        levels_after = n_cur + np.cumsum(deltas[order])
-        # segment i runs [seg_start[i], times[i]) at seg_level[i]
-        seg_start = np.concatenate([[t_cur], times[:-1]])
-        seg_level = np.concatenate([[n_cur], levels_after[:-1]])
-        lo = np.maximum(seg_start, warmup)
-        hi = np.minimum(times, horizon)
-        durs = hi - lo
-        keep = durs > 0.0
-        if np.any(keep):
-            lo = lo[keep]
-            durs = durs[keep]
-            levels = seg_level[keep].astype(np.int64)
-            w_idx = np.clip(
-                np.searchsorted(edges, lo, side="right") - 1, 0, windows - 1
-            )
-            top = int(levels.max())
-            if top >= occ.shape[1]:
-                occ = _grow_columns(occ, max(top + 1, 2 * occ.shape[1]))
-            np.add.at(occ, (w_idx, levels), durs)
-        events += len(times) - len(boundaries)
+        deltas = deltas[order]
+        # segment i runs [starts[i], times[i]) at levels[i]
+        starts = np.empty(n)
+        starts[0] = t_cur
+        starts[1:] = times[:-1]
+        levels = np.empty(n, dtype=np.int64)
+        levels[0] = n_cur
+        levels[1:] = deltas[:-1]
+        np.cumsum(levels, out=levels)
+        n_cur = int(levels[-1] + deltas[-1])
         t_cur = slab_end
-        n_cur = int(levels_after[-1]) if len(levels_after) else n_cur
+        if starts[0] < warmup or times[-1] > horizon:
+            lo = np.maximum(starts, warmup)
+            durs = np.minimum(times, horizon) - lo
+            keep = durs > 0.0
+            starts, durs, levels = lo[keep], durs[keep], levels[keep]
+            if not len(durs):
+                return
+        else:
+            # inside [warmup, horizon] no clip binds, and a zero-length
+            # segment adds +0.0, which leaves every cell's bytes alone
+            durs = times - starts
+        top = int(levels.max())
+        if top >= occ.shape[1]:
+            occ = _grow_columns(occ, max(top + 1, 2 * occ.shape[1]))
+        first = int(np.searchsorted(inner, starts[0], side="right"))
+        last = int(np.searchsorted(inner, starts[-1], side="right"))
+        cuts = np.searchsorted(starts, inner[first:last], side="left").tolist()
+        for w, a, b in zip(range(first, last + 1), [0, *cuts], [*cuts, len(starts)]):
+            if b > a:
+                np.add.at(occ[w], levels[a:b], durs[a:b])
 
     with obs.span("traces.sweep", windows=windows):
         for arrivals, departures in _slabs(stream, lambda: len(pending)):
@@ -303,8 +337,8 @@ def sweep_occupancy(
             slabs += 1
             ends_new = np.minimum(departures, horizon)
             slab_end = last_arrival
-            due = pending[pending <= slab_end]
-            pending = pending[pending > slab_end]
+            split = int(np.searchsorted(pending, slab_end, side="right"))
+            due, pending = pending[:split], pending[split:]
             new_due = ends_new[ends_new <= slab_end]
             new_later = ends_new[ends_new > slab_end]
             ends = np.sort(np.concatenate([due, new_due]))
@@ -313,7 +347,8 @@ def sweep_occupancy(
             if len(pending) > max_pending:
                 max_pending = len(pending)
         # drain: departures (and window edges) after the last arrival
-        process_slab(np.empty(0), pending[pending <= horizon], horizon)
+        split = int(np.searchsorted(pending, horizon, side="right"))
+        process_slab(np.empty(0), pending[:split], horizon)
 
     # trim the level axis to the occupied range so the result is
     # canonical (growth doubling would otherwise leak the chunking)

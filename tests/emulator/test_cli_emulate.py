@@ -18,6 +18,13 @@ def bank_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def fast_bank_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("emulate-fast") / "bank.json"
+    assert main(["emulate", "fit", "--fast-config", "--out", str(path)]) == 0
+    return path
+
+
 class TestFit:
     def test_bank_file_is_schema_tagged_and_complete(self, bank_path):
         payload = json.loads(bank_path.read_text())
@@ -139,3 +146,48 @@ class TestBankFileRefusals:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and reason in err, err
+
+
+class TestBankConfig:
+    """A saved bank is probed or served only under the config it was fitted for."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_obs(self):
+        yield
+        obs.disable()
+        obs.reset()
+
+    @pytest.mark.parametrize("command", [["emulate", "check"], ["serve"]], ids=" ".join)
+    @pytest.mark.parametrize(
+        "bank, flags, fitted, used",
+        [
+            ("fast_bank_path", [], "the fast config", "the default config"),
+            ("bank_path", ["--fast-config"], "the default config", "the fast config"),
+        ],
+        ids=["fast-bank", "default-bank-with-fast-config"],
+    )
+    def test_other_configs_bank_exits_2_with_one_line(
+        self, request, capsys, command, bank, flags, fitted, used
+    ):
+        path = request.getfixturevalue(bank)
+        capsys.readouterr()  # a first fit's "bank written" line
+        assert main([*command, "--bank", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert f"fitted for {fitted}, but this command uses {used}" in err
+        assert "pass --fast-config exactly when" in err
+
+    def test_unknown_config_is_named_by_digest(self, bank_path, tmp_path, capsys):
+        other = tmp_path / "bank.json"
+        other.write_text(
+            json.dumps({**json.loads(bank_path.read_text()), "config_digest": "0123456789abcdef"})
+        )
+        for argv in (["emulate", "check", "--bank", str(other)], ["serve", "--bank", str(other)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "fitted for config 0123456789ab," in err, err
+
+    def test_fast_bank_checks_under_fast_config(self, fast_bank_path, capsys):
+        argv = ["emulate", "check", "--bank", str(fast_bank_path), "--fast-config"]
+        assert main([*argv, "--probes", "5"]) == 0
+        assert "FAIL" not in capsys.readouterr().out

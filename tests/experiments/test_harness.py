@@ -241,3 +241,18 @@ class TestCliTraceRefusals:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert named in err
+
+    def test_window_count_past_the_cap_exits_2_with_one_line(self, tmp_path, capsys):
+        from repro.traces import MAX_WINDOWS, default_workload, write_trace_csv
+
+        path = write_trace_csv(
+            default_workload("poisson", 5.0).stream(20.0, seed=1), tmp_path / "t.csv"
+        )
+        argv = ["traces", "replay", str(path), "--capacity", "10", "--windows"]
+        for windows in (MAX_WINDOWS + 1, 1_000_000):
+            assert main([*argv, str(windows)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert f"windows <= {MAX_WINDOWS}" in err
+        assert main([*argv, str(MAX_WINDOWS), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["windows"] == MAX_WINDOWS

@@ -1,8 +1,9 @@
 """Kill a run mid-flight; the cache must contain only valid entries.
 
 These tests drive the real CLI in a subprocess (the only honest way
-to test SIGKILL) with experiments slow enough (~1-2 s) that the kill
-reliably lands while workers are computing.
+to test SIGKILL) with selections whose work after the start-up banner
+(0.5-0.8 s on a 2-core box, most of it S1's ensemble) outlasts the
+0.15 s pause, so the kill reliably lands while workers are computing.
 """
 
 import json
@@ -48,12 +49,12 @@ def _assert_cache_is_clean(cache_dir):
 @pytest.mark.slow
 class TestKillMidRun:
     def test_sigkill_leaves_no_partial_entries(self, tmp_path):
-        ids = ["T1", "F2", "T5", "F3"]
+        ids = ["T1", "F2", "T5", "F3", "S1"]
         proc = _spawn_run_all(tmp_path, ids, jobs=2)
         # wait for the pre-work banner, then let computation begin.
         # The pause must stay well under the post-banner runtime (the
-        # shared-tail tables made the fast sweeps sub-second) or the
-        # run finishes cleanly before the kill lands.
+        # four fast sweeps alone finish in 0.2-0.4 s; S1 keeps it going)
+        # or the run finishes cleanly before the kill lands.
         banner = proc.stderr.readline()
         assert b"run-all" in banner
         time.sleep(0.15)
@@ -63,7 +64,7 @@ class TestKillMidRun:
         _assert_cache_is_clean(tmp_path)
 
     def test_rerun_after_kill_completes_and_reuses_survivors(self, tmp_path):
-        ids = ["T4", "C1", "T1"]
+        ids = ["T4", "C1", "T1", "S1"]
         # a clean first pass seeds T4/C1; then a killed pass must not
         # corrupt them, and the final pass serves them from cache
         seed = _spawn_run_all(tmp_path, ids[:2], jobs=1)
@@ -75,6 +76,7 @@ class TestKillMidRun:
         time.sleep(0.15)
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
+        assert proc.returncode != 0  # the kill landed before T1 and S1 were done
         surviving = {p.name for p in _assert_cache_is_clean(tmp_path)}
         assert seeded <= surviving
 
