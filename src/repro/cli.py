@@ -6,14 +6,15 @@ Usage::
     repro-experiments run F3               # regenerate Figure 3's series
     repro-experiments run T1 --json        # Section 3.3 checkpoints, JSON
     repro-experiments run F4 --fast        # small grids for a quick look
-    repro-experiments run F3 --profile     # + span-tree timing & metrics
+    repro-experiments run F3 --profile     # + span hotspot table & metrics
+    repro-experiments run F3 --cache-dir .repro-cache  # through the cache
     repro-experiments run-all --jobs 4     # every experiment, in parallel,
                                            # through the on-disk result cache
     repro-experiments run-all F2 T1 --force   # recompute just these two
+    repro-experiments run-all --fast --no-cache --json  # time every experiment
     repro-experiments checkpoints          # the full paper-vs-measured table
     repro-experiments verify               # paper-invariant fast suite
     repro-experiments verify --suite deep --json   # + ensemble oracles
-    repro-experiments profile --json       # time every registered experiment
     repro-experiments export F3 --out fig  # CSV + gnuplot for Figure 3
     repro-experiments traces generate diurnal t.csv --rate 40 --horizon 240
     repro-experiments traces replay t.csv --capacity 44    # CRN-paired B/R/gap
@@ -42,6 +43,7 @@ from typing import NoReturn, Optional, Sequence
 from repro import obs
 from repro.experiments import checkpoints, registry, report
 from repro.experiments.params import DEFAULT_CONFIG, FAST_CONFIG
+from repro.ioutils import atomic_write_text
 from repro.obs import ledger
 
 #: Where gated benchmarks append their headline metrics.
@@ -130,7 +132,8 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="collect observability data and print a timing/metrics report",
+        help="collect observability data and print the span hotspot table "
+        "and the metrics",
     )
     parser.add_argument(
         "--trace-json",
@@ -272,29 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(mf, cache_dir_default=None)
     _add_profile_args(mf)
-
-    prof = sub.add_parser(
-        "profile",
-        help="time every registered experiment and report per-experiment "
-        "wall time + metric deltas (reduced grids unless --full)",
-    )
-    prof.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    prof.add_argument(
-        "--full",
-        action="store_true",
-        help="profile at the paper's full grids (slow) instead of the fast ones",
-    )
-    prof.add_argument(
-        "--only",
-        nargs="+",
-        metavar="ID",
-        help="profile only these experiment ids",
-    )
-    prof.add_argument(
-        "--out",
-        metavar="PATH",
-        help="also write the machine-readable report JSON to PATH",
-    )
 
     ex = sub.add_parser(
         "export", help="write a figure's series as CSV + gnuplot scripts"
@@ -648,7 +628,7 @@ def _finish_observed(args) -> int:
     status = 0
     if args.trace_json:
         try:
-            obs.write_report_text(args.trace_json, obs.trace_json())
+            atomic_write_text(args.trace_json, obs.trace_json())
         except OSError as exc:
             print(f"cannot write trace to {args.trace_json}: {exc}", file=sys.stderr)
             status = 2
@@ -741,8 +721,6 @@ def _cmd_obs(args) -> int:
             for err in errors:
                 print(err, file=sys.stderr)
             return 1
-        from repro.ioutils import atomic_write_text
-
         atomic_write_text(args.out, _json.dumps(trace))
         print(
             f"chrome trace written to {args.out} "
@@ -1146,7 +1124,7 @@ def _cmd_serve(args) -> int:
 
     from repro.emulator import fit_bank
     from repro.errors import CertificationError
-    from repro.service import DEFAULT_EXECUTOR_WORKERS, EmulatorService
+    from repro.service import DEFAULT_EXECUTOR_WORKERS, EmulatorService, metered
     from repro.service import serve as serve_async
 
     if args.workers is not None and args.workers < 1:
@@ -1156,45 +1134,42 @@ def _cmd_serve(args) -> int:
     config = FAST_CONFIG if args.fast_config else DEFAULT_CONFIG
     # metrics are always on for a server: /v1/metrics exposes the
     # counters and per-endpoint latency histograms
-    obs.reset()
-    obs.enable()
-    if args.bank:
-        bank = _saved_bank(args.bank, config)
-        if bank is None:
-            return 2
-    else:
-        print("fitting surfaces...", file=sys.stderr, flush=True)
-        try:
-            bank = fit_bank(config)
-        except CertificationError as exc:
-            print(f"certification refused: {exc}", file=sys.stderr)
-            return 1
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        from repro.runner import ResultCache
+    with metered():
+        if args.bank:
+            bank = _saved_bank(args.bank, config)
+            if bank is None:
+                return 2
+        else:
+            print("fitting surfaces...", file=sys.stderr, flush=True)
+            try:
+                bank = fit_bank(config)
+            except CertificationError as exc:
+                print(f"certification refused: {exc}", file=sys.stderr)
+                return 1
+        cache = None
+        if args.cache_dir and not args.no_cache:
+            from repro.runner import ResultCache
 
-        cache = ResultCache(args.cache_dir)
-    service = EmulatorService(config, bank=bank, cache=cache)
-    print(
-        f"serving {len(bank)} surface(s) on http://{args.host}:{args.port} "
-        f"(cache: {args.cache_dir if cache is not None else 'off'})",
-        file=sys.stderr,
-        flush=True,
-    )
-    workers = DEFAULT_EXECUTOR_WORKERS if args.workers is None else args.workers
-    try:
-        asyncio.run(
-            serve_async(
-                service,
-                host=args.host,
-                port=args.port,
-                executor_workers=workers,
-            )
+            cache = ResultCache(args.cache_dir)
+        service = EmulatorService(config, bank=bank, cache=cache)
+        print(
+            f"serving {len(bank)} surface(s) on http://{args.host}:{args.port} "
+            f"(cache: {args.cache_dir if cache is not None else 'off'})",
+            file=sys.stderr,
+            flush=True,
         )
-    except KeyboardInterrupt:
-        print("interrupted; shutting down", file=sys.stderr)
-    finally:
-        obs.disable()
+        workers = DEFAULT_EXECUTOR_WORKERS if args.workers is None else args.workers
+        try:
+            asyncio.run(
+                serve_async(
+                    service,
+                    host=args.host,
+                    port=args.port,
+                    executor_workers=workers,
+                )
+            )
+        except KeyboardInterrupt:
+            print("interrupted; shutting down", file=sys.stderr)
     return 0
 
 
@@ -1250,8 +1225,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "run":
+        from repro import runner
+
         try:
-            exp = registry.get(args.experiment)
+            registry.get(args.experiment)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
@@ -1262,40 +1239,35 @@ def _dispatch(args) -> int:
         if observing:
             obs.reset()
             obs.enable()
-        cache = None
-        if args.cache_dir and not args.no_cache:
-            from repro.runner import ResultCache
-
-            cache = ResultCache(args.cache_dir)
-        cache_status = None
-
-        def compute():
-            with obs.span("experiment", id=exp.exp_id):
-                return exp.run(config)
-
-        start = time.perf_counter()
-        if cache is None:
-            result = compute()
-        else:
-            result, hit = cache.read_through(exp, config, compute, force=args.force)
-            cache_status = "hit" if hit else "miss"
-        elapsed = time.perf_counter() - start
-        if args.json:
+        batch = runner.run_many(
+            [args.experiment],
+            config=config,
+            jobs=1,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            force=args.force,
+        )
+        (outcome,) = batch.outcomes
+        if not outcome.ok:
+            print(f"{outcome.exp_id}: {outcome.error}", file=sys.stderr)
+        elif args.json:
             meta = {
-                "experiment": exp.exp_id,
-                "elapsed_seconds": elapsed,
+                "experiment": outcome.exp_id,
+                "elapsed_seconds": batch.wall_seconds,
                 "config": "fast" if args.fast else "default",
             }
-            if cache is not None:
-                meta["cache"] = cache_status
+            if batch.cache_dir is not None:
+                cached = outcome.status == runner.STATUS_CACHED
+                meta["cache"] = "hit" if cached else "miss"
             if observing:
                 meta["metrics"] = obs.snapshot()
-            print(report.to_json(result, meta=meta))
+            print(report.to_json(outcome.result(), meta=meta))
         else:
-            print(report.render(result))
-        if observing:
-            return _finish_observed(args)
-        return 0
+            print(report.render(outcome.result()))
+        status = _finish_observed(args) if observing else 0
+        if status:
+            return status
+        return 0 if outcome.ok else 1
 
     if args.command == "run-all":
         from repro import runner
@@ -1402,35 +1374,6 @@ def _dispatch(args) -> int:
         if status:
             return status
         return 0 if verification.ok else 1
-
-    if args.command == "profile":
-        from repro.experiments import profiling
-
-        config = DEFAULT_CONFIG if args.full else FAST_CONFIG
-        obs.reset()
-        obs.enable()
-        try:
-            entries = profiling.profile_all(config, only=args.only)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        finally:
-            obs.disable()
-        payload = profiling.report_dict(
-            entries, config_name="default" if args.full else "fast"
-        )
-        if args.out:
-            import json as _json
-
-            obs.write_report_text(args.out, _json.dumps(payload, indent=2))
-            print(f"profile report written to {args.out}", file=sys.stderr)
-        if args.json:
-            import json as _json
-
-            print(_json.dumps(payload, indent=2))
-        else:
-            print(profiling.render_entries(entries))
-        return 0 if all(e.ok for e in entries) else 1
 
     if args.command == "export":
         try:

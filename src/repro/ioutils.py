@@ -1,7 +1,7 @@
 """Crash-safe file writing shared by exporters, reports and the runner.
 
 Every artifact this package writes (CSV series, gnuplot scripts, trace
-JSON, profile reports, result-cache entries) goes through
+JSON, result-cache entries) goes through
 :func:`atomic_write_text`: the content lands in a uniquely named
 temporary file *in the destination directory* and is moved into place
 with :func:`os.replace`.  A crash — including SIGKILL of a runner

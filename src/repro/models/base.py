@@ -85,13 +85,23 @@ class CapacityModel(abc.ABC):
     #: truncated sums.
     GAP_FLOOR: ClassVar[float] = 1e-12
 
-    #: Largest ``C + Delta`` the gap solver's brackets may grow to.
+    #: Least ceiling on ``C + Delta`` for the gap solver's brackets.
     GAP_LIMIT: ClassVar[float] = 1e9
 
     @property
     @abc.abstractmethod
     def mean_load(self) -> float:
         """``k_bar``: per-flow utilities times this are total utilities."""
+
+    @property
+    def gap_limit(self) -> float:
+        """Largest capacity the gap and planning solvers' brackets reach.
+
+        :attr:`GAP_LIMIT`, or 64 mean loads once that is larger: a
+        fixed ceiling sits below the root ``B(C + Delta) = R(C)`` of a
+        census whose mean alone is past it (Poisson ``k_bar = 1e9``).
+        """
+        return max(self.GAP_LIMIT, 64.0 * self.mean_load)
 
     @abc.abstractmethod
     def best_effort_batch(self, capacities) -> np.ndarray:
@@ -131,7 +141,7 @@ class CapacityModel(abc.ABC):
             self.reservation_batch(caps),
             self.best_effort_batch(caps),
             gap_floor=self.GAP_FLOOR,
-            upper_limit=self.GAP_LIMIT,
+            upper_limit=self.gap_limit,
             label=f"{type(self).__name__} bandwidth gap",
         )
 

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
+from repro.caching import BoundedCache
 from repro.errors import ModelError
 from repro.utility.base import UtilityFunction
 from repro.utility.probes import UtilityClass, classify
@@ -104,7 +105,7 @@ class FixedLoadModel:
         self._utility = utility
         self._k_max_limit = k_max_limit
         self._k_max_override = k_max_override
-        self._k_max_cache: dict = {}
+        self._k_max_cache = BoundedCache()
 
     @property
     def utility(self) -> UtilityFunction:
@@ -257,7 +258,7 @@ class FixedLoadModel:
 
         result[idx] = best
         for j, i in enumerate(idx):
-            self._k_max_cache[float(caps[i])] = int(best[j])
+            self._k_max_cache.put(float(caps[i]), int(best[j]))
         return result
 
     def compare(self, offered_flows: int, capacity: float) -> FixedLoadComparison:

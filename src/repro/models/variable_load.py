@@ -507,9 +507,7 @@ class VariableLoadModel(CapacityModel):
         """
         return blocked_flows(self._load, self.k_max(capacity)) / self._kbar
 
-    def capacity_for_best_effort(
-        self, target: float, *, upper_limit: float = 1e9
-    ) -> float:
+    def capacity_for_best_effort(self, target: float) -> float:
         """Smallest capacity with ``B(C) >= target`` (inverse planning).
 
         The operator's question in the provisioning debate: how much
@@ -524,13 +522,11 @@ class VariableLoadModel(CapacityModel):
             0.0,
             max(2.0 * self._kbar, 1.0),
             increasing=True,
-            upper_limit=upper_limit,
+            upper_limit=self.gap_limit,
             label=f"capacity for B = {target}",
         )
 
-    def capacity_for_reservation(
-        self, target: float, *, upper_limit: float = 1e9
-    ) -> float:
+    def capacity_for_reservation(self, target: float) -> float:
         """Smallest capacity with ``R(C) >= target``."""
         if not 0.0 < target < 1.0:
             raise ValueError(f"target utility must be in (0, 1), got {target!r}")
@@ -540,6 +536,6 @@ class VariableLoadModel(CapacityModel):
             0.0,
             max(2.0 * self._kbar, 1.0),
             increasing=True,
-            upper_limit=upper_limit,
+            upper_limit=self.gap_limit,
             label=f"capacity for R = {target}",
         )

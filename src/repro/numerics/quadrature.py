@@ -98,12 +98,13 @@ def _panel_rule(func, a, b, row, cut):
     if mapped.size:
         u = t[mapped]
         scale = cut[mapped, None]
-        # u below ~1.5e-154 squares to 0.0; the substituted integrand
-        # vanishes there (the density decays faster than k**2 grows)
-        under = u * u == 0.0
+        # where cut/u**2 overflows (u * u at or near 0.0) the substituted
+        # integrand vanishes: the density decays faster than k**2 grows
         with np.errstate(divide="ignore", over="ignore"):
+            dxdu = scale / (u * u)
+            under = ~np.isfinite(dxdu)
             x[mapped] = np.where(under, scale, scale / u)
-            jacobian[mapped] = np.where(under, 0.0, scale / (u * u))
+            jacobian[mapped] = np.where(under, 0.0, dxdu)
     f = np.broadcast_to(np.asarray(func(x, row[:, None]), dtype=float), t.shape) * jacobian
     kronrod = (f * _W_KRONROD).sum(axis=1)
     gauss = (f * _W_GAUSS).sum(axis=1)

@@ -12,7 +12,7 @@ Typical use::
 
     obs.enable()
     ...  # run experiments / simulations
-    print(obs.render_report())
+    print(obs.render_report())  # span hotspot table + metrics
     obs.disable()
 
 Instrumented library code follows one pattern — check, then touch::
@@ -46,8 +46,7 @@ from repro.obs.metrics import (
     MetricTypeMismatchError,
     merge_snapshots,
 )
-from repro.obs.report import render_report as _render_report
-from repro.obs.report import render_span_tree, write_report_text
+from repro.obs.traceview import hotspots, render_hotspots
 from repro.obs.tracing import NULL_SPAN, SpanRecord, Tracer
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "open_journal",
     "registry",
     "render_report",
-    "render_span_tree",
     "reset",
     "session",
     "share_journal_env",
@@ -84,7 +82,6 @@ __all__ = [
     "trace_json",
     "trace_roots",
     "tracer",
-    "write_report_text",
 ]
 
 _enabled: bool = False
@@ -225,5 +222,10 @@ def trace_json(*, indent: int = 2) -> str:
 
 
 def render_report() -> str:
-    """Text report of the active trace and metrics (``--profile``)."""
-    return _render_report(_registry, _tracer.roots())
+    """The ``--profile`` report: the span hotspot table, then the metrics."""
+    return (
+        "== span hotspots (wall time) ==\n"
+        + render_hotspots(hotspots(_tracer.roots()))
+        + "\n\n== metrics ==\n"
+        + _registry.render_text()
+    )

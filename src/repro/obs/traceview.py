@@ -251,7 +251,7 @@ def render_hotspots(report: Dict[str, object], *, top: int = 0) -> str:
         rows = rows[:top]
     if not rows:
         return "(no spans recorded)"
-    name_width = max(len(str(r["name"])) for r in rows)
+    name_width = max(len("span"), *(len(str(r["name"])) for r in rows))
     lines = [
         f"{'span':<{name_width}}  {'count':>6}  {'self s':>10}  "
         f"{'cum s':>10}  {'mean s':>10}  {'p50 s':>10}  {'p99 s':>10}"

@@ -147,8 +147,7 @@ class Tracer:
                 stack.pop()
             stack.pop()
         if is_root:
-            with self._lock:
-                self._roots.append(record)
+            self.adopt(record)
 
     # -- public API ----------------------------------------------------
 
@@ -162,10 +161,11 @@ class Tracer:
             return list(self._roots)
 
     def adopt(self, record: SpanRecord) -> None:
-        """Append an already-finished span tree as a root.
+        """Keep a finished span tree as a root.
 
-        Used to merge spans recorded elsewhere (runner workers) into
-        this tracer so one report covers the whole parallel run.
+        Every root span lands here as it closes, and so do trees
+        recorded elsewhere (runner workers), so one report covers the
+        whole parallel run.
         """
         with self._lock:
             self._roots.append(record)

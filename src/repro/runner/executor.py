@@ -232,7 +232,6 @@ def run_many(
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
     use_cache: bool = True,
     force: bool = False,
-    observe_workers: Optional[bool] = None,
 ) -> RunReport:
     """Run a batch of experiments in parallel with result caching.
 
@@ -250,10 +249,10 @@ def run_many(
     cache_dir / use_cache / force:
         ``use_cache=False`` neither reads nor writes the cache.
         ``force=True`` skips lookups but still writes fresh entries.
-    observe_workers:
-        Collect per-worker metrics/spans and merge them into the
-        parent's obs sinks.  Default: whatever :func:`repro.obs.enabled`
-        says in the parent when the run starts.
+
+    Workers collect metrics and spans, merged into the parent's obs
+    sinks, whenever :func:`repro.obs.enabled` says so in the parent
+    when the run starts.
 
     Returns a :class:`RunReport`; outcomes are in requested-id order.
     """
@@ -265,7 +264,7 @@ def run_many(
         ids = list(ids)
     experiments = [registry.get(exp_id) for exp_id in ids]  # fail fast
 
-    observe = obs.enabled() if observe_workers is None else bool(observe_workers)
+    observe = obs.enabled()
     cache = ResultCache(cache_dir) if (use_cache and cache_dir) else None
     effective_dir = str(cache.root) if cache is not None else None
 
@@ -325,7 +324,7 @@ def run_many(
     # one aggregate report: merge worker registries/spans into the
     # parent's active sinks so --profile covers the whole run
     merged = merge_snapshots(worker_metrics) if worker_metrics else None
-    if observe and obs.enabled():
+    if observe:
         for snap in worker_metrics:
             obs.registry().absorb_snapshot(snap)
         for span_dict in worker_spans:

@@ -17,6 +17,7 @@ from repro.service.http import (
     MAX_BODY_BYTES,
     BackgroundServer,
     ServiceServer,
+    metered,
     serve,
 )
 
@@ -27,6 +28,7 @@ __all__ = [
     "UTILITIES",
     "ServiceServer",
     "BackgroundServer",
+    "metered",
     "serve",
     "ServiceClient",
     "ServiceClientError",

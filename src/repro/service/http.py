@@ -31,10 +31,12 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Optional, Tuple
 
 from repro import obs
 from repro.errors import OutOfDomainError, ReproError
+from repro.obs.tracing import SpanRecord, Tracer
 from repro.service.core import EmulatorService, QueryError
 
 #: Largest accepted request body (a 100k-point batch is ~2 MB).
@@ -316,6 +318,33 @@ class ServiceServer:
         )
 
 
+class _SpanlessTracer(Tracer):
+    """A tracer that drops every span tree as it finishes."""
+
+    def adopt(self, record: SpanRecord) -> None:
+        """Keep nothing."""
+
+
+@contextmanager
+def metered():
+    """Observability as ``repro serve`` runs it: metrics on, spans dropped.
+
+    ``/v1/metrics`` reads the counters and latency histograms.  Nothing
+    reads the spans the instrumented models open, two or more per exact
+    query, so they are dropped as they finish and a long-running
+    server's memory does not grow with its traffic.  On exit obs is
+    disabled again, with the tracer it had before.
+    """
+    previous = obs.tracer()
+    obs.reset()
+    obs.enable(tracer=_SpanlessTracer())
+    try:
+        yield
+    finally:
+        obs.enable(tracer=previous)
+        obs.disable()
+
+
 async def serve(
     service: EmulatorService,
     *,
@@ -419,6 +448,7 @@ class BackgroundServer:
 __all__ = [
     "ServiceServer",
     "BackgroundServer",
+    "metered",
     "serve",
     "MAX_BATCH_POINTS",
     "MAX_BODY_BYTES",

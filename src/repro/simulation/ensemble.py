@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -323,12 +322,10 @@ class PairedGapResult:
         }
 
 
-def _check_counts(replications: int, jobs: int) -> None:
-    """Refuse replication and worker counts below one."""
+def _check_counts(replications: int) -> None:
+    """Refuse replication counts below one."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
 
 
 class EnsembleSimulator:
@@ -413,16 +410,13 @@ class EnsembleSimulator:
         seed: Optional[int] = None,
         initial_census: Optional[int] = None,
         max_events: int = 20_000_000,
-        jobs: int = 1,
     ) -> EnsembleResult:
         """Run ``replications`` independent trajectories to ``horizon``.
 
         ``seed`` feeds ``SeedSequence.spawn``: replication ``r`` sees
-        the stream of seed child ``r`` regardless of ``jobs``, so the
-        result is byte-identical whether computed inline or fanned out
-        over worker processes.
+        the stream of seed child ``r``.
         """
-        _check_counts(replications, jobs)
+        _check_counts(replications)
         children = spawn_children(
             seed if seed is not None else np.random.SeedSequence(), replications
         )
@@ -432,7 +426,6 @@ class EnsembleSimulator:
             warmup=warmup,
             initial_census=initial_census,
             max_events=max_events,
-            jobs=jobs,
         )
 
     def run_until(
@@ -449,7 +442,6 @@ class EnsembleSimulator:
         batch_size: int = 16,
         min_replications: int = 8,
         max_replications: int = 1024,
-        jobs: int = 1,
     ) -> AdaptiveEstimate:
         """Grow the ensemble until the statistic's CI is tight enough.
 
@@ -474,7 +466,7 @@ class EnsembleSimulator:
                 "need 2 <= min_replications <= max_replications, got "
                 f"{min_replications!r} vs {max_replications!r}"
             )
-        _check_counts(max_replications, jobs)
+        _check_counts(max_replications)
         children = spawn_children(
             seed if seed is not None else np.random.SeedSequence(),
             max_replications,
@@ -490,7 +482,6 @@ class EnsembleSimulator:
                     warmup=warmup,
                     initial_census=initial_census,
                     max_events=max_events,
-                    jobs=jobs,
                 )
             except SimulationBudgetError as exc:
                 # completed batches are paid for: surface the Welford
@@ -566,22 +557,12 @@ class EnsembleSimulator:
         warmup: float,
         initial_census: Optional[int],
         max_events: int,
-        jobs: int = 1,
     ) -> EnsembleResult:
         if horizon <= 0.0:
             raise ValueError(f"horizon must be > 0, got {horizon!r}")
         if not 0.0 <= warmup < horizon:
             raise ValueError(
                 f"warmup must be in [0, horizon), got {warmup!r} vs {horizon!r}"
-            )
-        if jobs > 1 and len(children) > 1:
-            return self._run_pooled(
-                children,
-                horizon,
-                warmup=warmup,
-                initial_census=initial_census,
-                max_events=max_events,
-                jobs=jobs,
             )
         fallback = self.vectorization_fallback()
         if fallback is not None:
@@ -600,54 +581,6 @@ class EnsembleSimulator:
             initial_census=initial_census,
             max_events=max_events,
         )
-
-    def _run_pooled(
-        self,
-        children: Sequence[np.random.SeedSequence],
-        horizon: float,
-        *,
-        warmup: float,
-        initial_census: Optional[int],
-        max_events: int,
-        jobs: int,
-    ) -> EnsembleResult:
-        """Fan replications over worker processes, chunk-deterministic.
-
-        Chunks are merged in submission order (never completion order)
-        and each worker isolates its own obs sinks and ships a snapshot
-        home — the :func:`repro.runner.executor.run_many` discipline —
-        so ``jobs > 1`` reproduces ``jobs = 1`` byte for byte.
-        """
-        observe = obs.enabled()
-        n_chunks = min(jobs, len(children))
-        bounds = np.linspace(0, len(children), n_chunks + 1).astype(int)
-        wall_start = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _ensemble_worker,
-                    self,
-                    list(children[lo:hi]),
-                    horizon,
-                    warmup,
-                    initial_census,
-                    max_events,
-                    observe,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            raws = [f.result() for f in futures]
-        parts: List[EnsembleResult] = [raw["result"] for raw in raws]
-        if observe and obs.enabled():
-            for raw in raws:
-                if raw.get("metrics"):
-                    obs.registry().absorb_snapshot(raw["metrics"])
-            wall = time.perf_counter() - wall_start
-            total_events = int(sum(p.events.sum() for p in parts))
-            if wall > 0.0:
-                obs.gauge("ensemble.pooled_event_rate").set(total_events / wall)
-        return _merge_results(parts)
 
     def _scalar_twin(self) -> FlowSimulator:
         return FlowSimulator(
@@ -1074,65 +1007,6 @@ class _CensusWalk:
         )
 
 
-def _merge_results(parts: Sequence[EnsembleResult]) -> EnsembleResult:
-    """Concatenate chunk results, re-padding to the widest chunk."""
-    if len(parts) == 1:
-        return parts[0]
-    first = parts[0]
-    length = max(p.times.shape[1] for p in parts)
-
-    def pad(p: EnsembleResult, source: np.ndarray, fill: float) -> np.ndarray:
-        out = np.full((source.shape[0], length), fill, dtype=float)
-        out[:, : source.shape[1]] = source
-        return out
-
-    return EnsembleResult(
-        times=np.concatenate([pad(p, p.times, p.horizon) for p in parts]),
-        census=np.concatenate([pad(p, p.census, 0.0) for p in parts]),
-        admitted=np.concatenate([pad(p, p.admitted, 0.0) for p in parts]),
-        counts=np.concatenate([p.counts for p in parts]),
-        arrivals=np.concatenate([p.arrivals for p in parts]),
-        admissions=np.concatenate([p.admissions for p in parts]),
-        capacity=first.capacity,
-        warmup=first.warmup,
-        horizon=first.horizon,
-        engine=first.engine,
-        lost_calls_cleared=first.lost_calls_cleared,
-    )
-
-
-def _ensemble_worker(
-    simulator: EnsembleSimulator,
-    children: List[np.random.SeedSequence],
-    horizon: float,
-    warmup: float,
-    initial_census: Optional[int],
-    max_events: int,
-    observe: bool,
-) -> dict:
-    """Worker-process entry point: isolate obs, run a chunk, snapshot."""
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracing import Tracer
-
-    if observe:
-        obs.enable(MetricsRegistry(), Tracer())
-    else:
-        obs.disable()
-    result = simulator._run(
-        children,
-        horizon,
-        warmup=warmup,
-        initial_census=initial_census,
-        max_events=max_events,
-        jobs=1,
-    )
-    out: dict = {"result": result}
-    if observe:
-        out["metrics"] = obs.snapshot()
-        obs.disable()
-    return out
-
-
 def paired_gap(
     process: DemandProcess,
     link: Link,
@@ -1145,7 +1019,6 @@ def paired_gap(
     reservation: Optional[AdmissionPolicy] = None,
     initial_census: Optional[int] = None,
     max_events: int = 20_000_000,
-    jobs: int = 1,
     block: int = DEFAULT_BLOCK,
     level: float = 0.95,
 ) -> PairedGapResult:
@@ -1167,7 +1040,7 @@ def paired_gap(
     admission policy can move ``B_hat``, so the best-effort arm takes
     none.
     """
-    _check_counts(replications, jobs)
+    _check_counts(replications)
     res_policy = (
         reservation
         if reservation is not None
@@ -1182,7 +1055,6 @@ def paired_gap(
         warmup=warmup,
         initial_census=initial_census,
         max_events=max_events,
-        jobs=jobs,
     )
     be_values, res_values = run.utility_estimates(utility)
     return PairedGapResult(

@@ -74,6 +74,8 @@ class TestPoissonAgainstReference:
     )
     # a series level inside the window left out 4.5e-10 of V_B here
     @example(log_nu=2.4296875, utility="adaptive", ratio=2.0)
+    # C + Delta is past a fixed 1e9 bracket ceiling here
+    @example(log_nu=9.0, utility="rigid", ratio=0.5)
     @settings(max_examples=30, deadline=None)
     def test_basic_model(self, log_nu, utility, ratio):
         nu, u = 10.0**log_nu, UTILITIES[utility]

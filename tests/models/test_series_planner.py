@@ -16,12 +16,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.loads import AlgebraicLoad
 from repro.models import VariableLoadModel
 from repro.models.variable_load import _MODE_DENSE, _MODE_TAIL
-from repro.utility import AdaptiveUtility, RigidUtility
+from repro.utility import AdaptiveUtility, PiecewiseLinearUtility, RigidUtility
 from repro.verify import strategies
 
 _ALG = AlgebraicLoad.from_mean(3.0, 100.0)
@@ -32,6 +32,15 @@ class TestPlanParity:
     @given(
         model=strategies.models(),
         capacity=strategies.capacities(0.5, 400.0),
+    )
+    # the ramp's break point C/a ~ 1e153 sits at u ~ 1e-150 in the EM
+    # tail, where cut/u**2 overflows though u * u does not
+    @example(
+        model=VariableLoadModel(
+            AlgebraicLoad.from_mean(2.5, 5.0),
+            PiecewiseLinearUtility(8.611625346396684e-154),
+        ),
+        capacity=1.0,
     )
     @settings(max_examples=60, deadline=None)
     def test_scalar_and_batch_values_agree(self, model, capacity):

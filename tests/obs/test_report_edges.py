@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.obs.report import render_report, render_span_tree
 
 
 @pytest.fixture(autouse=True)
@@ -20,7 +19,7 @@ def _clean_obs():
 
 class TestEmptySinks:
     def test_empty_registry_and_trace_render(self):
-        text = render_report(MetricsRegistry(), [])
+        text = obs.render_report()
         assert "(no spans recorded)" in text
         assert "(no metrics recorded)" in text
 
@@ -32,9 +31,6 @@ class TestEmptySinks:
             "histograms": {},
             "types": {},
         }
-
-    def test_render_span_tree_empty(self):
-        assert render_span_tree([]) == "(no spans recorded)"
 
     def test_empty_histogram_renders_as_empty(self):
         reg = MetricsRegistry()

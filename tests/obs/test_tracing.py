@@ -183,7 +183,7 @@ class TestModuleApi:
         with obs.span("phase"):
             obs.counter("things").inc(3)
         text = obs.render_report()
-        assert "span tree" in text
+        assert "== span hotspots (wall time) ==" in text
         assert "phase" in text
         assert "things" in text
 

@@ -65,7 +65,7 @@ class TestRunAll:
         code = main(ARGS + ["--cache-dir", str(tmp_path), "--profile"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "span tree" in out
+        assert "== span hotspots (wall time) ==" in out
         assert "metrics" in out
 
 
@@ -85,6 +85,13 @@ class TestRunCacheFlags:
         second = json.loads(capsys.readouterr().out)
         assert second["_meta"]["cache"] == "hit"
         assert second["result"] == first["result"]
+
+    def test_run_reads_the_entry_run_all_wrote(self, tmp_path, capsys):
+        cache = str(tmp_path)
+        assert main(["run-all", "T2", "--fast", "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        assert main(["run", "T2", "--fast", "--json", "--cache-dir", cache]) == 0
+        assert json.loads(capsys.readouterr().out)["_meta"]["cache"] == "hit"
 
     def test_run_force_recomputes(self, tmp_path, capsys):
         cache = str(tmp_path)

@@ -20,13 +20,14 @@ import pytest
 
 from repro import obs
 from repro.emulator import DOMAINS, exact_values, fit_bank
-from repro.experiments.params import DEFAULT_CONFIG
+from repro.experiments.params import DEFAULT_CONFIG, FAST_CONFIG
 from repro.runner.cache import ResultCache
 from repro.service import (
     BackgroundServer,
     EmulatorService,
     ServiceClient,
     ServiceClientError,
+    metered,
 )
 from repro.service.http import MAX_BATCH_POINTS, ServiceServer
 
@@ -98,6 +99,34 @@ class TestEndpoints:
         # several requests through the same client must not reconnect
         for x in (50.0, 100.0, 200.0):
             assert client.point("delta", "poisson", "adaptive", x)["value"] >= 0.0
+
+
+class TestMeteredServer:
+    """``repro serve`` meters its traffic but keeps none of its spans."""
+
+    def test_spans_stay_flat_while_metrics_count(self):
+        before = obs.tracer()
+        with metered():
+            bank = fit_bank(FAST_CONFIG, quantities=("delta",), loads=("poisson",))
+            service = EmulatorService(FAST_CONFIG, bank=bank)
+            # rigid queries always take the exact path, two model spans
+            # per call under a tracer that kept them
+            for i in range(2000):
+                service.point("delta", "poisson", "rigid", 50.0 + 0.01 * i)
+            assert obs.trace_roots() == []
+            assert obs.snapshot()["counters"]["service.points.exact"] == 2000
+            with BackgroundServer(service) as running:
+                with ServiceClient(*running.address) as client:
+                    client.point("delta", "poisson", "adaptive", 100.0)
+                    client.point("delta", "poisson", "rigid", 100.5)
+                    reply = client.metrics()
+            assert obs.trace_roots() == []
+        assert not obs.enabled() and obs.tracer() is before
+        assert reply["enabled"] is True
+        metrics = reply["metrics"]
+        assert metrics["counters"]["service.http.point.requests"] == 2
+        assert metrics["counters"]["service.points.exact"] == 2001
+        assert metrics["histograms"]["service.http.point.latency_ms"]["count"] == 2
 
 
 class TestErrorMapping:

@@ -21,7 +21,6 @@ from repro.simulation import (
     paired_gap,
     spawn_children,
 )
-from repro.simulation.ensemble import _merge_results
 from repro.utility import AdaptiveUtility
 
 
@@ -57,15 +56,6 @@ class TestRun:
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.census, b.census)
 
-    def test_jobs_identical_to_sequential(self):
-        a = small_ensemble().run(6, 25.0, seed=5, jobs=1)
-        b = small_ensemble().run(6, 25.0, seed=5, jobs=2)
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.census, b.census)
-        np.testing.assert_array_equal(a.admitted, b.admitted)
-        np.testing.assert_array_equal(a.arrivals, b.arrivals)
-        np.testing.assert_array_equal(a.admissions, b.admissions)
-
     def test_events_property(self):
         result = small_ensemble().run(3, 20.0, seed=2)
         np.testing.assert_array_equal(result.events, result.counts - 1)
@@ -94,8 +84,6 @@ class TestRun:
             small_ensemble().run(2, 0.0)
         with pytest.raises(ValueError):
             small_ensemble().run(2, 10.0, warmup=10.0)
-        with pytest.raises(ValueError):
-            small_ensemble().run(2, 10.0, jobs=0)
         with pytest.raises(ValueError):
             EnsembleSimulator(
                 BirthDeathProcess(PoissonLoad(5.0)), Link(5.0), retry_rate=-1.0
@@ -215,8 +203,6 @@ class TestRunUntil:
                 min_replications=8,
                 max_replications=4,
             )
-        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
-            ens.run_until(lambda r: r.mean_census(), 10.0, ci_halfwidth=0.1, jobs=0)
         with pytest.raises(ValueError, match="one value per replication"):
             ens.run_until(
                 lambda r: np.array([1.0]),
@@ -286,27 +272,21 @@ class TestPairedGap:
         assert len(gap.gap) == 4
 
     def test_refuses_bad_counts(self):
-        # the same refusals EnsembleSimulator.run gives, before any
+        # the same refusal EnsembleSimulator.run gives, before any
         # simulation (replications=0 used to fail inside numpy)
         args = (BirthDeathProcess(PoissonLoad(10.0)), Link(12.0), AdaptiveUtility())
-        with pytest.raises(ValueError, match="replications must be >= 1, got 0"):
-            paired_gap(*args, 0, 20.0, seed=1)
-        for jobs in (0, -2):
-            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
-                paired_gap(*args, 2, 20.0, seed=1, jobs=jobs)
+        for replications in (0, -2):
+            with pytest.raises(
+                ValueError, match=f"replications must be >= 1, got {replications}"
+            ):
+                paired_gap(*args, replications, 20.0, seed=1)
 
     @pytest.mark.parametrize(
-        "reservation, jobs",
-        [
-            (None, 1),
-            (None, 2),
-            (ThresholdAdmission(5), 1),
-            (ThresholdAdmission(5), 2),
-            (_EveryOther(), 1),
-        ],
-        ids=["readmit-1", "readmit-2", "in_loop-1", "in_loop-2", "scalar-1"],
+        "reservation",
+        [None, ThresholdAdmission(5), _EveryOther()],
+        ids=["readmit-1", "in_loop-1", "scalar-1"],
     )
-    def test_shared_census_equals_two_runs(self, reservation, jobs):
+    def test_shared_census_equals_two_runs(self, reservation):
         # reading both arms off the reservation run must reproduce the
         # separate best-effort and reservation ensembles bit for bit,
         # with or without a closed form and on either engine
@@ -326,7 +306,6 @@ class TestPairedGap:
             warmup=5.0,
             seed=42,
             reservation=reservation,
-            jobs=jobs,
         )
         be_run = EnsembleSimulator(
             BirthDeathProcess(load), Link(12.0), AdmitAll()
@@ -384,24 +363,6 @@ class TestPairedGap:
             obs.disable()
         # the reservation run alone serves both arms, closed form or not
         assert counters["ensemble.replications"] == 4
-
-
-class TestMerge:
-    def test_merge_repads_to_widest(self):
-        a = small_ensemble().run(2, 20.0, seed=51)
-        b = small_ensemble().run(3, 20.0, seed=52)
-        merged = _merge_results([a, b])
-        assert merged.replications == 5
-        assert merged.times.shape[1] == max(a.times.shape[1], b.times.shape[1])
-        np.testing.assert_array_equal(merged.counts[:2], a.counts)
-        np.testing.assert_array_equal(merged.counts[2:], b.counts)
-        # re-padding keeps every valid prefix intact
-        c = int(a.counts[0])
-        np.testing.assert_array_equal(merged.times[0, :c], a.times[0, :c])
-
-    def test_single_part_passthrough(self):
-        part = small_ensemble().run(2, 20.0, seed=53)
-        assert _merge_results([part]) is part
 
 
 class TestUtilityEstimates:

@@ -62,3 +62,23 @@ class TestModelCachesAreBounded:
         value = model.reservation(24.0)
         assert value == model.reservation(24.0)  # cache hit, same answer
         assert len(model._fixed_point_cache) >= 1
+
+    def test_fixed_load_k_max_cache(self):
+        import numpy as np
+
+        from repro.models.fixed_load import FixedLoadModel
+        from repro.utility import RigidUtility
+
+        model = FixedLoadModel(RigidUtility(1.0))
+        bound = model._k_max_cache.maxsize
+        capacities = 0.5 + np.arange(bound + 100)
+        np.testing.assert_array_equal(
+            model.k_max_batch(capacities), np.floor(capacities)
+        )
+        assert len(model._k_max_cache) == bound
+        # the oldest entries went first; an evicted capacity is searched
+        # again, answers the same and evicts the next oldest
+        assert 99.5 not in model._k_max_cache and 100.5 in model._k_max_cache
+        assert model.k_max(99.5) == 99
+        assert len(model._k_max_cache) == bound
+        assert 100.5 not in model._k_max_cache
